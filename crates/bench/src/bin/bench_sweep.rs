@@ -16,7 +16,8 @@
 //!    efficiency of the replica engine (1.0 = perfect linear scaling),
 //! 5. parallel-tempering wall-clock on an 8-temperature ladder, all cores
 //!    vs pinned to one thread — the round-parallel PT engine's speedup, and
-//! 6. job-service throughput (jobs/s) on a fixed mixed-instance workload —
+//! 6. job-pool throughput (jobs/s) through an in-process front-end
+//!    (`Frontend::start` + `connect`) on a fixed mixed-instance workload —
 //!    ensemble, PT and descent jobs over several model sizes — as the
 //!    worker count grows: the multi-instance scheduler's scaling.
 //!
@@ -34,10 +35,11 @@
 use saim_bench::snapshot::PrevSnapshot;
 use saim_core::{penalty_qubo, ConstrainedProblem};
 use saim_knapsack::generate;
-use saim_machine::service::{solver_service, ServiceConfig};
+use saim_machine::frontend::{Frontend, FrontendConfig, Response};
+use saim_machine::service::{JobSpec, SolverSpec};
 use saim_machine::{
     derive_seed, new_rng, parallel, BetaSchedule, Dynamics, EnsembleAnnealer, EnsembleConfig,
-    IsingSolver, NoiseSource, ParallelTempering, PbitMachine, PtConfig, ReplicaBatch,
+    IsingSolver, NoiseSource, OutcomeKind, ParallelTempering, PbitMachine, PtConfig, ReplicaBatch,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -154,12 +156,13 @@ struct PtPoint {
 
 #[derive(Debug, Serialize)]
 struct ServicePoint {
-    /// Worker threads of the job service (jobs themselves run 1-threaded,
-    /// so this axis isolates the scheduler's job-level parallelism).
+    /// Worker threads of the front-end's job pool (jobs themselves run
+    /// 1-threaded, so this axis isolates the scheduler's job-level
+    /// parallelism).
     workers: usize,
     /// Jobs in the fixed mixed workload.
     jobs: usize,
-    /// Wall-clock of submit-all + drain, seconds.
+    /// Wall-clock of submit-all until the last outcome arrives, seconds.
     wall_sec: f64,
     jobs_per_sec: f64,
     /// one-worker wall / this wall — the scheduler's scaling in workers.
@@ -175,9 +178,10 @@ struct Snapshot {
     /// (hot-regime bracket-kernel throughput vs the exact-tanh oracle) and
     /// the self-recording trajectory fields (`previous_rev` + per-row
     /// `delta_pct` vs the prior snapshot at the output path); v4 added the
-    /// `service` section (job-service throughput vs worker count on a
-    /// mixed instance workload); v3 added `batch`; v2 added `pt` and the
-    /// cores/git_rev/timestamp provenance fields.
+    /// `service` section (job-pool throughput vs worker count on a mixed
+    /// instance workload, timed through an in-process front-end since the
+    /// job service was folded into it); v3 added `batch`; v2 added `pt` and
+    /// the cores/git_rev/timestamp provenance fields.
     schema: u32,
     /// Detected worker-thread count (what `threads: 0` resolves to).
     cores: usize,
@@ -472,20 +476,30 @@ fn time_service(workers: usize, one_worker_sec: Option<f64>) -> ServicePoint {
     // the shared mixed workload: 24 ensemble/PT/descent jobs over three
     // model sizes, every job pinned to one thread so the axis under test
     // is the scheduler's job-level parallelism alone
-    let workload = saim_bench::experiments::service_mix(&[40, 60, 80], 24, 4, 250);
+    let workload = service_mix(&[40, 60, 80], 24, 4, 250);
     let jobs = workload.len();
     let run = || {
-        let mut service = solver_service(ServiceConfig {
+        let frontend = Frontend::start(FrontendConfig {
             workers,
-            queue_depth: 32,
+            ..FrontendConfig::default()
         });
+        let client = frontend.connect();
         let start = Instant::now();
         for spec in workload.iter().cloned() {
-            service.submit(spec);
+            client.submit(spec, 0, None);
         }
-        let outcomes = service.drain();
-        assert_eq!(outcomes.len(), jobs);
-        assert!(outcomes.iter().all(Result::is_ok), "no solver job panics");
+        let mut completed = 0;
+        while completed < jobs {
+            match client.recv() {
+                Some(Response::Accepted { .. }) => {}
+                Some(Response::Outcome { outcome })
+                    if outcome.outcome_kind == OutcomeKind::Completed =>
+                {
+                    completed += 1;
+                }
+                other => panic!("a service job did not complete: {other:?}"),
+            }
+        }
         start.elapsed().as_secs_f64()
     };
     // warm up thread stacks and allocator, then take the best of three
@@ -499,6 +513,51 @@ fn time_service(workers: usize, one_worker_sec: Option<f64>) -> ServicePoint {
         speedup_vs_one_worker: one_worker_sec.map_or(1.0, |one| one / wall_sec.max(1e-12)),
         delta_pct: None,
     }
+}
+
+/// A fixed mixed job-pool workload: `jobs` specs cycling through QKP
+/// models of the given sizes and the three solver kinds — an ensemble of
+/// `replicas` runs of `sweeps` MCS, a PT ladder of `replicas + 2` slots,
+/// and greedy descent — every job pinned to one thread (the unit of
+/// parallelism under test is the *job*) with its own derived seed and
+/// instance digest.
+fn service_mix(model_sizes: &[usize], jobs: u64, replicas: usize, sweeps: usize) -> Vec<JobSpec> {
+    let payloads: Vec<(saim_ising::Qubo, u64)> = model_sizes
+        .iter()
+        .map(|&n| {
+            let inst = generate::qkp(n, 0.5, 7).expect("valid parameters");
+            let enc = inst.encode().expect("encodes");
+            let qubo = penalty_qubo(&enc, enc.penalty_for_alpha(2.0)).expect("valid penalty");
+            (qubo, inst.digest())
+        })
+        .collect();
+    let solvers = [
+        SolverSpec::Ensemble(EnsembleConfig {
+            replicas,
+            threads: 1,
+            batch_width: 0,
+            schedule: BetaSchedule::linear(10.0),
+            mcs_per_run: sweeps,
+            dynamics: Dynamics::Gibbs,
+        }),
+        SolverSpec::Pt(PtConfig {
+            replicas: replicas + 2,
+            sweeps,
+            swap_interval: 10,
+            threads: 1,
+            ..PtConfig::default()
+        }),
+        SolverSpec::Descent {
+            max_sweeps: sweeps * 8,
+        },
+    ];
+    (0..jobs)
+        .map(|job| {
+            let (model, digest) = payloads[(job as usize) % payloads.len()].clone();
+            let solver = solvers[(job as usize / payloads.len()) % solvers.len()].clone();
+            JobSpec::new(job, model, solver, derive_seed(1, job)).with_instance_digest(digest)
+        })
+        .collect()
 }
 
 fn main() {

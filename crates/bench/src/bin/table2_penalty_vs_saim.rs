@@ -23,6 +23,7 @@ use saim_bench::report::Table;
 use saim_core::presets;
 use saim_knapsack::generate;
 use saim_machine::derive_seed;
+use saim_machine::parallel::parallel_map_indexed;
 use std::time::Duration;
 
 fn fmt_acc(v: Option<f64>) -> String {
@@ -66,29 +67,27 @@ fn main() {
     let mut pen_best_acc = Vec::new();
     let mut tuned_best_acc = Vec::new();
 
-    // the instance grid flows through the batched job service (the same
-    // scheduler production traffic uses); rows fold back in grid order
+    // the instance grid fans out over an ordered map; rows come back in
+    // grid order
     let densities = [0.25, 0.5];
-    let cells =
-        experiments::grid_via_service(densities.len() * instances_per_density, move |cell| {
-            let di = cell / instances_per_density;
-            let idx = cell % instances_per_density;
-            let density = densities[di];
-            let inst_seed = derive_seed(args.seed, (di * 100 + idx) as u64);
-            let instance = generate::qkp(n, density, inst_seed).expect("valid parameters");
-            let enc = instance.encode().expect("instance encodes");
+    let cells = parallel_map_indexed(densities.len() * instances_per_density, 0, |cell| {
+        let di = cell / instances_per_density;
+        let idx = cell % instances_per_density;
+        let density = densities[di];
+        let inst_seed = derive_seed(args.seed, (di * 100 + idx) as u64);
+        let instance = generate::qkp(n, density, inst_seed).expect("valid parameters");
+        let enc = instance.encode().expect("instance encodes");
 
-            let (saim, _) = experiments::saim_qkp(&enc, preset, args.scale, inst_seed);
-            let (tuned, alpha) = experiments::penalty_tuned(&enc, preset, args.scale, inst_seed);
-            // the paper's "same setup as SAIM" penalty run inherits the tuned P
-            let pen = experiments::penalty_same_budget(&enc, preset, args.scale, inst_seed, alpha);
+        let (saim, _) = experiments::saim_qkp(&enc, preset, args.scale, inst_seed);
+        let (tuned, alpha) = experiments::penalty_tuned(&enc, preset, args.scale, inst_seed);
+        // the paper's "same setup as SAIM" penalty run inherits the tuned P
+        let pen = experiments::penalty_same_budget(&enc, preset, args.scale, inst_seed, alpha);
 
-            let (reference, certified) =
-                experiments::qkp_reference(&instance, Duration::from_secs(3));
-            let reference = experiments::best_known(reference, &[&saim, &pen, &tuned]);
-            let label = format!("{n}-{}-{}", (density * 100.0) as u32, idx + 1);
-            (label, saim, pen, tuned, alpha, reference, certified)
-        });
+        let (reference, certified) = experiments::qkp_reference(&instance, Duration::from_secs(3));
+        let reference = experiments::best_known(reference, &[&saim, &pen, &tuned]);
+        let label = format!("{n}-{}-{}", (density * 100.0) as u32, idx + 1);
+        (label, saim, pen, tuned, alpha, reference, certified)
+    });
     for (label, saim, pen, tuned, alpha, reference, certified) in cells {
         if let Some(a) = saim.best_accuracy(reference) {
             saim_best_acc.push(a);

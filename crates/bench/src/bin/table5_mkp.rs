@@ -18,6 +18,7 @@ use saim_bench::report::Table;
 use saim_core::presets;
 use saim_knapsack::generate;
 use saim_machine::derive_seed;
+use saim_machine::parallel::parallel_map_indexed;
 use std::time::Duration;
 
 fn main() {
@@ -56,18 +57,16 @@ fn main() {
     let mut saim_feas = Vec::new();
     let mut ga_acc = Vec::new();
 
-    // flatten the (class, instance) grid and run it through the batched job
-    // service; rows fold back in grid order (solver digests are
-    // worker-count invariant; the time-limited B&B reference can vary with
-    // core contention)
+    // flatten the (class, instance) grid and fan it out over an ordered map;
+    // rows come back in grid order (solver digests are thread-count
+    // invariant; the time-limited B&B reference can vary with core
+    // contention)
     let grid: Vec<(usize, usize)> = classes
         .iter()
         .enumerate()
         .flat_map(|(ci, (_, _, count))| (0..*count).map(move |idx| (ci, idx)))
         .collect();
-    let grid_len = grid.len();
-    let classes = classes.clone();
-    let cells = experiments::grid_via_service(grid_len, move |cell| {
+    let cells = parallel_map_indexed(grid.len(), 0, |cell| {
         let (ci, idx) = grid[cell];
         let (n, m, _) = classes[ci];
         let inst_seed = derive_seed(args.seed, (ci * 1000 + idx) as u64);

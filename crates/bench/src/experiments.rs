@@ -13,100 +13,9 @@ use saim_core::{ConstrainedProblem, PenaltyMethod, SaimOutcome, SaimRunner};
 use saim_exact::bb::{self, BbLimits};
 use saim_heuristics::ga::{ChuBeasleyGa, GaConfig};
 use saim_heuristics::{greedy, local};
-use saim_knapsack::{generate, MkpEncoded, MkpInstance, QkpEncoded, QkpInstance};
-use saim_machine::service::{JobService, JobSpec, ServiceConfig, SolverSpec};
+use saim_knapsack::{MkpEncoded, MkpInstance, QkpEncoded, QkpInstance};
 use saim_machine::{derive_seed, IsingSolver, ParallelTempering, PtConfig};
 use std::time::Duration;
-
-/// Fans an instance grid out over the batched job service: cells `0..count`
-/// are submitted in order to a [`JobService`] whose workers evaluate
-/// `build(cell)`, results stream back in completion order, and the drain
-/// folds them into grid order.
-///
-/// This replaces the plain fork–join map in the table 2–5 instance loops,
-/// so the paper's own benchmark protocol — a grid of instances × seeds ×
-/// solver configs — flows through the same scheduler production traffic
-/// would. Results are identical to the serial loop because every cell is
-/// independent and derives its own seed; the service adds only scheduling.
-pub fn grid_via_service<T, F>(count: usize, build: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    // like the fork–join map this replaced, never spawn more workers than
-    // there are cells (a small grid on a many-core box would otherwise
-    // park a sea of idle threads), and collapse to one worker when called
-    // from inside another pool (`auto_workers`, the nested-pool guard);
-    // never changes results, only threads
-    let workers = count.clamp(1, saim_machine::parallel::auto_workers());
-    let config = ServiceConfig {
-        workers,
-        ..ServiceConfig::default()
-    };
-    let mut service = JobService::start(config, build);
-    for cell in 0..count {
-        service.submit(cell);
-    }
-    service
-        .drain()
-        .into_iter()
-        .map(|result| result.unwrap_or_else(|failure| panic!("{failure}")))
-        .collect()
-}
-
-/// A fixed mixed job-service workload: `jobs` specs cycling through QKP
-/// models of the given sizes and the three solver kinds — an ensemble of
-/// `replicas` runs of `sweeps` MCS, a PT ladder of `replicas + 2` slots,
-/// and greedy descent — every job pinned to one thread (the unit of
-/// parallelism under test is the *job*) with its own derived seed and
-/// instance digest.
-///
-/// Shared by the `service_throughput` criterion bench and the `bench_sweep`
-/// snapshot so the two measurements stay on the same workload shape.
-pub fn service_mix(
-    model_sizes: &[usize],
-    jobs: u64,
-    replicas: usize,
-    sweeps: usize,
-) -> Vec<JobSpec> {
-    let payloads: Vec<(saim_ising::Qubo, u64)> = model_sizes
-        .iter()
-        .map(|&n| {
-            let inst = generate::qkp(n, 0.5, 7).expect("valid parameters");
-            let enc = inst.encode().expect("encodes");
-            let qubo =
-                saim_core::penalty_qubo(&enc, enc.penalty_for_alpha(2.0)).expect("valid penalty");
-            (qubo, inst.digest())
-        })
-        .collect();
-    let solvers = [
-        SolverSpec::Ensemble(saim_machine::EnsembleConfig {
-            replicas,
-            threads: 1,
-            batch_width: 0,
-            schedule: saim_machine::BetaSchedule::linear(10.0),
-            mcs_per_run: sweeps,
-            dynamics: saim_machine::Dynamics::Gibbs,
-        }),
-        SolverSpec::Pt(PtConfig {
-            replicas: replicas + 2,
-            sweeps,
-            swap_interval: 10,
-            threads: 1,
-            ..PtConfig::default()
-        }),
-        SolverSpec::Descent {
-            max_sweeps: sweeps * 8,
-        },
-    ];
-    (0..jobs)
-        .map(|job| {
-            let (model, digest) = payloads[(job as usize) % payloads.len()].clone();
-            let solver = solvers[(job as usize / payloads.len()) % solvers.len()].clone();
-            JobSpec::new(job, model, solver, derive_seed(1, job)).with_instance_digest(digest)
-        })
-        .collect()
-}
 
 /// One method's outcome on one instance, in profit units (higher is better).
 #[derive(Debug, Clone, PartialEq)]

@@ -7,6 +7,7 @@ use crate::stats;
 use saim_core::presets;
 use saim_knapsack::generate;
 use saim_machine::derive_seed;
+use saim_machine::parallel::parallel_map_indexed;
 use std::time::Duration;
 
 /// Per-instance outcome of the three-way QKP comparison.
@@ -35,16 +36,14 @@ pub fn qkp_comparison(
     args: HarnessArgs,
 ) -> Vec<QkpComparisonRow> {
     let preset = presets::qkp();
-    // every instance is seeded independently, so the whole comparison grid
-    // flows through the batched job service — the same scheduler a traffic
-    // front-end would feed — and rows fold back in grid order. Solver
-    // digests are worker-count invariant; the wall-clock-limited B&B
+    // every instance is seeded independently, so the comparison grid fans
+    // out over an ordered map and rows come back in grid order. Solver
+    // digests are thread-count invariant; the wall-clock-limited B&B
     // *reference* is not (it explores fewer nodes under core contention),
     // which the serial loop already suffered under machine load — treat
     // the OPT/best-known labels as machine-dependent either way.
     let count = densities.len() * instances_per_density;
-    let densities = densities.to_vec();
-    experiments::grid_via_service(count, move |cell| {
+    parallel_map_indexed(count, 0, |cell| {
         let di = cell / instances_per_density;
         let idx = cell % instances_per_density;
         let density = densities[di];

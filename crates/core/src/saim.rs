@@ -3,7 +3,7 @@ use crate::lagrangian::LagrangianSystem;
 use crate::problem::{ConstrainedProblem, Evaluation};
 use crate::trace::IterationRecord;
 use saim_ising::BinaryState;
-use saim_machine::service::{JobService, ServiceConfig, SolverSpec};
+use saim_machine::service::SolverSpec;
 use saim_machine::{
     EnsembleAnnealer, EnsembleConfig, GreedyDescent, IsingSolver, ParallelTempering, PtConfig,
     SampleCounter,
@@ -279,10 +279,14 @@ impl SaimRunner {
     }
 
     /// Runs Algorithm 1 with the inner minimizer chosen by a serialized
-    /// [`SolverSpec`] — the dispatch the job service speaks. Equivalent to
-    /// calling [`SaimRunner::run_ensemble`], [`SaimRunner::run_pt`], or
-    /// [`SaimRunner::run`] with a [`GreedyDescent`] seeded from
-    /// [`SaimConfig::seed`], respectively.
+    /// [`SolverSpec`] — the solver selection the job wire schema speaks.
+    /// Equivalent to calling [`SaimRunner::run_ensemble`],
+    /// [`SaimRunner::run_pt`], or [`SaimRunner::run`] with a
+    /// [`GreedyDescent`] seeded from [`SaimConfig::seed`], respectively.
+    /// Many `(config, problem)` jobs fan out in job order with
+    /// `parallel_map_indexed(jobs.len(), 0, |i| …run_spec(…))`; each job's
+    /// streams derive from its own seed, so the results are bit-identical
+    /// to the serial loop.
     ///
     /// # Panics
     ///
@@ -300,49 +304,6 @@ impl SaimRunner {
                 GreedyDescent::new(self.config.seed).with_max_sweeps(*max_sweeps),
             ),
         }
-    }
-
-    /// Solves many `(config, problem)` jobs concurrently through a
-    /// [`JobService`] and returns the outcomes **in job order**.
-    ///
-    /// This is the multi-instance facade over the batched job service: the
-    /// paper's benchmark protocol (grids of instances × seeds × solver
-    /// configs) is exactly this shape, as is any "heavy traffic" front-end
-    /// feeding many models into one solver fleet. Jobs flow through the
-    /// service's bounded queue with backpressure and run on its persistent
-    /// worker pool; each job's RNG streams derive from its own
-    /// [`SaimConfig::seed`], no state is shared between jobs, and outcome
-    /// `i` is **bit-identical** to
-    /// `SaimRunner::new(jobs[i].0).run_spec(&jobs[i].1, solver)` run
-    /// directly — for any [`ServiceConfig::workers`], queue depth, or
-    /// submission interleaving (`tests/service_replay.rs` asserts this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job's configuration is invalid, plus the conditions of
-    /// [`SaimRunner::run`]. (The service reports a poisoned job as a typed
-    /// failure in its slot; this all-or-nothing facade re-raises it, since
-    /// a partial grid is useless to the benchmark protocol.)
-    pub fn run_jobs<P>(
-        jobs: Vec<(SaimConfig, P)>,
-        solver: &SolverSpec,
-        service: ServiceConfig,
-    ) -> Vec<SaimOutcome>
-    where
-        P: ConstrainedProblem + Send + 'static,
-    {
-        let solver = solver.clone();
-        let mut service = JobService::start(service, move |(config, problem): (SaimConfig, P)| {
-            SaimRunner::new(config).run_spec(&problem, &solver)
-        });
-        for job in jobs {
-            service.submit(job);
-        }
-        service
-            .drain()
-            .into_iter()
-            .map(|result| result.unwrap_or_else(|failure| panic!("{failure}")))
-            .collect()
     }
 }
 
@@ -519,42 +480,6 @@ mod tests {
         }
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn run_jobs_matches_direct_runs_in_job_order() {
-        let problem = cardinality_problem();
-        let solver = SolverSpec::Ensemble(EnsembleConfig {
-            replicas: 3,
-            threads: 1,
-            batch_width: 0,
-            schedule: saim_machine::BetaSchedule::linear(8.0),
-            mcs_per_run: 60,
-            dynamics: saim_machine::Dynamics::Gibbs,
-        });
-        let jobs: Vec<(SaimConfig, BinaryProblem)> = (0..5u64)
-            .map(|seed| {
-                (
-                    SaimConfig {
-                        penalty: 0.5,
-                        eta: 0.5,
-                        iterations: 8,
-                        seed,
-                    },
-                    problem.clone(),
-                )
-            })
-            .collect();
-        let service = ServiceConfig {
-            workers: 3,
-            queue_depth: 2,
-        };
-        let outcomes = SaimRunner::run_jobs(jobs.clone(), &solver, service);
-        assert_eq!(outcomes.len(), 5);
-        for ((config, problem), outcome) in jobs.iter().zip(&outcomes) {
-            let direct = SaimRunner::new(*config).run_spec(problem, &solver);
-            assert_eq!(outcome, &direct);
-        }
     }
 
     #[test]

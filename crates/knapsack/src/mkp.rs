@@ -99,7 +99,7 @@ impl MkpInstance {
 
     /// A stable 64-bit content digest (FNV-1a over the canonical text
     /// serialization, label included) — the `instance_digest` tag of the
-    /// job-service wire schema. Equal instances always digest equally on
+    /// job wire schema. Equal instances always digest equally on
     /// every platform; inequality of digests proves inequality of
     /// instances (the converse is a hash, not a guarantee).
     pub fn digest(&self) -> u64 {

@@ -178,7 +178,7 @@ pub const DEFAULT_POLL_INTERVAL: u64 = 8;
 /// running solve from outside.
 ///
 /// Clones share the same flags, so one controller can govern a whole
-/// service: workers poll their clone inside the sweep loop, the owner calls
+/// fleet of jobs: workers poll their clone inside the sweep loop, the owner calls
 /// [`RunController::request_cancel`] / [`RunController::request_checkpoint`]
 /// from another thread. Polling is cooperative — a request takes effect at
 /// the engine's next poll boundary, which is at most

@@ -1,20 +1,20 @@
 //! Fault-tolerant network front-end: the layer that faces untrusted
 //! clients and keeps the solver fleet healthy under partial failure.
 //!
-//! The [`service`](crate::service) module gives one *owner* a worker pool;
-//! this module multiplexes **many mutually-untrusting clients** onto that
-//! pool over a line-delimited JSON (NDJSON) protocol, with the robustness
-//! properties a shared service needs:
+//! This module owns the crate's one persistent job pool: a worker fleet
+//! executing [`service`] jobs, shared by **many
+//! mutually-untrusting clients** over a line-delimited JSON (NDJSON)
+//! protocol — or in process through [`Frontend::connect`] — with the
+//! robustness properties a shared service needs:
 //!
 //! - **Strict framing** — every request line is parsed against the schema-v3
 //!   wire format with typed rejection ([`FrameError`]): malformed JSON,
 //!   unknown fields, wrong schema versions, and oversized lines each earn an
 //!   error frame on that connection while the fleet keeps running. A bad
 //!   client can never poison the service.
-//! - **Weighted-fair scheduling** — the global FIFO is replaced by a
-//!   [`ScheduledQueue`]: strict priority classes, weighted-fair service
-//!   across clients within a class, earliest-deadline-first within one
-//!   client's backlog. A flooding client slows only itself down.
+//! - **Weighted-fair scheduling** — jobs wait in a [`ScheduledQueue`]:
+//!   strict priority classes, weighted-fair service across clients within
+//!   a class, earliest-deadline-first within one client's backlog. A flooding client slows only itself down.
 //! - **Admission control** — the queue is bounded by policy, not memory:
 //!   past [`FrontendConfig::max_queued`] (or the per-client cap) a submit is
 //!   shed with a typed [`Response::Overloaded`] carrying `retry_after_ms`,
@@ -27,10 +27,10 @@
 //!   removes that client's queued jobs and cooperatively cancels its running
 //!   ones through per-job [`RunController`]s.
 //! - **Drain and resume** — [`Frontend::shutdown_to`] checkpoints in-flight
-//!   jobs and persists queued ones in the exact
-//!   [`ControlledService::shutdown_to`](crate::service::ControlledService::shutdown_to)
-//!   file layout; [`Frontend::resume`] continues them **bit-identically** to
-//!   never-interrupted runs, at any worker count.
+//!   jobs and persists queued ones in the drain-directory layout described
+//!   in the [`service`] module docs; [`Frontend::resume`]
+//!   continues them **bit-identically** to never-interrupted runs, at any
+//!   worker count.
 //! - **Accounting** — per-client and fleet-wide [`ClientStats`] hold the
 //!   no-lost-jobs invariant: every accepted job lands in exactly one
 //!   terminal bucket (completed / failed / cancelled / expired).
@@ -1105,10 +1105,10 @@ impl Frontend {
     }
 
     /// Starts a fleet and resubmits every job a previous
-    /// [`Frontend::shutdown_to`] (or
-    /// [`ControlledService::shutdown_to`](crate::service::ControlledService::shutdown_to))
-    /// persisted under `dir`, in the original order, owned by the returned
-    /// recovery handle. Completed resumed jobs are bit-identical to
+    /// [`Frontend::shutdown_to`] persisted under `dir`, in the original
+    /// order, owned by the returned recovery handle: `.ckpt` files continue
+    /// from their captured state, `.spec.json` files run from scratch.
+    /// Completed resumed jobs are bit-identical to
     /// never-interrupted runs at any worker count. Recovered jobs bypass
     /// admission control — they were already admitted once.
     ///
@@ -1179,10 +1179,10 @@ impl Frontend {
 
     /// Graceful drain — the SIGTERM path: stops admitting, pulls queued
     /// jobs into spec/checkpoint files, asks running jobs to checkpoint,
-    /// joins the workers, and persists everything under `dir` in the PR 6
-    /// drain layout (`job-NNNNNN.spec.json` / `job-NNNNNN.ckpt`, ordered by
-    /// scheduler sequence). [`Frontend::resume`] continues the work
-    /// bit-identically.
+    /// joins the workers, and persists everything under `dir` in the drain
+    /// layout (`job-NNNNNN.spec.json` / `job-NNNNNN.ckpt`, ordered by
+    /// scheduler sequence; see the [`service`] docs). [`Frontend::resume`]
+    /// continues the work bit-identically.
     ///
     /// Clients with jobs still in flight receive no further frames — their
     /// jobs survive in the drain directory; redelivery happens through the
@@ -2142,6 +2142,97 @@ mod tests {
         drop(recovery);
         drop(resumed);
         std::fs::remove_dir_all(scratch.as_path()).ok();
+    }
+
+    /// A checkpoint of `spec` stopped after three sweeps.
+    fn cut_checkpoint(spec: &JobSpec) -> crate::checkpoint::Checkpoint {
+        let cut = spec.run_controlled(
+            &RunController::unlimited()
+                .with_stop_after(3)
+                .with_poll_interval(1),
+        );
+        *cut.checkpoint.expect("the run checkpointed")
+    }
+
+    #[test]
+    fn resume_runs_persisted_spec_files_from_scratch() {
+        let scratch = tempdir();
+        let spec = slow_spec(7, 21);
+        std::fs::write(
+            scratch.as_path().join("job-000000.spec.json"),
+            spec.to_json(),
+        )
+        .expect("spec file is writable");
+        let (_resumed, recovery) =
+            Frontend::resume(test_config(1, None), scratch.as_path()).expect("spec files parse");
+        expect_accepted(&recovery, 7);
+        let outcome = expect_outcome(&recovery);
+        assert_eq!(outcome.outcome_kind, OutcomeKind::Completed);
+        assert_eq!(outcome.canonical(), spec.run().canonical());
+    }
+
+    #[test]
+    fn resume_rejects_a_corrupt_checkpoint_before_anything_runs() {
+        let scratch = tempdir();
+        let path = scratch.as_path().join("job-000000.ckpt");
+        cut_checkpoint(&slow_spec(3, 9))
+            .save(&path)
+            .expect("checkpoint saves");
+        let mut bytes = std::fs::read(&path).expect("checkpoint reads");
+        bytes[10] ^= 0x01; // single bit flip in the payload
+        std::fs::write(&path, bytes).expect("corruption lands");
+        let result = Frontend::resume(test_config(1, None), scratch.as_path());
+        assert!(matches!(result, Err(CheckpointError::ChecksumMismatch)));
+    }
+
+    #[test]
+    fn a_checkpoint_that_does_not_fit_its_spec_is_a_typed_failure() {
+        // graft an ensemble state onto a descent spec: the worker panics,
+        // which must surface as that job's failure frame, not a teardown
+        let scratch = tempdir();
+        let ensemble = cut_checkpoint(&slow_spec(0, 5));
+        let descent_spec = JobSpec::new(
+            0,
+            ensemble.spec.model.clone(),
+            SolverSpec::Descent { max_sweeps: 10 },
+            5,
+        );
+        crate::checkpoint::Checkpoint::new(descent_spec, ensemble.engine)
+            .save(&scratch.as_path().join("job-000000.ckpt"))
+            .expect("checkpoint saves");
+        let (resumed, recovery) =
+            Frontend::resume(test_config(1, None), scratch.as_path()).expect("the file is intact");
+        expect_accepted(&recovery, 0);
+        match recovery.recv_timeout(Duration::from_secs(20)) {
+            Some(Response::Failure { job, message, .. }) => {
+                assert_eq!(job, 0);
+                assert!(
+                    message.contains("does not match the spec's solver"),
+                    "message: {message}"
+                );
+            }
+            other => panic!("expected a failure frame, got {other:?}"),
+        }
+        // the fleet survives and keeps serving
+        let next = toy_spec(1, 2);
+        recovery.submit(next.clone(), 0, None);
+        expect_accepted(&recovery, 1);
+        assert_eq!(
+            expect_outcome(&recovery).canonical(),
+            next.run().canonical()
+        );
+        assert_eq!(resumed.fleet_stats().failed, 1);
+    }
+
+    #[test]
+    fn a_fleet_started_inside_a_pool_worker_gets_one_worker() {
+        // an auto-sized fleet started from inside another pool's worker
+        // must not spawn an all-cores pool per worker (cores² threads);
+        // explicit counts are still honored
+        let workers = parallel::parallel_map_indexed(2, 2, |i| {
+            Frontend::start(test_config(if i == 0 { 0 } else { 3 }, None)).workers()
+        });
+        assert_eq!(workers, vec![1, 3]);
     }
 
     /// A unique scratch directory under the target tmpdir.

@@ -46,17 +46,17 @@
 //!   for any thread count and batch width); the run-level engine behind the
 //!   bench harness's repetition loops,
 //! - [`parallel`] — the deterministic fork–join primitives the ensemble
-//!   (and the bench harness's instance grids) run on, plus the bounded
-//!   queue under the job service,
-//! - [`service`] — the batched multi-instance job layer: a
-//!   [`service::JobService`] schedules many independent jobs (model +
-//!   solver selection + seed) over a persistent worker pool with
-//!   backpressure, streaming results in completion order tagged with
-//!   submission order — bit-identical to direct engine calls for any
-//!   worker count — and the serialized [`service::JobSpec`] /
-//!   [`service::JobOutcome`] wire schema a network front-end would speak,
-//! - [`frontend`] — the fault-tolerant network front-end over the job
-//!   layer: an NDJSON protocol with strict typed framing, per-client
+//!   (and the bench harness's instance grids, via
+//!   [`parallel::parallel_map_indexed`]) run on, plus the multi-tenant
+//!   queue under the front-end's worker fleet,
+//! - [`service`] — the job layer: the serialized [`service::JobSpec`] /
+//!   [`service::JobOutcome`] wire schema (a job is bit-identical to its
+//!   direct engine call, wherever it runs), the [`service::SolverJob`] a
+//!   worker executes under a [`RunController`], and the drain-directory
+//!   layout,
+//! - [`frontend`] — the fault-tolerant network front-end whose worker
+//!   fleet is the crate's one persistent job pool: an NDJSON protocol with
+//!   strict typed framing, per-client
 //!   weighted-fair scheduling with priorities and earliest-deadline-first
 //!   ordering, admission control that sheds overload with typed retry
 //!   hints, per-client cancellation and disconnect cleanup, drain/resume in
@@ -77,9 +77,9 @@
 //!   sweep loop from cheap every-k-sweeps polls, and a versioned,
 //!   checksummed [`Checkpoint`] file captures full engine state (spins,
 //!   fields, best-so-far, schedule position, exact RNG stream positions)
-//!   so an interrupted run — or a whole drained
-//!   [`service::ControlledService`] — resumes bit-identically to one that
-//!   was never interrupted; corrupt files land on typed
+//!   so an interrupted run — or a whole drained [`frontend::Frontend`] —
+//!   resumes bit-identically to one that was never interrupted; corrupt
+//!   files land on typed
 //!   [`CheckpointError`]s, never a panic,
 //! - [`ParallelTempering`] — a replica-exchange solver standing in for the
 //!   PT-DA baseline of the paper's evaluation; ladder rounds fan out over

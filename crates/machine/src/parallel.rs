@@ -1,8 +1,8 @@
 //! Deterministic fork–join helpers on OS threads.
 //!
 //! The build container has no registry access, so instead of `rayon` this
-//! module provides the two primitives the parallel engines need, both with
-//! outputs **independent of thread count and scheduling**:
+//! module provides the primitives the parallel engines and the job pool
+//! need, all with outputs **independent of thread count and scheduling**:
 //!
 //! - [`parallel_map_indexed`] — a one-shot indexed map whose results are
 //!   ordered by index (the replica-ensemble engine's shape). Work items are
@@ -15,23 +15,17 @@
 //!   barrier keeps the per-round cost at two barrier crossings instead of a
 //!   full thread spawn/join cycle — the difference between useful and
 //!   useless parallelism when one round is tens of microseconds of work.
-//! - [`BoundedQueue`] — a blocking bounded MPMC queue (the job service's
-//!   backpressure primitive): producers park when the queue is full,
-//!   consumers park when it is empty, and closing wakes everyone. The
-//!   queue itself imposes no ordering on *completions*, only on hand-offs —
-//!   determinism comes from the items being independent, exactly as in
-//!   [`parallel_map_indexed`].
-//! - [`ScheduledQueue`] — the multi-tenant sibling of [`BoundedQueue`]
-//!   (the network front-end's scheduling primitive): every item carries a
-//!   [`Ticket`] naming its client, weight, priority class, and optional
-//!   deadline, and [`ScheduledQueue::pop`] hands out work by strict
-//!   priority band, weighted-fair across clients inside a band (integer
-//!   virtual-time start tags), and earliest-deadline-first within one
-//!   client's backlog. Items whose deadline already passed at dequeue come
+//! - [`ScheduledQueue`] — the multi-tenant queue under the network
+//!   front-end's worker fleet, the crate's one persistent job pool: every
+//!   item carries a [`Ticket`] naming its client, weight, priority class,
+//!   and optional deadline, and [`ScheduledQueue::pop`] hands out work by
+//!   strict priority band, weighted-fair across clients inside a band
+//!   (integer virtual-time start tags), and earliest-deadline-first within
+//!   one client's backlog. Items whose deadline already passed at dequeue come
 //!   back tagged [`Scheduled::expired`] so the caller can shed them without
 //!   ever charging a worker — or the client's fairness account — for them.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Barrier, Condvar, Mutex};
@@ -45,7 +39,7 @@ pub fn available_threads() -> usize {
 
 std::thread_local! {
     /// Whether the current thread is a pool worker (a `parallel_map_indexed`
-    /// / `parallel_rounds` worker or a job-service worker). Auto-sized
+    /// / `parallel_rounds` worker or a front-end worker). Auto-sized
     /// (`threads == 0`) maps called from inside a worker run inline instead
     /// of spawning a nested all-cores pool — an outer instance grid over
     /// inner run ensembles would otherwise oversubscribe the machine with up
@@ -55,8 +49,8 @@ std::thread_local! {
 
 /// Marks the current thread as a pool worker, so auto-sized (`threads == 0`)
 /// primitives invoked from it run inline instead of spawning nested
-/// all-cores pools. Worker threads of long-lived pools (the job service)
-/// call this once at startup; the flag never changes results, only how many
+/// all-cores pools. Worker threads of the long-lived front-end pool call
+/// this once at startup; the flag never changes results, only how many
 /// OS threads nested engines spawn.
 pub(crate) fn mark_pool_worker() {
     IN_POOL.with(|flag| flag.set(true));
@@ -64,8 +58,8 @@ pub(crate) fn mark_pool_worker() {
 
 /// Resolves a requested long-lived-pool worker count the same way the
 /// fork–join primitives resolve `threads`: `0` means all cores — except on
-/// a thread that is already a pool worker, where it means 1, so a service
-/// constructed from inside another pool cannot recreate the cores²
+/// a thread that is already a pool worker, where it means 1, so a front-end
+/// started from inside another pool cannot recreate the cores²
 /// oversubscription the flag exists to prevent. An explicit count is
 /// always honored. Never changes results, only thread counts.
 pub(crate) fn resolve_pool_workers(requested: usize) -> usize {
@@ -306,199 +300,6 @@ where
     })
 }
 
-/// Why a [`BoundedQueue::try_push`] was rejected. The item comes back to the
-/// caller in both cases, so nothing is dropped silently.
-#[derive(Debug)]
-pub enum PushError<T> {
-    /// The queue was at capacity; retry later or fall back to the blocking
-    /// [`BoundedQueue::push`].
-    Full(T),
-    /// The queue was closed; no further items will ever be accepted.
-    Closed(T),
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A blocking bounded multi-producer/multi-consumer queue.
-///
-/// This is the backpressure primitive under the job service
-/// (`saim_machine::service`): submitters block (or get [`PushError::Full`])
-/// when `capacity` items are waiting, workers block when none are, and
-/// [`BoundedQueue::close`] wakes every parked thread so pools can shut down
-/// without leaking workers. Plain `Mutex` + `Condvar` — hand-off latency is
-/// microseconds, which is noise against jobs that run for milliseconds.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` (a zero-slot queue can never accept work).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity.min(1024)),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// The maximum number of waiting items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of items currently waiting (racy by nature; for telemetry).
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .expect("queue lock is never poisoned")
-            .items
-            .len()
-    }
-
-    /// Whether no items are currently waiting (racy by nature).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Enqueues `item`, blocking while the queue is full.
-    ///
-    /// # Errors
-    ///
-    /// Returns the item back if the queue is (or becomes, while waiting)
-    /// closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("queue lock is never poisoned");
-        while state.items.len() == self.capacity && !state.closed {
-            state = self
-                .not_full
-                .wait(state)
-                .expect("queue lock is never poisoned");
-        }
-        if state.closed {
-            return Err(item);
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues `item` only if a slot is free right now.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PushError::Full`] when at capacity and [`PushError::Closed`]
-    /// after [`BoundedQueue::close`]; the item comes back in both cases.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().expect("queue lock is never poisoned");
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() == self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is empty.
-    ///
-    /// Returns `None` once the queue is closed **and** drained — the
-    /// worker-shutdown signal.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue lock is never poisoned");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .expect("queue lock is never poisoned");
-        }
-    }
-
-    /// Closes the queue: no further pushes are accepted, already-queued
-    /// items can still be popped, and every parked thread wakes up.
-    pub fn close(&self) {
-        self.state
-            .lock()
-            .expect("queue lock is never poisoned")
-            .closed = true;
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-
-    /// Discards everything still waiting without closing the queue,
-    /// returning how many items were dropped — the cancellation path:
-    /// producers and consumers keep working, the queued backlog is gone.
-    pub fn clear(&self) -> usize {
-        let dropped;
-        {
-            let mut state = self.state.lock().expect("queue lock is never poisoned");
-            dropped = state.items.len();
-            state.items.clear();
-        }
-        self.not_full.notify_all();
-        dropped
-    }
-
-    /// Closes the queue and hands back everything still waiting, in FIFO
-    /// order — the graceful-shutdown path: queued jobs that never started
-    /// are returned to the caller (to be persisted and resubmitted later)
-    /// instead of silently discarded, and workers drain out through
-    /// [`BoundedQueue::pop`] returning `None`.
-    pub fn take_pending(&self) -> Vec<T> {
-        let taken;
-        {
-            let mut state = self.state.lock().expect("queue lock is never poisoned");
-            state.closed = true;
-            taken = state.items.drain(..).collect();
-        }
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-        taken
-    }
-
-    /// Closes the queue and discards everything still waiting, returning how
-    /// many items were dropped — the drop-mid-stream path: queued jobs that
-    /// never started simply never run.
-    pub fn close_and_clear(&self) -> usize {
-        let dropped;
-        {
-            let mut state = self.state.lock().expect("queue lock is never poisoned");
-            state.closed = true;
-            dropped = state.items.len();
-            state.items.clear();
-        }
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-        dropped
-    }
-}
-
 // ------------------------------------------------- multi-tenant scheduling
 
 /// Scheduling metadata an item enters a [`ScheduledQueue`] with.
@@ -569,14 +370,15 @@ struct ScheduledState<T> {
 /// A blocking multi-tenant work queue: strict priorities, weighted-fair
 /// service across clients, earliest-deadline-first within a client.
 ///
-/// This is the front-end's replacement for the job service's single global
-/// FIFO. It is **unbounded** by design — admission control (shedding load
+/// This is the queue under the front-end's worker fleet. It is
+/// **unbounded** by design — admission control (shedding load
 /// with a typed overload response instead of letting the backlog grow) is
 /// the caller's policy decision and lives above the queue, where the caller
 /// can count queued items per client and in total.
 ///
-/// Like [`BoundedQueue`], the queue orders only *hand-offs*, never
-/// completions; determinism of results comes from items being independent.
+/// The queue orders only *hand-offs*, never completions; determinism of
+/// results comes from items being independent, exactly as in
+/// [`parallel_map_indexed`].
 pub struct ScheduledQueue<T> {
     state: Mutex<ScheduledState<T>>,
     not_empty: Condvar,
@@ -797,9 +599,9 @@ impl<T> ScheduledQueue<T> {
     }
 
     /// Closes the queue and hands back everything still waiting, in
-    /// submission order — the graceful-shutdown path, mirroring
-    /// [`BoundedQueue::take_pending`]: not-yet-started work is returned to
-    /// be persisted and resubmitted, and workers drain out through
+    /// submission order — the graceful-shutdown path: not-yet-started work
+    /// is returned to be persisted and resubmitted, and workers drain out
+    /// through
     /// [`ScheduledQueue::pop`] returning `None`.
     pub fn take_pending(&self) -> Vec<(u64, Ticket, T)> {
         let mut state = self.state.lock().expect("queue lock is never poisoned");
@@ -950,17 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_take_pending_returns_fifo_and_closes() {
-        let q = BoundedQueue::new(8);
-        q.push(1).expect("open");
-        q.push(2).expect("open");
-        q.push(3).expect("open");
-        assert_eq!(q.take_pending(), vec![1, 2, 3]);
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.push(4), Err(4));
-    }
-
-    #[test]
     fn nested_auto_maps_run_inline_and_stay_correct() {
         // outer auto pool × inner auto pool: inner must not spawn (no
         // cores² oversubscription) and results must match the serial map
@@ -980,83 +771,6 @@ mod tests {
         // from inside any pool worker, an auto-sized request means 1
         let got = parallel_map_indexed(2, 2, |_| auto_workers());
         assert_eq!(got, vec![1, 1]);
-    }
-
-    #[test]
-    fn queue_is_fifo_and_reports_capacity() {
-        let q = BoundedQueue::new(4);
-        assert_eq!(q.capacity(), 4);
-        assert!(q.is_empty());
-        for i in 0..4 {
-            q.push(i).expect("open");
-        }
-        assert_eq!(q.len(), 4);
-        assert!(matches!(q.try_push(9), Err(PushError::Full(9))));
-        for i in 0..4 {
-            assert_eq!(q.pop(), Some(i));
-        }
-    }
-
-    #[test]
-    fn queue_close_rejects_pushes_but_drains_pops() {
-        let q = BoundedQueue::new(2);
-        q.push(1).expect("open");
-        q.close();
-        assert_eq!(q.push(2), Err(2));
-        assert!(matches!(q.try_push(3), Err(PushError::Closed(3))));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn queue_close_and_clear_discards_pending() {
-        let q = BoundedQueue::new(8);
-        q.push(1).expect("open");
-        q.push(2).expect("open");
-        assert_eq!(q.close_and_clear(), 2);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn queue_blocking_push_makes_progress_under_a_consumer() {
-        // a full queue's blocking push completes once a consumer frees a slot
-        let q = std::sync::Arc::new(BoundedQueue::new(1));
-        q.push(0usize).expect("open");
-        let consumer = {
-            let q = std::sync::Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(item) = q.pop() {
-                    got.push(item);
-                }
-                got
-            })
-        };
-        for i in 1..64usize {
-            q.push(i).expect("open");
-        }
-        q.close();
-        let got = consumer.join().expect("consumer finishes");
-        assert_eq!(got, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn queue_close_wakes_parked_consumers() {
-        let q = std::sync::Arc::new(BoundedQueue::<usize>::new(1));
-        let waiter = {
-            let q = std::sync::Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
-        };
-        // give the consumer a chance to park, then close
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        q.close();
-        assert_eq!(waiter.join().expect("waiter finishes"), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn queue_rejects_zero_capacity() {
-        let _ = BoundedQueue::<usize>::new(0);
     }
 
     // ------------------------------------------------------ ScheduledQueue

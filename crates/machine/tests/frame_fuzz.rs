@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use saim_ising::QuboBuilder;
-use saim_machine::frontend::{FrameError, Request, Response};
+use saim_machine::frontend::{FrameError, Frontend, FrontendConfig, Request, Response};
 use saim_machine::service::{JobOutcome, JobSpec, SolverSpec};
 use saim_machine::ClientStats;
 
@@ -205,5 +205,53 @@ proptest! {
         let _ = Response::from_line(&line);
         // reaching here is the property: no panic for any input
         let _ = FrameError::UnknownFrame(String::new()).code();
+    }
+}
+
+/// Nesting far past the parser's depth cap, inside the 1 MiB frame cap.
+/// Each line must earn the ordinary `json` rejection. Without the cap the
+/// parser recursed once per `[` and overflowed the stack of the spawned
+/// connection-reader thread, aborting the whole process.
+#[test]
+fn deep_nesting_lands_on_the_json_code() {
+    let frame_cap = FrontendConfig::default().max_frame_bytes;
+    let brackets = "[".repeat(100_000);
+    let objects = format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000));
+    for line in [brackets, objects] {
+        assert!(line.len() <= frame_cap, "{} bytes", line.len());
+        // parsed on a spawned thread, as the TCP reader does
+        let code = std::thread::spawn(move || {
+            Request::from_line(&line)
+                .expect_err("too deep to be a frame")
+                .code()
+        })
+        .join()
+        .expect("the parser returned instead of overflowing the stack");
+        assert_eq!(code, "json");
+    }
+}
+
+/// After a too-deep line is rejected, the same session still completes a
+/// valid job bit-identically.
+#[test]
+fn a_session_survives_a_too_deep_line() {
+    let frontend = Frontend::start(FrontendConfig {
+        workers: 1,
+        ..FrontendConfig::default()
+    });
+    let client = frontend.connect();
+    assert!(!client.send_line(&"[".repeat(100_000)));
+    match client.recv() {
+        Some(Response::Rejected { code, .. }) => assert_eq!(code, "json"),
+        other => panic!("expected a json rejection, got {other:?}"),
+    }
+    let spec = sample_spec(5, 9, 4);
+    client.submit(spec.clone(), 0, None);
+    assert_eq!(client.recv(), Some(Response::Accepted { job: 5 }));
+    match client.recv() {
+        Some(Response::Outcome { outcome }) => {
+            assert_eq!(outcome.canonical(), spec.run().canonical());
+        }
+        other => panic!("expected the job's outcome, got {other:?}"),
     }
 }

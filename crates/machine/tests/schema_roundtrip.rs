@@ -1,4 +1,4 @@
-//! Property tests of the job-service wire schema: `serialize → parse →
+//! Property tests of the job wire schema: `serialize → parse →
 //! re-serialize` must be byte-stable for arbitrary specs and outcomes —
 //! including degenerate instances (n = 0/1, no quadratic terms) — and
 //! strict parsing must reject unknown fields and version mismatches with

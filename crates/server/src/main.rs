@@ -1,5 +1,5 @@
 //! `saim-server` — the NDJSON network front-end binary over the
-//! `saim-machine` job service.
+//! `saim-machine` job pool (`frontend::Frontend`).
 //!
 //! The binary is a thin shell: every scheduling, framing, and
 //! fault-tolerance decision lives in [`saim_machine::frontend`] where it is

@@ -1,7 +1,7 @@
 //! Cross-solver agreement: every independent solver in the workspace must
 //! agree on small instances where enumeration is the ground truth. The
-//! multi-solver runs also go through the batched job service, with the
-//! direct calls kept as the oracle — agreement must survive the scheduler.
+//! multi-solver runs also go through serialized job specs, with the direct
+//! calls kept as the oracle — agreement must survive the job layer.
 
 use saim_core::dual;
 use saim_core::{BinaryProblem, LinearConstraint};
@@ -9,7 +9,7 @@ use saim_exact::{bb, brute, dp};
 use saim_heuristics::ga::{ChuBeasleyGa, GaConfig};
 use saim_ising::QuboBuilder;
 use saim_knapsack::generate;
-use saim_machine::service::{solver_service, JobOutcome, JobSpec, ServiceConfig, SolverSpec};
+use saim_machine::service::{JobOutcome, JobSpec, SolverSpec};
 use saim_machine::{
     BetaSchedule, Dynamics, EnsembleAnnealer, EnsembleConfig, IsingSolver, ParallelTempering,
     PtConfig, SimulatedAnnealing,
@@ -44,7 +44,7 @@ fn dp_equals_bb_on_single_constraint() {
 #[test]
 fn sa_and_pt_find_the_same_ground_state_on_small_models() {
     // a frustrated 10-spin model solved by brute force, SA, and PT —
-    // directly (the oracle) and through the batched job service
+    // directly (the oracle) and as serialized jobs
     let mut b = QuboBuilder::new(10);
     for i in 0..10 {
         for j in (i + 1)..10 {
@@ -80,8 +80,8 @@ fn sa_and_pt_find_the_same_ground_state_on_small_models() {
         pt_direct.best_energy
     );
 
-    // the same multi-solver agreement through the service: an ensemble of
-    // SA runs, the PT solve above, and greedy descent submitted as jobs
+    // the same multi-solver agreement through the job layer: an ensemble
+    // of SA runs, the PT solve above, and greedy descent run as specs
     let ens_cfg = EnsembleConfig {
         replicas: 4,
         threads: 1,
@@ -90,23 +90,12 @@ fn sa_and_pt_find_the_same_ground_state_on_small_models() {
         mcs_per_run: 600,
         dynamics: Dynamics::Gibbs,
     };
-    let specs = vec![
+    let specs = [
         JobSpec::new(0, qubo.clone(), SolverSpec::Ensemble(ens_cfg), 2),
         JobSpec::new(1, qubo.clone(), SolverSpec::Pt(cfg), 2),
         JobSpec::new(2, qubo.clone(), SolverSpec::Descent { max_sweeps: 500 }, 3),
     ];
-    let mut service = solver_service(ServiceConfig {
-        workers: 2,
-        queue_depth: 2,
-    });
-    for spec in &specs {
-        service.submit(spec.clone());
-    }
-    let outcomes: Vec<JobOutcome> = service
-        .drain()
-        .into_iter()
-        .map(|r| r.expect("no solver job panicked"))
-        .collect();
+    let outcomes: Vec<JobOutcome> = specs.iter().map(JobSpec::run).collect();
 
     // bit-exact against the direct oracle calls...
     let ens_direct = EnsembleAnnealer::new(ens_cfg, 2).solve(&model);

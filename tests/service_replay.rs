@@ -1,15 +1,16 @@
-//! Service determinism: every result streamed through the batched job
-//! service must be **bit-identical** to the direct engine / `SaimRunner`
-//! call with the same seed — for any worker count, queue depth, or
-//! submission interleaving. The service adds scheduling, never randomness.
+//! Job-pool determinism: every outcome streamed through the front-end's
+//! worker fleet must be **bit-identical** to the direct engine call with
+//! the same seed — for any worker count or submission interleaving. The
+//! pool adds scheduling, never randomness.
 //!
 //! CI runs this suite in the same 1/2/8-thread matrix as
 //! `tests/determinism.rs` (`SAIM_DETERMINISM_THREADS` selects the
 //! env-matrix leg's worker count).
 
-use saim_core::{ConstrainedProblem, SaimConfig, SaimRunner};
+use saim_core::ConstrainedProblem;
 use saim_knapsack::generate;
-use saim_machine::service::{solver_service, JobOutcome, JobSpec, ServiceConfig, SolverSpec};
+use saim_machine::frontend::{Frontend, FrontendConfig, Response};
+use saim_machine::service::{JobOutcome, JobSpec, SolverSpec};
 use saim_machine::{
     derive_seed, BetaSchedule, Dynamics, EnsembleAnnealer, EnsembleConfig, GreedyDescent,
     IsingSolver, ParallelTempering, PtConfig,
@@ -61,16 +62,36 @@ fn mixed_specs() -> Vec<JobSpec> {
     specs
 }
 
-/// Drains a solver service, unwrapping the typed-failure layer — no job in
-/// these suites panics.
-fn drain_ok(
-    service: &mut saim_machine::service::JobService<JobSpec, JobOutcome>,
-) -> Vec<JobOutcome> {
-    service
-        .drain()
-        .into_iter()
-        .map(|r| r.expect("no solver job panicked"))
-        .collect()
+/// Submits `specs` in order to an in-process front-end with `workers`
+/// workers on one client session and collects every outcome **in
+/// completion order**, unwrapping the frame layer — no job in these suites
+/// fails. Outcomes are re-associated with their specs by the echoed job id.
+fn run_through_fleet(workers: usize, specs: &[JobSpec]) -> Vec<JobOutcome> {
+    let frontend = Frontend::start(FrontendConfig {
+        workers,
+        ..FrontendConfig::default()
+    });
+    let client = frontend.connect();
+    for spec in specs {
+        client.submit(spec.clone(), 0, None);
+    }
+    let mut outcomes = Vec::with_capacity(specs.len());
+    while outcomes.len() < specs.len() {
+        match client.recv_timeout(Duration::from_secs(60)) {
+            Some(Response::Accepted { .. }) => {}
+            Some(Response::Outcome { outcome }) => outcomes.push(outcome),
+            other => panic!("expected an outcome frame, got {other:?}"),
+        }
+    }
+    assert_eq!(client.try_recv(), None, "no frame beyond one per job");
+    outcomes
+}
+
+/// [`run_through_fleet`] folded back into job-id order (ids are `0..n`).
+fn outcomes_by_job(workers: usize, specs: &[JobSpec]) -> Vec<JobOutcome> {
+    let mut outcomes = run_through_fleet(workers, specs);
+    outcomes.sort_by_key(|o| o.job);
+    outcomes
 }
 
 /// The direct-call oracle: the engine invocation each [`SolverSpec`]
@@ -92,27 +113,18 @@ fn service_outcomes_replay_direct_engine_calls_for_any_worker_count() {
     let specs = mixed_specs();
     let oracle: Vec<JobOutcome> = specs.iter().map(direct_outcome).collect();
     for workers in [1usize, 2, 8] {
-        for queue_depth in [1usize, 64] {
-            let mut service = solver_service(ServiceConfig {
-                workers,
-                queue_depth,
-            });
-            for spec in &specs {
-                service.submit(spec.clone());
-            }
-            let outcomes = drain_ok(&mut service);
-            assert_eq!(outcomes.len(), oracle.len());
-            for (got, want) in outcomes.iter().zip(&oracle) {
-                assert_eq!(
-                    got.canonical(),
-                    want.canonical(),
-                    "workers = {workers}, depth = {queue_depth}, job {}",
-                    want.job
-                );
-                // byte-identical on the wire, too — what a result store
-                // would actually compare
-                assert_eq!(got.canonical().to_json(), want.canonical().to_json());
-            }
+        let outcomes = outcomes_by_job(workers, &specs);
+        assert_eq!(outcomes.len(), oracle.len());
+        for (got, want) in outcomes.iter().zip(&oracle) {
+            assert_eq!(
+                got.canonical(),
+                want.canonical(),
+                "workers = {workers}, job {}",
+                want.job
+            );
+            // byte-identical on the wire, too — what a result store
+            // would actually compare
+            assert_eq!(got.canonical().to_json(), want.canonical().to_json());
         }
     }
 }
@@ -135,25 +147,17 @@ fn submission_interleaving_never_changes_outcomes() {
         interleaved.push(lo);
     }
     for order in [reversed, interleaved] {
-        let mut service = solver_service(ServiceConfig {
-            workers: 4,
-            queue_depth: 3,
-        });
-        for &i in &order {
-            service.submit(specs[i].clone());
-        }
+        let shuffled: Vec<JobSpec> = order.iter().map(|&i| specs[i].clone()).collect();
         // consume in completion order and re-associate through the echoed
-        // job id — the streaming path a front-end would use
-        let mut seen = 0usize;
-        while let Some(result) = service.recv() {
-            let result = result.expect("no solver job panicked");
-            let got = result.value.canonical();
+        // job id — the streaming path a network client uses
+        let outcomes = run_through_fleet(4, &shuffled);
+        assert_eq!(outcomes.len(), specs.len());
+        for outcome in outcomes {
+            let got = outcome.canonical();
             let want = oracle[got.job as usize].canonical();
             assert_eq!(got, want, "job {}", got.job);
             assert_eq!(got.to_json(), want.to_json());
-            seen += 1;
         }
-        assert_eq!(seen, specs.len());
     }
 }
 
@@ -186,7 +190,7 @@ fn hot_solver_kinds() -> [SolverSpec; 3] {
 fn hot_regime_jobs_replay_direct_engine_calls() {
     // the hot-regime leg of the replay contract, in the same env-selected
     // worker matrix as the deep-quench suite: β ∈ {2, 4, 8} jobs streamed
-    // through the service must match the direct engine calls bit for bit
+    // through the fleet must match the direct engine calls bit for bit
     let env_workers: usize = std::env::var("SAIM_DETERMINISM_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -214,14 +218,7 @@ fn hot_regime_jobs_replay_direct_engine_calls() {
     }
     let oracle: Vec<JobOutcome> = specs.iter().map(direct_outcome).collect();
     for workers in [1usize, env_workers] {
-        let mut service = solver_service(ServiceConfig {
-            workers,
-            queue_depth: 8,
-        });
-        for spec in &specs {
-            service.submit(spec.clone());
-        }
-        let outcomes = drain_ok(&mut service);
+        let outcomes = outcomes_by_job(workers, &specs);
         assert_eq!(outcomes.len(), oracle.len());
         for (got, want) in outcomes.iter().zip(&oracle) {
             assert_eq!(
@@ -238,21 +235,14 @@ fn hot_regime_jobs_replay_direct_engine_calls() {
 #[test]
 fn service_is_invariant_at_env_selected_worker_count() {
     // CI runs this test in a matrix over SAIM_DETERMINISM_THREADS=1/2/8;
-    // whatever the leg, the service must reproduce the one-worker stream
+    // whatever the leg, the fleet must reproduce the one-worker stream
     let workers: usize = std::env::var("SAIM_DETERMINISM_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2);
     let specs = mixed_specs();
     let run = |workers: usize| {
-        let mut service = solver_service(ServiceConfig {
-            workers,
-            queue_depth: 4,
-        });
-        for spec in &specs {
-            service.submit(spec.clone());
-        }
-        drain_ok(&mut service)
+        outcomes_by_job(workers, &specs)
             .into_iter()
             .map(|o| o.canonical())
             .collect::<Vec<_>>()
@@ -260,101 +250,17 @@ fn service_is_invariant_at_env_selected_worker_count() {
     assert_eq!(run(workers), run(1), "workers = {workers}");
 }
 
-/// The SAIM-level jobs of the `run_jobs` facade: per-instance penalties
-/// and per-job seeds, exactly like a benchmark grid.
-fn saim_jobs() -> Vec<(SaimConfig, saim_knapsack::QkpEncoded)> {
-    (0..4u64)
-        .map(|i| {
-            let inst = generate::qkp(16 + 2 * i as usize, 0.5, 60 + i).expect("valid parameters");
-            let enc = inst.encode().expect("encodes");
-            let config = SaimConfig {
-                penalty: enc.penalty_for_alpha(2.0),
-                eta: 20.0,
-                iterations: 10,
-                seed: derive_seed(9, i),
-            };
-            (config, enc)
-        })
-        .collect()
-}
-
 #[test]
-fn run_jobs_replays_direct_saim_runs_for_any_worker_count() {
-    let solver = SolverSpec::Ensemble(EnsembleConfig {
-        replicas: 3,
-        threads: 1,
-        batch_width: 0,
-        schedule: BetaSchedule::linear(10.0),
-        mcs_per_run: 90,
-        dynamics: Dynamics::Gibbs,
-    });
-    let oracle: Vec<_> = saim_jobs()
-        .into_iter()
-        .map(|(config, enc)| SaimRunner::new(config).run_spec(&enc, &solver))
-        .collect();
-    for workers in [1usize, 2, 8] {
-        let outcomes = SaimRunner::run_jobs(
-            saim_jobs(),
-            &solver,
-            ServiceConfig {
-                workers,
-                queue_depth: 2,
-            },
-        );
-        assert_eq!(outcomes.len(), oracle.len());
-        for (i, (got, want)) in outcomes.iter().zip(&oracle).enumerate() {
-            assert_eq!(got, want, "workers = {workers}, job {i}");
-            // the serialized experiment records match byte for byte
-            assert_eq!(
-                serde_json::to_string(got).expect("serializes"),
-                serde_json::to_string(want).expect("serializes")
-            );
-        }
-    }
-}
-
-#[test]
-fn run_jobs_is_invariant_under_job_permutations() {
-    // run_jobs returns outcomes in job order, so permuting the job list
-    // must permute the outcomes and change nothing else
-    let solver = SolverSpec::Pt(PtConfig {
-        replicas: 4,
-        sweeps: 60,
-        swap_interval: 10,
-        threads: 1,
-        ..PtConfig::default()
-    });
-    let service = ServiceConfig {
-        workers: 3,
-        queue_depth: 2,
-    };
-    let forward = SaimRunner::run_jobs(saim_jobs(), &solver, service);
-    let mut shuffled_jobs = saim_jobs();
-    shuffled_jobs.reverse();
-    let backward = SaimRunner::run_jobs(shuffled_jobs, &solver, service);
-    assert_eq!(backward, forward.iter().rev().cloned().collect::<Vec<_>>());
-}
-
-#[test]
-fn zero_and_single_job_streams_through_the_solver_service() {
-    let mut empty = solver_service(ServiceConfig {
-        workers: 2,
-        queue_depth: 1,
-    });
-    assert!(empty.recv().is_none());
-    assert!(empty.drain().is_empty());
+fn zero_and_single_job_streams_through_the_fleet() {
+    assert!(run_through_fleet(2, &[]).is_empty());
 
     let spec = &mixed_specs()[0];
-    let mut single = solver_service(ServiceConfig {
-        workers: 2,
-        queue_depth: 1,
-    });
-    assert_eq!(single.submit(spec.clone()), 0);
-    let result = single
-        .recv()
-        .expect("one job outstanding")
-        .expect("no solver job panicked");
-    assert_eq!(result.submitted, 0);
-    assert_eq!(result.value.canonical(), direct_outcome(spec).canonical());
-    assert!(single.recv().is_none());
+    let single = run_through_fleet(2, std::slice::from_ref(spec));
+    assert_eq!(single.len(), 1);
+    assert_eq!(single[0].job, spec.job);
+    assert_eq!(single[0].canonical(), direct_outcome(spec).canonical());
+    assert_eq!(
+        single[0].canonical().to_json(),
+        direct_outcome(spec).canonical().to_json()
+    );
 }
