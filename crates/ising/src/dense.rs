@@ -1,5 +1,5 @@
 use crate::error::ModelError;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A dense symmetric coupling matrix with an implicitly zero diagonal.
 ///
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SymmetricMatrix {
     n: usize,
     data: Vec<f64>,
@@ -313,9 +313,51 @@ impl SymmetricMatrix {
     }
 }
 
+/// Validating deserializer: a matrix read off the wire must hold the
+/// invariants [`SymmetricMatrix::set`] keeps — `n × n` finite entries,
+/// symmetric, zero diagonal — or it is rejected before anything indexes it.
+impl Deserialize for SymmetricMatrix {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let n = usize::from_value(value.field("n")?)?;
+        let data = Vec::<f64>::from_value(value.field("data")?)?;
+        let at = |i: usize, j: usize| data[i * n + j];
+        // a finite upper triangle mirrored exactly is finite everywhere
+        let valid = n.checked_mul(n) == Some(data.len())
+            && (0..n).all(|i| {
+                at(i, i) == 0.0 && (i + 1..n).all(|j| at(i, j).is_finite() && at(i, j) == at(j, i))
+            });
+        if !valid {
+            let message = format!("not a finite symmetric zero-diagonal {n} × {n} matrix");
+            return Err(serde::Error::custom(message));
+        }
+        Ok(SymmetricMatrix { n, data })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deserializer_keeps_the_matrix_invariants() {
+        let parse = |text: &str| {
+            SymmetricMatrix::from_value(&serde_json::parse_value_str(text).expect("json"))
+        };
+        let mut m = SymmetricMatrix::zeros(3);
+        m.set(0, 2, -1.5).unwrap();
+        let text = serde_json::to_string(&m).unwrap();
+        assert_eq!(parse(&text), Ok(m));
+        for bad in [
+            r#"{"n":3,"data":[0.0,1.0]}"#,
+            // n·n wraps to 0 without checked_mul
+            r#"{"n":4294967296,"data":[]}"#,
+            r#"{"n":2,"data":[0.0,1.0,2.0,0.0]}"#,
+            r#"{"n":2,"data":[1.0,0.0,0.0,0.0]}"#,
+            r#"{"n":2,"data":[0.0,null,null,0.0]}"#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
 
     #[test]
     fn set_is_symmetric() {

@@ -3,7 +3,7 @@ use crate::dense::SymmetricMatrix;
 use crate::error::ModelError;
 use crate::model::IsingModel;
 use crate::state::BinaryState;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A quadratic unconstrained binary optimization (QUBO) model
 ///
@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Qubo {
     pairs: SymmetricMatrix,
     linear: Vec<f64>,
@@ -176,6 +176,18 @@ impl Qubo {
     pub fn max_abs_coefficient(&self) -> f64 {
         let lin = self.linear.iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
         lin.max(self.pairs.max_abs())
+    }
+}
+
+/// Validating deserializer: the parts go through [`Qubo::new`] (and the
+/// matrix through its own validating deserializer), so a model read off the
+/// wire meets every condition a model built in code does.
+impl Deserialize for Qubo {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let pairs = SymmetricMatrix::from_value(value.field("pairs")?)?;
+        let linear = Vec::from_value(value.field("linear")?)?;
+        let offset = f64::from_value(value.field("offset")?)?;
+        Qubo::new(pairs, linear, offset).map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -358,6 +370,26 @@ impl QuboBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deserializer_goes_through_the_constructor() {
+        let parse =
+            |text: &str| Qubo::from_value(&serde_json::parse_value_str(text).expect("json"));
+        let mut b = QuboBuilder::new(2);
+        b.add_pair(0, 1, 2.0).unwrap();
+        b.add_linear(1, -1.0).unwrap();
+        let q = b.build();
+        assert_eq!(parse(&serde_json::to_string(&q).unwrap()), Ok(q));
+        let pairs = r#""pairs":{"n":2,"data":[0.0,2.0,2.0,0.0]}"#;
+        for tail in [
+            r#""linear":[0.0],"offset":0.0"#,
+            r#""linear":[0.0,null],"offset":0.0"#,
+            r#""linear":[0.0,-1.0],"offset":null"#,
+        ] {
+            let bad = format!("{{{pairs},{tail}}}");
+            assert!(parse(&bad).is_err(), "{bad}");
+        }
+    }
 
     fn brute_force_min(q: &Qubo) -> f64 {
         (0u64..(1 << q.len()))

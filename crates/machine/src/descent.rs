@@ -15,6 +15,9 @@ use saim_ising::IsingModel;
 /// annealing on rugged landscapes, but is a valuable sanity baseline: any
 /// annealer that loses to greedy descent is misconfigured.
 ///
+/// The descent has one sweep loop: `solve` delegates to
+/// [`GreedyDescent::solve_controlled`] under [`RunController::unlimited`].
+///
 /// ```
 /// use saim_ising::QuboBuilder;
 /// use saim_machine::{GreedyDescent, IsingSolver};
@@ -61,9 +64,8 @@ impl GreedyDescent {
         self
     }
 
-    /// Like [`IsingSolver::solve`], but polling `ctrl` at every sweep
-    /// boundary. With an idle controller the result is bit-identical to
-    /// `solve`.
+    /// Like [`IsingSolver::solve`] (which delegates here), but polling
+    /// `ctrl` at every sweep boundary.
     pub fn solve_controlled(
         &mut self,
         model: &IsingModel,
@@ -98,9 +100,9 @@ impl GreedyDescent {
         Ok(self.run_from(model, state.sweeps_done, ctrl))
     }
 
-    /// The greedy loop from a completed-sweep count, shared by fresh and
-    /// resumed controlled runs. Convergence is checked before the poll, so
-    /// a descent that just settled always reports `Completed`.
+    /// The descent's one sweep loop, from a completed-sweep count, for fresh
+    /// and resumed runs alike. Convergence is checked before the poll, so a
+    /// descent that just settled always reports `Completed`.
     fn run_from(
         &mut self,
         model: &IsingModel,
@@ -143,21 +145,8 @@ impl GreedyDescent {
 
 impl IsingSolver for GreedyDescent {
     fn solve(&mut self, model: &IsingModel) -> SolveOutcome {
-        let machine = PbitMachine::obtain_randomized(&mut self.machine, model, &mut self.rng);
-        let mut sweeps = 0u64;
-        for _ in 0..self.max_sweeps {
-            sweeps += 1;
-            if machine.greedy_sweep(model) == 0 {
-                break;
-            }
-        }
-        SolveOutcome {
-            last: machine.state().clone(),
-            last_energy: machine.energy(),
-            best: machine.state().clone(),
-            best_energy: machine.energy(),
-            mcs: sweeps,
-        }
+        self.solve_controlled(model, &RunController::unlimited())
+            .outcome
     }
 
     fn mcs_per_solve(&self, _n: usize) -> u64 {
@@ -215,6 +204,9 @@ mod tests {
         b.build().to_ising()
     }
 
+    /// `solve` delegates to `solve_controlled`, so this pins what an idle
+    /// controller reports around the shared loop: `Completed` and no state
+    /// image.
     #[test]
     fn controlled_solve_with_idle_controller_matches_solve() {
         let model = rugged_model();
@@ -222,6 +214,7 @@ mod tests {
         let mut d = GreedyDescent::new(12);
         let b = d.solve_controlled(&model, &RunController::unlimited());
         assert_eq!(b.status, OutcomeKind::Completed);
+        assert!(b.state.is_none());
         assert_eq!(b.outcome, a);
     }
 
@@ -244,6 +237,36 @@ mod tests {
             .expect("state fits the solver");
         assert_eq!(resumed.status, OutcomeKind::Completed);
         assert_eq!(resumed.outcome, oracle);
+    }
+
+    #[test]
+    fn stop_on_the_final_sweep_is_a_completion() {
+        let model = rugged_model();
+        let full = GreedyDescent::new(5).solve(&model);
+        assert!(full.mcs > 2, "model must take a few sweeps to settle");
+
+        // the cap: sweep k still flips spins, and is the capped run's last
+        let k = full.mcs - 1;
+        let at_k = RunController::unlimited()
+            .with_stop_after(k)
+            .with_poll_interval(1);
+        let uncapped = GreedyDescent::new(5).solve_controlled(&model, &at_k);
+        assert_eq!(uncapped.status, OutcomeKind::Checkpointed);
+        let capped = GreedyDescent::new(5)
+            .with_max_sweeps(k as usize)
+            .solve_controlled(&model, &at_k);
+        assert_eq!(capped.status, OutcomeKind::Completed);
+        assert!(capped.state.is_none());
+        assert_eq!(capped.outcome, uncapped.outcome);
+
+        // convergence: the settling sweep is checked before the poll
+        let at_settle = RunController::unlimited()
+            .with_stop_after(full.mcs)
+            .with_poll_interval(1);
+        let settled = GreedyDescent::new(5).solve_controlled(&model, &at_settle);
+        assert_eq!(settled.status, OutcomeKind::Completed);
+        assert!(settled.state.is_none());
+        assert_eq!(settled.outcome, full);
     }
 
     #[test]

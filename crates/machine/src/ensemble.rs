@@ -136,13 +136,9 @@ impl EnsembleOutcome {
     /// Collapses the ensemble into a single [`SolveOutcome`]: best/last are
     /// read from the winning replica, sweeps are summed over all replicas.
     pub fn reduce(&self) -> SolveOutcome {
-        let winner = self.best();
         SolveOutcome {
-            last: winner.last.clone(),
-            last_energy: winner.last_energy,
-            best: winner.best.clone(),
-            best_energy: winner.best_energy,
             mcs: self.mcs_total,
+            ..self.best().clone()
         }
     }
 }
@@ -210,56 +206,61 @@ impl EnsembleAnnealer {
     /// `tests/determinism.rs` — so the grouping affects wall-clock only.
     ///
     /// This is the run-level engine behind both the ensemble reduction and
-    /// the baselines' "K runs of 10³ MCS" repetition loops.
+    /// the baselines' "K runs of 10³ MCS" repetition loops. It runs the
+    /// same lane-group loop as [`EnsembleAnnealer::solve_controlled`],
+    /// under an idle controller, and keeps each group's outcomes.
     pub fn solve_runs(&mut self, model: &IsingModel, count: usize) -> Vec<SolveOutcome> {
-        let batch = self.batches;
-        self.batches += 1;
-        let config = self.config;
-        let width = self.group_width(count);
-        let groups = count.div_ceil(width.max(1));
-        let grouped = parallel::parallel_map_indexed(groups, config.threads, |g| {
-            let lo = g * width;
-            let hi = count.min(lo + width);
-            let seeds: Vec<u64> = (lo..hi)
-                .map(|i| self.replica_seed(batch, i as u64))
-                .collect();
-            run_batched(model, &config, &seeds)
-        });
-        grouped.into_iter().flatten().collect()
+        let (_, runs) = self.run_groups(model, count, &RunController::unlimited());
+        runs.into_iter().flat_map(|r| r.outcomes).collect()
     }
 
     /// Runs the configured ensemble once with full per-replica telemetry.
     pub fn solve_ensemble(&mut self, model: &IsingModel) -> EnsembleOutcome {
         let batch = self.batches;
         let outcomes = self.solve_runs(model, self.config.replicas);
-        let mut mcs_total = 0u64;
-        let mut best_replica = 0usize;
-        let mut best_energy = f64::INFINITY;
-        let replicas: Vec<ReplicaOutcome> = outcomes
+        let (winner, mcs_total) = ordered_best(&outcomes);
+        let replicas = outcomes
             .into_iter()
             .enumerate()
-            .map(|(replica, outcome)| {
-                mcs_total += outcome.mcs;
-                // ordered reduction: strict < keeps the lowest index on ties
-                if outcome.best_energy < best_energy {
-                    best_energy = outcome.best_energy;
-                    best_replica = replica;
-                }
-                ReplicaOutcome {
-                    replica,
-                    seed: self.replica_seed(batch, replica as u64),
-                    outcome,
-                }
+            .map(|(replica, outcome)| ReplicaOutcome {
+                replica,
+                seed: self.replica_seed(batch, replica as u64),
+                outcome,
             })
             .collect();
         EnsembleOutcome {
-            best_replica,
+            best_replica: winner.unwrap_or(0),
             replicas,
             mcs_total,
         }
     }
 
-    /// The lane-group width `solve_runs` uses for `count` replicas.
+    /// Starts `count` fresh runs of `model` in lane groups under `ctrl` and
+    /// returns the batch index they drew their seeds from, with each
+    /// group's run in replica order.
+    fn run_groups(
+        &mut self,
+        model: &IsingModel,
+        count: usize,
+        ctrl: &RunController,
+    ) -> (u64, Vec<GroupRun>) {
+        let batch = self.batches;
+        self.batches += 1;
+        let config = self.config;
+        let width = self.group_width(count);
+        let groups = count.div_ceil(width.max(1));
+        let runs = parallel::parallel_map_indexed(groups, config.threads, |g| {
+            let lo = g * width;
+            let hi = count.min(lo + width);
+            let seeds: Vec<u64> = (lo..hi)
+                .map(|i| self.replica_seed(batch, i as u64))
+                .collect();
+            run_group_fresh(model, &config, &seeds, ctrl)
+        });
+        (batch, runs)
+    }
+
+    /// The lane-group width `run_groups` uses for `count` replicas.
     fn group_width(&self, count: usize) -> usize {
         if self.config.batch_width == 0 {
             let workers = if self.config.threads == 0 {
@@ -275,9 +276,8 @@ impl EnsembleAnnealer {
         }
     }
 
-    /// Like [`IsingSolver::solve`], but polling `ctrl` from every lane
-    /// group. With an idle controller the reduced outcome is bit-identical
-    /// to `solve`.
+    /// Like [`IsingSolver::solve`] (which delegates here), but polling
+    /// `ctrl` from every lane group.
     ///
     /// Each group polls with its own schedule-step count; lanes are
     /// independent until the final reduction, so a stop may catch groups at
@@ -289,20 +289,7 @@ impl EnsembleAnnealer {
         model: &IsingModel,
         ctrl: &RunController,
     ) -> Controlled<EnsembleState> {
-        let batch = self.batches;
-        self.batches += 1;
-        let config = self.config;
-        let count = config.replicas;
-        let width = self.group_width(count);
-        let groups = count.div_ceil(width.max(1));
-        let runs = parallel::parallel_map_indexed(groups, config.threads, |g| {
-            let lo = g * width;
-            let hi = count.min(lo + width);
-            let seeds: Vec<u64> = (lo..hi)
-                .map(|i| self.replica_seed(batch, i as u64))
-                .collect();
-            run_group_fresh(model, &config, &seeds, ctrl)
-        });
+        let (batch, runs) = self.run_groups(model, self.config.replicas, ctrl);
         assemble(model, batch, runs)
     }
 
@@ -338,55 +325,14 @@ impl EnsembleAnnealer {
     }
 }
 
-/// One batched group of annealed runs: every lane follows the configured
-/// schedule together, one sweep at a time, with per-lane best tracking —
-/// the batched equivalent of `seeds.len()` fresh
-/// [`SimulatedAnnealing`](crate::SimulatedAnnealing) solves.
-///
-/// A single-seed group routes through a serial
-/// [`SimulatedAnnealing`](crate::SimulatedAnnealing) directly: that solver
-/// *is* the documented replay reference for a batch lane on the same seed,
-/// so the outcome is identical by contract while skipping the batch
-/// scaffolding a one-lane group would pay for (the `R = 1` overhead the
-/// perf snapshot's `batch` section records).
-fn run_batched(model: &IsingModel, config: &EnsembleConfig, seeds: &[u64]) -> Vec<SolveOutcome> {
-    if let [seed] = seeds {
-        let mut sa = crate::sa::SimulatedAnnealing::new(config.schedule, config.mcs_per_run, *seed)
-            .with_dynamics(config.dynamics);
-        return vec![sa.solve(model)];
-    }
-    let mut batch = ReplicaBatch::new(model, seeds);
-    let mut bests = LaneBests::new(&batch);
-    for step in 0..config.mcs_per_run {
-        let beta = config.schedule.beta_at(step, config.mcs_per_run);
-        match config.dynamics {
-            Dynamics::Gibbs => batch.sweep_uniform(model, beta),
-            Dynamics::Metropolis => batch.metropolis_sweep_uniform(model, beta),
-        }
-        bests.update(&batch);
-    }
-    let (best_energies, best_states) = bests.into_parts();
-    best_energies
-        .into_iter()
-        .zip(best_states)
-        .enumerate()
-        .map(|(r, (best_energy, best))| SolveOutcome {
-            last: batch.state(r),
-            last_energy: batch.energy(r),
-            best,
-            best_energy,
-            mcs: config.mcs_per_run as u64,
-        })
-        .collect()
-}
-
 /// One group's controlled run: its stop status, its resumable image (when
 /// one exists), and the per-lane outcomes produced so far.
 struct GroupRun {
     status: OutcomeKind,
-    /// `Some` for completed groups (a [`GroupState::Done`] image) and
-    /// checkpointed ones; `None` when the group stopped without capture
-    /// (cancellation or a missed deadline).
+    /// `Some` for a group that stopped with a resumable image (a checkpoint,
+    /// or a stop before its first sweep). A completed group carries none:
+    /// its outcomes are its image, captured by [`assemble`] only when the
+    /// run checkpoints.
     state: Option<GroupState>,
     outcomes: Vec<SolveOutcome>,
 }
@@ -401,10 +347,19 @@ fn group_len(group: &GroupState) -> usize {
     }
 }
 
-/// The controlled counterpart of [`run_batched`]: checks the controller
-/// before the first sweep (a stop there records the group as
-/// [`GroupState::Pending`], consuming no RNG words) and polls it at every
-/// sweep boundary after.
+/// One group of fresh annealed runs — the batched equivalent of
+/// `seeds.len()` fresh [`SimulatedAnnealing`](crate::SimulatedAnnealing)
+/// solves, and the one entry for every fresh group, controlled or not.
+/// Checks the controller before the first sweep (a stop there records the
+/// group as [`GroupState::Pending`], consuming no RNG words) and polls it at
+/// every sweep boundary after.
+///
+/// A single-seed group routes through a serial
+/// [`SimulatedAnnealing`](crate::SimulatedAnnealing) directly: that solver
+/// *is* the documented replay reference for a batch lane on the same seed,
+/// so the outcome is identical by contract while skipping the batch
+/// scaffolding a one-lane group would pay for (the `R = 1` overhead the
+/// perf snapshot's `batch` section records).
 fn run_group_fresh(
     model: &IsingModel,
     config: &EnsembleConfig,
@@ -432,23 +387,17 @@ fn run_group_fresh(
 
 /// Wraps a serial lane's controlled result as a one-lane group.
 fn serial_group_run(seed: u64, run: Controlled<SaState>) -> GroupRun {
-    let state = match run.status {
-        OutcomeKind::Completed => Some(GroupState::Done {
-            lanes: vec![DoneLane::capture(&run.outcome)],
-        }),
-        OutcomeKind::Checkpointed => run.state.map(|sa| GroupState::Serial { seed, sa }),
-        _ => None,
-    };
     GroupRun {
         status: run.status,
-        state,
+        state: run.state.map(|sa| GroupState::Serial { seed, sa }),
         outcomes: vec![run.outcome],
     }
 }
 
-/// Advances a multi-lane group from schedule step `start` under the
-/// controller — shared by fresh and resumed runs. The final sweep never
-/// checkpoints: a group caught there completes instead.
+/// The ensemble's one batched sweep loop: advances a multi-lane group from
+/// schedule step `start` under the controller, for fresh and resumed runs
+/// alike. The final sweep never checkpoints: a group caught there
+/// completes instead.
 fn run_group_steps(
     model: &IsingModel,
     config: &EnsembleConfig,
@@ -475,31 +424,29 @@ fn run_group_steps(
             }
         }
     }
-    let outcomes: Vec<SolveOutcome> = (0..batch.width())
-        .map(|r| SolveOutcome {
+    let state = (status == OutcomeKind::Checkpointed).then(|| GroupState::Batch {
+        seeds: seeds.to_vec(),
+        next_step: next_step as u64,
+        lanes: (0..batch.width())
+            .map(|r| LaneState::capture(&batch.lane_snapshot(r)))
+            .collect(),
+        bests: (0..batch.width())
+            .map(|r| BestState::capture(bests.energy(r), bests.state(r)))
+            .collect(),
+    });
+    let (best_energies, best_states) = bests.into_parts();
+    let outcomes = best_energies
+        .into_iter()
+        .zip(best_states)
+        .enumerate()
+        .map(|(r, (best_energy, best))| SolveOutcome {
             last: batch.state(r),
             last_energy: batch.energy(r),
-            best: bests.state(r).clone(),
-            best_energy: bests.energy(r),
+            best,
+            best_energy,
             mcs: next_step as u64,
         })
         .collect();
-    let state = match status {
-        OutcomeKind::Completed => Some(GroupState::Done {
-            lanes: outcomes.iter().map(DoneLane::capture).collect(),
-        }),
-        OutcomeKind::Checkpointed => Some(GroupState::Batch {
-            seeds: seeds.to_vec(),
-            next_step: next_step as u64,
-            lanes: (0..batch.width())
-                .map(|r| LaneState::capture(&batch.lane_snapshot(r)))
-                .collect(),
-            bests: (0..batch.width())
-                .map(|r| BestState::capture(bests.energy(r), bests.state(r)))
-                .collect(),
-        }),
-        _ => None,
-    };
     GroupRun {
         status,
         state,
@@ -525,7 +472,7 @@ fn run_group_resumed(
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(GroupRun {
                 status: OutcomeKind::Completed,
-                state: Some(group.clone()),
+                state: None,
                 outcomes,
             })
         }
@@ -617,24 +564,12 @@ fn assemble(
         .map(|r| r.status)
         .max_by_key(|&k| rank(k))
         .unwrap_or(OutcomeKind::Completed);
-    let mut mcs_total = 0u64;
-    let mut best_energy = f64::INFINITY;
-    let mut winner: Option<&SolveOutcome> = None;
-    for outcome in runs.iter().flat_map(|r| &r.outcomes) {
-        mcs_total += outcome.mcs;
-        // ordered reduction: strict < keeps the lowest replica on ties
-        if outcome.best_energy < best_energy {
-            best_energy = outcome.best_energy;
-            winner = Some(outcome);
-        }
-    }
-    let outcome = match winner {
+    let lanes = || runs.iter().flat_map(|r| &r.outcomes);
+    let (winner, mcs_total) = ordered_best(lanes());
+    let outcome = match winner.and_then(|w| lanes().nth(w)) {
         Some(w) => SolveOutcome {
-            last: w.last.clone(),
-            last_energy: w.last_energy,
-            best: w.best.clone(),
-            best_energy: w.best_energy,
             mcs: mcs_total,
+            ..w.clone()
         },
         // every group stopped before its first sweep: report the trivial
         // all-up sample so the partial outcome is still well-formed
@@ -650,13 +585,16 @@ fn assemble(
             }
         }
     };
+    // a checkpoint-merged run holds only checkpointed and completed groups;
+    // a completed group's image is its outcomes
     let state = (status == OutcomeKind::Checkpointed).then(|| EnsembleState {
         batch_index,
         groups: runs
             .into_iter()
             .map(|r| {
-                r.state
-                    .expect("checkpoint-merged groups all carry an image")
+                r.state.unwrap_or_else(|| GroupState::Done {
+                    lanes: r.outcomes.iter().map(DoneLane::capture).collect(),
+                })
             })
             .collect(),
     });
@@ -667,9 +605,28 @@ fn assemble(
     }
 }
 
+/// The ordered best-of-ensemble rule shared by
+/// [`EnsembleAnnealer::solve_ensemble`] and [`assemble`]: the index of the
+/// lowest best energy — strict `<`, so ties keep the lowest replica; `None`
+/// when no outcome is below +∞ — and the sweeps summed over all outcomes.
+fn ordered_best<'a>(outcomes: impl IntoIterator<Item = &'a SolveOutcome>) -> (Option<usize>, u64) {
+    let mut mcs_total = 0u64;
+    let mut best_energy = f64::INFINITY;
+    let mut winner = None;
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        mcs_total += outcome.mcs;
+        if outcome.best_energy < best_energy {
+            best_energy = outcome.best_energy;
+            winner = Some(i);
+        }
+    }
+    (winner, mcs_total)
+}
+
 impl IsingSolver for EnsembleAnnealer {
     fn solve(&mut self, model: &IsingModel) -> SolveOutcome {
-        self.solve_ensemble(model).reduce()
+        self.solve_controlled(model, &RunController::unlimited())
+            .outcome
     }
 
     fn mcs_per_solve(&self, _n: usize) -> u64 {
@@ -743,7 +700,13 @@ mod tests {
     #[test]
     fn matches_serial_reference_runs() {
         let (model, _) = planted_model();
-        let mut ensemble = EnsembleAnnealer::new(config(5, 0), 9);
+        // one 5-lane group: every lane runs the batch kernel, whatever the
+        // core count, so this checks it against the serial machine
+        let cfg = EnsembleConfig {
+            batch_width: 5,
+            ..config(5, 0)
+        };
+        let mut ensemble = EnsembleAnnealer::new(cfg, 9);
         let out = ensemble.solve_ensemble(&model);
         for r in &out.replicas {
             let mut serial = SimulatedAnnealing::new(BetaSchedule::linear(6.0), 60, r.seed);
@@ -810,6 +773,9 @@ mod tests {
         let _ = EnsembleAnnealer::new(config(0, 0), 0);
     }
 
+    /// `solve` delegates to `solve_controlled`, so this pins what an idle
+    /// controller reports around the shared group loop: `Completed` and no
+    /// state image.
     #[test]
     fn controlled_solve_with_idle_controller_matches_solve() {
         let (model, _) = planted_model();

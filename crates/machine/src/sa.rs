@@ -19,6 +19,10 @@ use saim_ising::{IsingModel, SpinState};
 /// stochastic runs of one reproducible stream — exactly the "2000 SA runs of
 /// 10³ MCS" structure of the paper's Table I.
 ///
+/// `solve` delegates to [`SimulatedAnnealing::solve_controlled`] under
+/// [`RunController::unlimited`]: SAIM's inner anneal, served jobs and
+/// checkpoint/resume all run the annealer's one sweep loop.
+///
 /// The machine is reused across runs, so the per-spin drive bounds behind
 /// the sweep's three-tier decision kernel (see [`PbitMachine`]) are
 /// computed once per model and survive every re-anneal; the per-sweep β of
@@ -111,17 +115,16 @@ impl SimulatedAnnealing {
         self.dynamics
     }
 
-    /// Like [`IsingSolver::solve`], but polling `ctrl` at every sweep
-    /// boundary: the run can be cancelled, deadlined, or checkpointed
-    /// mid-anneal. With an idle controller the result is bit-identical to
-    /// `solve`.
+    /// Like [`IsingSolver::solve`] (which delegates here), but polling
+    /// `ctrl` at every sweep boundary: the run can be cancelled, deadlined,
+    /// or checkpointed mid-anneal.
     pub fn solve_controlled(
         &mut self,
         model: &IsingModel,
         ctrl: &RunController,
     ) -> Controlled<SaState> {
-        // run boundary, exactly as in `solve`: discard buffered noise, draw
-        // the initial state from the raw stream
+        // run boundary: discard buffered noise so the initial-state coin
+        // flips read the raw stream, then sweeps consume fresh blocks
         self.noise.reset();
         let machine =
             PbitMachine::obtain_randomized(&mut self.machine, model, self.noise.rng_mut());
@@ -165,8 +168,8 @@ impl SimulatedAnnealing {
         Ok(self.run_from(model, next_step, best_energy, ctrl))
     }
 
-    /// The annealing loop from `start_step`, shared by fresh and resumed
-    /// controlled runs. Polls after each sweep's best-update; the final
+    /// The annealer's one sweep loop, from `start_step`, for fresh and
+    /// resumed runs alike. Polls after each sweep's best-update; the final
     /// sweep never checkpoints (a run that finished is `Completed`).
     fn run_from(
         &mut self,
@@ -221,42 +224,8 @@ impl SimulatedAnnealing {
 
 impl IsingSolver for SimulatedAnnealing {
     fn solve(&mut self, model: &IsingModel) -> SolveOutcome {
-        // run boundary: discard buffered noise so the initial-state coin
-        // flips read the raw stream, then sweeps consume fresh blocks
-        self.noise.reset();
-        let machine =
-            PbitMachine::obtain_randomized(&mut self.machine, model, self.noise.rng_mut());
-        let best = match &mut self.best_buf {
-            Some(b) if b.len() == model.len() => {
-                b.copy_from(machine.state());
-                b
-            }
-            _ => {
-                self.best_buf = Some(machine.state().clone());
-                self.best_buf.as_mut().expect("just set")
-            }
-        };
-        let mut best_energy = machine.energy();
-        for step in 0..self.mcs_per_run {
-            let beta = self.schedule.beta_at(step, self.mcs_per_run);
-            match self.dynamics {
-                Dynamics::Gibbs => machine.sweep_buffered(model, beta, &mut self.noise),
-                Dynamics::Metropolis => {
-                    machine.metropolis_sweep_buffered(model, beta, &mut self.noise)
-                }
-            };
-            if machine.energy() < best_energy {
-                best_energy = machine.energy();
-                best.copy_from(machine.state());
-            }
-        }
-        SolveOutcome {
-            last: machine.state().clone(),
-            last_energy: machine.energy(),
-            best: best.clone(),
-            best_energy,
-            mcs: self.mcs_per_run as u64,
-        }
+        self.solve_controlled(model, &RunController::unlimited())
+            .outcome
     }
 
     fn mcs_per_solve(&self, _n: usize) -> u64 {
@@ -355,6 +324,9 @@ mod tests {
         assert_eq!(sa.solve(&model).mcs, 123);
     }
 
+    /// `solve` delegates to `solve_controlled`, so this pins what an idle
+    /// controller reports around the shared loop: `Completed`, no state
+    /// image, and the same outcome run after run.
     #[test]
     fn controlled_solve_with_idle_controller_matches_solve() {
         let (model, _, _) = planted_model();

@@ -89,7 +89,7 @@ use crate::checkpoint::{Checkpoint, CheckpointError, EngineState, OutcomeKind, R
 use crate::descent::GreedyDescent;
 use crate::ensemble::{EnsembleAnnealer, EnsembleConfig};
 use crate::pt::{ParallelTempering, PtConfig};
-use crate::solver::{IsingSolver, SolveOutcome};
+use crate::solver::SolveOutcome;
 use saim_ising::{Qubo, SpinState};
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -170,8 +170,9 @@ impl JobSpec {
         self
     }
 
-    /// Runs the job to completion on the calling thread. Bit-identical to
-    /// the direct engine call each [`SolverSpec`] variant documents.
+    /// Runs the job to completion on the calling thread: a direct call to
+    /// [`JobSpec::run_controlled`] under [`RunController::unlimited`].
+    /// Bit-identical to the direct engine call each [`SolverSpec`] documents.
     ///
     /// # Panics
     ///
@@ -179,23 +180,14 @@ impl JobSpec {
     /// as constructing the solver directly). On a front-end worker the
     /// panic becomes the job's typed failure frame.
     pub fn run(&self) -> JobOutcome {
-        let started = Instant::now();
-        let model = self.model.to_ising();
-        let solved = match &self.solver {
-            SolverSpec::Ensemble(config) => EnsembleAnnealer::new(*config, self.seed).solve(&model),
-            SolverSpec::Pt(config) => ParallelTempering::new(*config, self.seed).solve(&model),
-            SolverSpec::Descent { max_sweeps } => GreedyDescent::new(self.seed)
-                .with_max_sweeps(*max_sweeps)
-                .solve(&model),
-        };
-        JobOutcome::new(self, &solved, started.elapsed())
+        self.run_controlled(&RunController::unlimited()).outcome
     }
 
-    /// Like [`JobSpec::run`], but under a [`RunController`]: the run can be
-    /// cancelled, timed out, or stopped at a checkpoint, returning a
-    /// partial [`JobOutcome`] (tagged via [`JobOutcome::outcome_kind`]) and
-    /// — when checkpointed — the resumable [`Checkpoint`]. With an idle
-    /// controller the outcome is bit-identical to [`JobSpec::run`].
+    /// Runs the job under a [`RunController`]: the run can be cancelled,
+    /// timed out, or stopped at a checkpoint, returning a partial
+    /// [`JobOutcome`] (tagged via [`JobOutcome::outcome_kind`]) and — when
+    /// checkpointed — the resumable [`Checkpoint`]. The one dispatch from a
+    /// [`SolverSpec`] to a fresh engine run.
     pub fn run_controlled(&self, ctrl: &RunController) -> ControlledOutcome {
         let started = Instant::now();
         let model = self.model.to_ising();
@@ -289,6 +281,8 @@ impl JobSpec {
     /// model's top-level fields; trees below that (the coupling matrix,
     /// the β schedule payload) are shape-validated by their deserializers,
     /// which reject missing or mistyped fields and unknown enum variants.
+    /// The model must also hold the invariants [`Qubo::new`] keeps (`n × n`
+    /// finite symmetric couplings, zero diagonal, `n` finite linear terms).
     ///
     /// # Errors
     ///
@@ -297,7 +291,8 @@ impl JobSpec {
     /// (checked first, so a future version's new fields read as a version
     /// problem), [`SchemaError::UnknownField`] on any unrecognized field
     /// at the strict depths above, and [`SchemaError::Malformed`] on
-    /// missing fields or shape mismatches.
+    /// missing fields, shape mismatches, or a model that breaks its
+    /// invariants.
     pub fn from_json(text: &str) -> Result<Self, SchemaError> {
         Self::from_value_strict(&parse_json(text)?)
     }
@@ -727,6 +722,7 @@ pub(crate) fn write_atomic(path: &Path, text: &str) -> Result<(), CheckpointErro
 mod tests {
     use super::*;
     use crate::schedule::BetaSchedule;
+    use crate::solver::IsingSolver;
     use crate::Dynamics;
     use saim_ising::QuboBuilder;
 

@@ -4,12 +4,14 @@
 //! ([`SchemaError`] for the spec/outcome schema, [`FrameError`] for the
 //! front-end protocol), never a panic. This is the contract that lets the
 //! server parse untrusted sockets inside the accept path with no
-//! `catch_unwind` around the parser.
+//! `catch_unwind` around the parser. Models that parse as JSON but break
+//! the model invariants (shape, symmetry, diagonal, finiteness) are
+//! rejected there too, with the `malformed` code.
 
 use proptest::prelude::*;
 use saim_ising::QuboBuilder;
 use saim_machine::frontend::{FrameError, Frontend, FrontendConfig, Request, Response};
-use saim_machine::service::{JobOutcome, JobSpec, SolverSpec};
+use saim_machine::service::{JobOutcome, JobSpec, SchemaError, SolverSpec};
 use saim_machine::ClientStats;
 
 /// A small but real spec: enough structure that mutations can land inside
@@ -254,4 +256,94 @@ fn a_session_survives_a_too_deep_line() {
         }
         other => panic!("expected the job's outcome, got {other:?}"),
     }
+}
+
+/// Specs whose model lies about its shape or breaks the invariants
+/// `Qubo::new` and `SymmetricMatrix::set` keep, each as bare spec JSON and
+/// as a submit frame. Each must be rejected at ingest: the first two used
+/// to panic in `Qubo::to_ising` on a worker, the third used to be solved as
+/// if it were a valid model.
+fn hostile_models() -> Vec<(String, String)> {
+    let lie = |spec: &JobSpec, field: &str, payload: String, replacement: &str| {
+        let json = spec.to_json();
+        let needle = format!("\"{field}\":{payload}");
+        assert!(json.contains(&needle), "{needle} not in {json}");
+        let hostile = json.replacen(&needle, &format!("\"{field}\":{replacement}"), 1);
+        let line = Request::Submit {
+            spec: spec.clone(),
+            priority: 0,
+            deadline_ms: None,
+        }
+        .to_line();
+        assert!(line.contains(&json), "the frame embeds the spec verbatim");
+        let line = line.replacen(&json, &hostile, 1);
+        (hostile, line)
+    };
+    let text = |v: Result<String, _>| v.expect("serializable");
+    let three = sample_spec(1, 2, 3);
+    let two = sample_spec(3, 4, 2);
+    vec![
+        // 2 entries for a 3 × 3 matrix
+        lie(
+            &three,
+            "pairs",
+            text(serde_json::to_string(three.model.pairs())),
+            r#"{"n":3,"data":[0.0,1.0]}"#,
+        ),
+        // 2 linear terms for 3 variables
+        lie(
+            &three,
+            "linear",
+            text(serde_json::to_string(three.model.linear())),
+            "[-1.0,-1.25]",
+        ),
+        // asymmetric, with a non-zero diagonal
+        lie(
+            &two,
+            "pairs",
+            text(serde_json::to_string(two.model.pairs())),
+            r#"{"n":2,"data":[5.0,1.0,-3.0,0.0]}"#,
+        ),
+    ]
+}
+
+#[test]
+fn hostile_models_land_on_the_malformed_code() {
+    for (spec, line) in hostile_models() {
+        assert!(
+            matches!(JobSpec::from_json(&spec), Err(SchemaError::Malformed(_))),
+            "{spec}"
+        );
+        let error = Request::from_line(&line).expect_err("not a valid model");
+        assert_eq!(error.code(), "malformed", "{line}");
+    }
+}
+
+/// After each hostile model is rejected, the same session still completes a
+/// valid job bit-identically, and no hostile job was ever admitted.
+#[test]
+fn a_session_survives_hostile_models() {
+    let frontend = Frontend::start(FrontendConfig {
+        workers: 1,
+        ..FrontendConfig::default()
+    });
+    let client = frontend.connect();
+    for (_, line) in hostile_models() {
+        assert!(!client.send_line(&line));
+        match client.recv() {
+            Some(Response::Rejected { code, .. }) => assert_eq!(code, "malformed"),
+            other => panic!("expected a malformed rejection, got {other:?}"),
+        }
+    }
+    let spec = sample_spec(5, 9, 4);
+    client.submit(spec.clone(), 0, None);
+    assert_eq!(client.recv(), Some(Response::Accepted { job: 5 }));
+    match client.recv() {
+        Some(Response::Outcome { outcome }) => {
+            assert_eq!(outcome.canonical(), spec.run().canonical());
+        }
+        other => panic!("expected the job's outcome, got {other:?}"),
+    }
+    let fleet = frontend.fleet_stats();
+    assert_eq!((fleet.accepted, fleet.completed, fleet.failed), (1, 1, 0));
 }

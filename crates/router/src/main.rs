@@ -21,7 +21,8 @@
 //! - `--smoke` — a self-contained loopback self-test used by CI: route
 //!   jobs over a real socket across two in-process shards, kill one
 //!   mid-stream, and verify every job still settles exactly once with an
-//!   outcome bit-identical to a direct in-process run, then verify a
+//!   outcome bit-identical to a direct in-process run, verify a malformed
+//!   frame and a shape-lie model earn typed rejections, then verify a
 //!   fully-down fleet sheds with `overloaded` instead of hanging; a second
 //!   phase re-runs the fleet with `k = 2` hedged routing and one stalled
 //!   shard and verifies speculation alone (no breaker verdict) settles
@@ -275,8 +276,9 @@ fn smoke_spec(job: u64) -> JobSpec {
 
 /// The CI smoke test: two in-process shards behind a real TCP listener,
 /// one killed mid-stream; every job must settle exactly once and
-/// bit-identical to the direct-run oracle, and a fully-down fleet must
-/// shed with `overloaded`.
+/// bit-identical to the direct-run oracle, malformed and shape-lie frames
+/// must earn typed rejections, and a fully-down fleet must shed with
+/// `overloaded`.
 fn run_smoke(opts: &Options) -> Result<(), String> {
     let scratch = std::env::temp_dir().join(format!("saim-router-smoke-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).map_err(|e| e.to_string())?;
@@ -369,6 +371,31 @@ fn run_smoke(opts: &Options) -> Result<(), String> {
         other => return Err(format!("expected a typed json rejection, got {other:?}")),
     }
 
+    // a model that lies about its shape is rejected at ingest, before any
+    // shard sees it, and the same connection then serves the honest frame
+    let after = smoke_spec(9);
+    let line = Request::Submit {
+        spec: after.clone(),
+        priority: 0,
+        deadline_ms: None,
+    }
+    .to_line();
+    let lie = line.replacen("\"n\":6,", "\"n\":3,", 1);
+    for frame in [lie, line] {
+        client
+            .send_raw(format!("{frame}\n").as_bytes())
+            .map_err(|e| e.to_string())?;
+    }
+    let mut next = || client.recv().map_err(|e| e.to_string());
+    match (next()?, next()?, next()?) {
+        (
+            Response::Rejected { code, .. },
+            Response::Accepted { job: 9 },
+            Response::Outcome { outcome },
+        ) if code == "malformed" && outcome.canonical() == after.run().canonical() => {}
+        other => return Err(format!("expected malformed, then the job; got {other:?}")),
+    }
+
     // kill the surviving shard too: the router must shed, never hang
     plan.kill(1);
     let both_down = Instant::now() + Duration::from_secs(30);
@@ -405,7 +432,7 @@ fn run_smoke(opts: &Options) -> Result<(), String> {
     let _ = std::fs::remove_dir_all(&scratch);
     println!(
         "smoke ok: 8 jobs exactly-once and bit-identical across a shard kill \
-         ({} reroutes), malformed frame rejected, fully-down fleet sheds",
+         ({} reroutes), malformed and shape-lie frames rejected, fully-down fleet sheds",
         report.reroutes
     );
     run_smoke_hedging()

@@ -17,8 +17,8 @@
 //!   TCP (for harnesses that pipe frames), and
 //! - `--smoke` — a self-contained loopback round-trip used by CI: submit a
 //!   job over a real socket, verify the outcome is bit-identical to a
-//!   direct in-process run, and verify a malformed frame earns a typed
-//!   rejection.
+//!   direct in-process run, and verify a malformed frame and a shape-lie
+//!   model each earn a typed rejection on a connection that keeps serving.
 //!
 //! Run `saim-server --help` for the flag list.
 
@@ -296,8 +296,8 @@ fn pump_session(handle: ClientHandle, lines: &mpsc::Receiver<String>) {
     }
 }
 
-/// The CI smoke test: a full loopback round-trip plus a typed-rejection
-/// check, self-contained in one process.
+/// The CI smoke test: a full loopback round-trip plus typed-rejection
+/// checks (malformed frame, shape-lie model), self-contained in one process.
 fn run_smoke(opts: &Options) -> Result<(), String> {
     let spec = smoke_spec();
     let expected = spec.run().canonical();
@@ -331,6 +331,31 @@ fn run_smoke(opts: &Options) -> Result<(), String> {
         other => return Err(format!("expected a typed json rejection, got {other:?}")),
     }
 
+    // a model that lies about its shape is rejected at ingest, and the
+    // same connection then serves the honest frame bit-identically
+    let after = JobSpec { job: 2, ..spec };
+    let line = Request::Submit {
+        spec: after.clone(),
+        priority: 0,
+        deadline_ms: None,
+    }
+    .to_line();
+    let lie = line.replacen("\"n\":6,", "\"n\":3,", 1);
+    for frame in [lie, line] {
+        client
+            .send_raw(format!("{frame}\n").as_bytes())
+            .map_err(|e| e.to_string())?;
+    }
+    let mut next = || client.recv().map_err(|e| e.to_string());
+    match (next()?, next()?, next()?) {
+        (
+            Response::Rejected { code, .. },
+            Response::Accepted { job: 2 },
+            Response::Outcome { outcome },
+        ) if code == "malformed" && outcome.canonical() == after.run().canonical() => {}
+        other => return Err(format!("expected malformed, then the job; got {other:?}")),
+    }
+
     let report = frontend
         .shutdown_to(&opts.drain_dir)
         .map_err(|e| format!("smoke drain failed: {e}"))?;
@@ -339,7 +364,7 @@ fn run_smoke(opts: &Options) -> Result<(), String> {
         return Err("smoke fleet drained with unfinished jobs".into());
     }
     let _ = std::fs::remove_dir_all(&opts.drain_dir);
-    println!("smoke ok: loopback outcome bit-identical, malformed frame rejected");
+    println!("smoke ok: loopback outcome bit-identical, malformed and shape-lie frames rejected");
     Ok(())
 }
 
