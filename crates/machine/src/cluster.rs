@@ -18,7 +18,11 @@
 //! The router speaks the same schema-versioned NDJSON protocol on both
 //! faces. Clients see one logical fleet; behind the router each backend is
 //! an ordinary `saim-server` (or an in-process [`Frontend`] in tests),
-//! reached over a [`BackendLink`] and pumped by one dedicated thread.
+//! reached over a [`BackendLink`] and pumped by one dedicated thread. The
+//! pump is event-driven: it sleeps in the link's poll until a response
+//! arrives, the router queues work for that backend (which rings the
+//! link's [`LinkWaker`]), or one of its timers — next health probe,
+//! overload backoff, earliest armed hedge — is due.
 //!
 //! # Placement
 //!
@@ -130,16 +134,17 @@ pub mod journal;
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::checkpoint::{digest64, CheckpointError, OutcomeKind};
 use crate::frontend::faults::BackendFaultPlan;
 use crate::frontend::{
-    read_line_capped, ClientHandle, DrainReport, FrameError, Frontend, FrontendConfig,
-    NdjsonClient, ReadError, Request, Response,
+    read_line_capped, ClientHandle, DrainReport, FrameError, Frontend, FrontendConfig, ReadError,
+    Request, Response, SessionSender,
 };
 use crate::service::{JobOutcome, JobSpec, SolverSpec};
 use crate::telemetry::{ClientStats, HedgeStats};
@@ -173,62 +178,150 @@ pub trait BackendLink: Send {
     fn send(&mut self, request: &Request) -> Result<(), LinkError>;
 
     /// Waits up to `timeout` for the next response frame. `Ok(None)` means
-    /// the link is quiet, not dead.
+    /// the link is quiet, not dead. The pump passes the time until its next
+    /// timer (probe, overload backoff, hedge), which may be many seconds:
+    /// new work cuts the wait short through [`BackendLink::waker`]. A link
+    /// with no waker is polled at most 10 ms apart instead.
     ///
     /// # Errors
     ///
     /// [`LinkError`] when the transport is dead.
     fn poll(&mut self, timeout: Duration) -> Result<Option<Response>, LinkError>;
+
+    /// A handle that makes a blocked (or the next) [`BackendLink::poll`]
+    /// return `Ok(None)` at once. The router calls it whenever it queues
+    /// work for this link. `None` (the default) means the link cannot be
+    /// woken.
+    fn waker(&self) -> Option<LinkWaker> {
+        None
+    }
+}
+
+/// Cuts a link's [`BackendLink::poll`] short; see [`BackendLink::waker`].
+#[derive(Clone)]
+pub struct LinkWaker {
+    tx: mpsc::Sender<Inbound>,
+    /// A wake token is in the inbox; later wakes add none.
+    pending: Arc<AtomicBool>,
+}
+
+impl LinkWaker {
+    /// Wakes the link's poll.
+    pub fn wake(&self) {
+        if !self.pending.swap(true, Ordering::AcqRel) {
+            let _ = self.tx.send(Inbound::Wake);
+        }
+    }
+}
+
+/// What a link's inbox carries.
+enum Inbound {
+    Frame(Response),
+    /// The transport died; the message says how.
+    Dead(String),
+    Wake,
+}
+
+/// The receive side of [`TcpLink`] and [`InProcessLink`]: a feeder thread
+/// pushes the backend's frames through a clone of the waker's sender, the
+/// waker pushes wake tokens, and `poll` is one `recv_timeout`.
+struct Inbox {
+    rx: mpsc::Receiver<Inbound>,
+    waker: LinkWaker,
+    dead: Option<LinkError>,
+}
+
+impl Inbox {
+    fn new() -> Self {
+        let (tx, rx) = mpsc::channel();
+        Inbox {
+            rx,
+            waker: LinkWaker {
+                tx,
+                pending: Arc::new(AtomicBool::new(false)),
+            },
+            dead: None,
+        }
+    }
+
+    fn feeder(&self) -> mpsc::Sender<Inbound> {
+        self.waker.tx.clone()
+    }
+
+    fn poll(&mut self, timeout: Duration) -> Result<Option<Response>, LinkError> {
+        if let Some(dead) = &self.dead {
+            return Err(dead.clone());
+        }
+        match self.rx.recv_timeout(timeout) {
+            Ok(Inbound::Frame(response)) => Ok(Some(response)),
+            Ok(Inbound::Wake) => {
+                self.waker.pending.store(false, Ordering::Release);
+                Ok(None)
+            }
+            Ok(Inbound::Dead(message)) => Err(self.dead.insert(LinkError(message)).clone()),
+            // the inbox holds a sender itself, so this is only the timeout
+            Err(_) => Ok(None),
+        }
+    }
 }
 
 /// A link to an in-process [`Frontend`] session — the unit-test transport,
 /// and the `--resume` recovery stream's carrier after a managed restart.
+/// A forwarder thread moves the session's responses into the link's inbox,
+/// so `send` never waits on the receive side.
 ///
-/// The handle is shared behind a mutex so a [`ManagedBackend`] can keep an
+/// The session's send half is shared so a [`ManagedBackend`] can keep an
 /// anchor clone alive: a killed link's drop then does *not* disconnect the
 /// backend session, which is what lets the backend's unfinished jobs
 /// survive into its drain directory.
 pub struct InProcessLink {
-    handle: Arc<Mutex<ClientHandle>>,
+    session: Arc<SessionSender>,
+    inbox: Inbox,
 }
 
 impl InProcessLink {
     /// Wraps a connected session handle.
     pub fn new(handle: ClientHandle) -> Self {
-        InProcessLink {
-            handle: Arc::new(Mutex::new(handle)),
-        }
+        let (session, responses) = handle.split();
+        Self::shared(Arc::new(session), responses)
     }
 
-    fn shared(handle: &Arc<Mutex<ClientHandle>>) -> Self {
-        InProcessLink {
-            handle: Arc::clone(handle),
-        }
+    fn shared(session: Arc<SessionSender>, responses: mpsc::Receiver<Response>) -> Self {
+        let inbox = Inbox::new();
+        let tx = inbox.feeder();
+        // ends when the backend drops the session's channel, i.e. when the
+        // last send half (link or anchor) disconnects
+        std::thread::spawn(move || {
+            for response in responses {
+                let _ = tx.send(Inbound::Frame(response));
+            }
+        });
+        InProcessLink { session, inbox }
     }
 }
 
 impl BackendLink for InProcessLink {
     fn send(&mut self, request: &Request) -> Result<(), LinkError> {
-        self.handle
-            .lock()
-            .expect("link lock is never poisoned")
-            .send(request.clone());
+        self.session.send(request.clone());
         Ok(())
     }
 
     fn poll(&mut self, timeout: Duration) -> Result<Option<Response>, LinkError> {
-        Ok(self
-            .handle
-            .lock()
-            .expect("link lock is never poisoned")
-            .recv_timeout(timeout))
+        self.inbox.poll(timeout)
+    }
+
+    fn waker(&self) -> Option<LinkWaker> {
+        Some(self.inbox.waker.clone())
     }
 }
 
 /// A link to a remote `saim-server` over TCP NDJSON — the deployment
-/// transport of the `saim-router` binary.
+/// transport of the `saim-router` binary. A reader thread reads whole
+/// lines (capped at the protocol's default frame limit) into the link's
+/// inbox; an oversized or unparsable line kills the link.
 pub struct TcpLink {
-    client: NdjsonClient,
+    stream: TcpStream,
+    inbox: Inbox,
 }
 
 impl TcpLink {
@@ -238,33 +331,71 @@ impl TcpLink {
     ///
     /// Any socket-level connect failure.
     pub fn connect(addr: &str) -> std::io::Result<Self> {
-        Ok(TcpLink {
-            client: NdjsonClient::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        let read_half = stream.try_clone()?;
+        let inbox = Inbox::new();
+        let tx = inbox.feeder();
+        let limit = FrontendConfig::default().max_frame_bytes;
+        std::thread::spawn(move || {
+            let dead = read_frames(BufReader::new(read_half), limit, &tx);
+            let _ = tx.send(Inbound::Dead(dead));
+        });
+        Ok(TcpLink { stream, inbox })
+    }
+}
+
+/// Feeds a backend's response lines into an inbox until the transport
+/// dies or the link is dropped; returns why it stopped.
+fn read_frames(
+    mut reader: BufReader<TcpStream>,
+    limit: usize,
+    inbox: &mpsc::Sender<Inbound>,
+) -> String {
+    loop {
+        let line = match read_line_capped(&mut reader, limit) {
+            Ok(Some(line)) => line,
+            Ok(None) => return "backend closed the connection".into(),
+            Err(ReadError::Oversized) => return format!("backend frame exceeds {limit} bytes"),
+            Err(ReadError::Stalled | ReadError::Transport) => {
+                return "backend connection broke mid-frame".into()
+            }
+        };
+        if line.is_empty() {
+            continue;
+        }
+        let frame = match Response::from_line(&line) {
+            Ok(response) => Inbound::Frame(response),
+            Err(e) => return e.to_string(),
+        };
+        if inbox.send(frame).is_err() {
+            return "link dropped".into();
+        }
     }
 }
 
 impl BackendLink for TcpLink {
     fn send(&mut self, request: &Request) -> Result<(), LinkError> {
-        self.client
-            .send(request)
+        let mut line = request.to_line();
+        line.push('\n');
+        self.stream
+            .write_all(line.as_bytes())
             .map_err(|e| LinkError(e.to_string()))
     }
 
     fn poll(&mut self, timeout: Duration) -> Result<Option<Response>, LinkError> {
-        self.client
-            .set_read_timeout(timeout.max(Duration::from_millis(1)))
-            .map_err(|e| LinkError(e.to_string()))?;
-        match self.client.recv() {
-            Ok(response) => Ok(Some(response)),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(LinkError(e.to_string())),
-        }
+        self.inbox.poll(timeout)
+    }
+
+    fn waker(&self) -> Option<LinkWaker> {
+        Some(self.inbox.waker.clone())
+    }
+}
+
+impl Drop for TcpLink {
+    /// Shuts the socket down so the reader thread sees EOF and exits.
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -340,8 +471,10 @@ impl BackendLink for FaultyLink {
         if self.plan.is_killed(self.backend) {
             return Err(LinkError(format!("backend {} scripted dead", self.backend)));
         }
-        self.ingest()?;
+        // ingest only while stalled: its zero-timeout polls can swallow a
+        // wake token, which must not happen before a blocking poll below
         if self.plan.is_stalled(self.backend) {
+            self.ingest()?;
             std::thread::sleep(timeout.min(Duration::from_millis(5)));
             return Ok(None);
         }
@@ -360,6 +493,10 @@ impl BackendLink for FaultyLink {
             }
             None => Ok(None),
         }
+    }
+
+    fn waker(&self) -> Option<LinkWaker> {
+        self.inner.waker()
     }
 }
 
@@ -615,6 +752,9 @@ struct RouterClient {
 struct BackendSlot {
     generation: u64,
     pump_alive: bool,
+    /// The current pump's link waker, rung whenever `control` or `queued`
+    /// grows; `None` for a link that cannot be woken.
+    waker: Option<LinkWaker>,
     /// Cancels forwarded unconditionally, ahead of submits.
     control: VecDeque<Request>,
     /// Placed gids not yet forwarded.
@@ -643,6 +783,7 @@ impl BackendSlot {
         BackendSlot {
             generation: 0,
             pump_alive: false,
+            waker: None,
             control: VecDeque::new(),
             queued: VecDeque::new(),
             awaiting: None,
@@ -657,6 +798,24 @@ impl BackendSlot {
 
     fn in_flight(&self) -> usize {
         self.queued.len() + self.assigned.len() + usize::from(self.awaiting.is_some())
+    }
+
+    fn wake(&self) {
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
+    }
+
+    /// Queues a submit of `gid` toward this backend and wakes its pump.
+    fn enqueue(&mut self, gid: u64) {
+        self.queued.push_back(gid);
+        self.wake();
+    }
+
+    /// Queues a control frame (a cancel) and wakes the pump.
+    fn enqueue_control(&mut self, request: Request) {
+        self.control.push_back(request);
+        self.wake();
     }
 }
 
@@ -906,7 +1065,7 @@ impl RouterCore {
         if running {
             for slot in &mut state.backends {
                 if slot.assigned.contains(&gid) || slot.awaiting == Some(gid) {
-                    slot.control.push_back(Request::Cancel { job: gid });
+                    slot.enqueue_control(Request::Cancel { job: gid });
                 }
             }
             return;
@@ -1014,7 +1173,7 @@ impl RouterCore {
     /// primary's settlement EMA)` ms — deadline-aware speculation, so a
     /// fleet whose jobs settle fast never pays for a replica.
     fn placed_on(&self, state: &mut CoreState, gid: u64, b: usize, now: u64) {
-        state.backends[b].queued.push_back(gid);
+        state.backends[b].enqueue(gid);
         let policy = &self.config.replication;
         let Some(record) = state.jobs.get_mut(&gid) else {
             return;
@@ -1149,7 +1308,7 @@ impl RouterCore {
                 // fan-out but a lost one never loses a job
                 let _ = journal.append(&JournalRecord::Hedged { gid, backend: b });
             }
-            state.backends[b].queued.push_back(gid);
+            state.backends[b].enqueue(gid);
             state
                 .jobs
                 .get_mut(&gid)
@@ -1208,11 +1367,14 @@ impl RouterCore {
 
     // -------------------------------------------------------- pump hooks
 
-    /// The requests pump `gen` of backend `b` should send now: queued
-    /// cancels first, then a due health probe, then — half-open only — the
-    /// breaker's probe job, then at most one serialized submit. `None`
-    /// tells a superseded or shutting-down pump to exit.
-    fn take_outgoing(self: &Arc<Self>, b: usize, gen: u64) -> Option<Vec<Request>> {
+    /// The requests pump `gen` of backend `b` should send now — queued
+    /// cancels first, then a due health probe, then (half-open only) the
+    /// breaker's probe job, then at most one serialized submit — and how
+    /// long it may then wait for a response before a timer needs it: its
+    /// next probe, its overload backoff (while it holds queued work), or
+    /// the fleet's earliest armed hedge. `None` tells a superseded or
+    /// shutting-down pump to exit.
+    fn take_outgoing(self: &Arc<Self>, b: usize, gen: u64) -> Option<(Vec<Request>, Duration)> {
         let mut guard = self.state.lock().expect("router lock is never poisoned");
         let state = &mut *guard;
         if state.shutting_down || state.backends[b].generation != gen {
@@ -1250,7 +1412,7 @@ impl RouterCore {
                     ..JobRecord::new(0, gid, probe_spec(gid), 0)
                 },
             );
-            state.backends[b].queued.push_back(gid);
+            state.backends[b].enqueue(gid);
             state.backends[b].want_probe_job = false;
         }
         self.fire_due_hedges(state, now);
@@ -1270,7 +1432,15 @@ impl RouterCore {
                 }
             }
         }
-        Some(out)
+        let slot = &state.backends[b];
+        let mut next = slot.last_probe.saturating_add(self.probe_interval_ms());
+        if !slot.queued.is_empty() && slot.backoff_until > now {
+            next = next.min(slot.backoff_until);
+        }
+        if let Some(hedge) = state.pending_hedges.values().map(|h| h.due).min() {
+            next = next.min(hedge);
+        }
+        Some((out, Duration::from_millis(next.saturating_sub(now))))
     }
 
     /// One response frame from pump `gen` of backend `b`.
@@ -1430,7 +1600,7 @@ impl RouterCore {
                 slot.queued.remove(i);
             }
             if running && from != Some(b) {
-                slot.control.push_back(Request::Cancel { job: gid });
+                slot.enqueue_control(Request::Cancel { job: gid });
                 losers.push(b);
             }
         }
@@ -1544,12 +1714,18 @@ impl RouterCore {
     }
 }
 
-/// One backend's pump: ships outgoing frames, polls for responses, and
-/// reports a transport death exactly once. Exits when superseded by a
-/// fresh link or when the cluster shuts down.
-fn pump(core: Arc<RouterCore>, b: usize, gen: u64, mut link: Box<dyn BackendLink>) {
+/// The longest poll of a link that has no [`LinkWaker`]: nothing can cut
+/// its wait short, so this bounds how late it sees newly queued work.
+const UNWAKEABLE_POLL: Duration = Duration::from_millis(10);
+
+/// One backend's pump: ships outgoing frames, then sleeps in the link's
+/// poll until a response arrives, the router queues work for it (the
+/// waker), or its next timer is due; reports a transport death exactly
+/// once. Exits when superseded by a fresh link or when the cluster shuts
+/// down.
+fn pump(core: Arc<RouterCore>, b: usize, gen: u64, mut link: Box<dyn BackendLink>, wakeable: bool) {
     loop {
-        let Some(outgoing) = core.take_outgoing(b, gen) else {
+        let Some((outgoing, wait)) = core.take_outgoing(b, gen) else {
             return;
         };
         for request in outgoing {
@@ -1558,7 +1734,12 @@ fn pump(core: Arc<RouterCore>, b: usize, gen: u64, mut link: Box<dyn BackendLink
                 return;
             }
         }
-        match link.poll(Duration::from_millis(10)) {
+        let wait = if wakeable {
+            wait
+        } else {
+            wait.min(UNWAKEABLE_POLL)
+        };
+        match link.poll(wait) {
             Ok(Some(response)) => core.on_response(b, gen, response),
             Ok(None) => {}
             Err(_) => {
@@ -1686,6 +1867,8 @@ impl Cluster {
     }
 
     fn attach(&self, b: usize, link: Box<dyn BackendLink>, initial: BackendState) {
+        let waker = link.waker();
+        let wakeable = waker.is_some();
         let gen = {
             let mut guard = self
                 .core
@@ -1695,6 +1878,10 @@ impl Cluster {
             let state = &mut *guard;
             state.backends[b].generation += 1;
             state.backends[b].pump_alive = true;
+            // a superseded pump still blocked in its poll wakes and exits
+            if let Some(old) = std::mem::replace(&mut state.backends[b].waker, waker) {
+                old.wake();
+            }
             state.backends[b].control.clear();
             state.backends[b].awaiting = None;
             state.backends[b].last_probe = 0;
@@ -1712,7 +1899,7 @@ impl Cluster {
             state.backends[b].generation
         };
         let core = Arc::clone(&self.core);
-        let handle = std::thread::spawn(move || pump(core, b, gen, link));
+        let handle = std::thread::spawn(move || pump(core, b, gen, link, wakeable));
         self.pumps
             .lock()
             .expect("pump registry lock is never poisoned")
@@ -1821,11 +2008,17 @@ impl Cluster {
     }
 
     fn stop_pumps(&self) {
-        self.core
-            .state
-            .lock()
-            .expect("router lock is never poisoned")
-            .shutting_down = true;
+        {
+            let mut state = self
+                .core
+                .state
+                .lock()
+                .expect("router lock is never poisoned");
+            state.shutting_down = true;
+            for slot in &state.backends {
+                slot.wake();
+            }
+        }
         let pumps: Vec<_> = self
             .pumps
             .lock()
@@ -1973,7 +2166,7 @@ pub struct ManagedBackend {
     /// Anchor clones of handed-out link sessions: while the backend "runs",
     /// a killed link's drop must not disconnect the session (a crashed
     /// router does not un-submit jobs from a live backend).
-    anchors: Vec<Arc<Mutex<ClientHandle>>>,
+    anchors: Vec<Arc<SessionSender>>,
 }
 
 impl ManagedBackend {
@@ -2002,9 +2195,16 @@ impl ManagedBackend {
             .frontend
             .as_ref()
             .expect("link() requires a running backend");
-        let anchor = Arc::new(Mutex::new(frontend.connect()));
+        let session = frontend.connect();
+        self.anchored_link(session)
+    }
+
+    /// A link over `session` whose send half this backend anchors.
+    fn anchored_link(&mut self, session: ClientHandle) -> Box<dyn BackendLink> {
+        let (sender, responses) = session.split();
+        let anchor = Arc::new(sender);
         self.anchors.push(Arc::clone(&anchor));
-        Box::new(InProcessLink::shared(&anchor))
+        Box::new(InProcessLink::shared(anchor, responses))
     }
 
     /// Gracefully stops the shard, persisting every queued and running job
@@ -2043,9 +2243,7 @@ impl ManagedBackend {
         }
         let (frontend, recovery) = Frontend::resume(self.config.clone(), &self.drain_dir)?;
         self.frontend = Some(frontend);
-        let anchor = Arc::new(Mutex::new(recovery));
-        self.anchors.push(Arc::clone(&anchor));
-        Ok(Box::new(InProcessLink::shared(&anchor)))
+        Ok(self.anchored_link(recovery))
     }
 }
 

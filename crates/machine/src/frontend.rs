@@ -1128,7 +1128,9 @@ impl Frontend {
         let frontend = Frontend::start(config);
         let recovery = frontend.connect();
         for job in jobs {
-            let response = frontend.hub.submit_job(recovery.id, job, 0, None, false);
+            let response = frontend
+                .hub
+                .submit_job(recovery.client_id(), job, 0, None, false);
             debug_assert!(
                 matches!(response, Response::Accepted { .. }),
                 "resume submission bypasses admission"
@@ -1157,8 +1159,10 @@ impl Frontend {
         );
         drop(state);
         ClientHandle {
-            id,
-            hub: Arc::clone(&self.hub),
+            session: SessionSender {
+                id,
+                hub: Arc::clone(&self.hub),
+            },
             rx,
         }
     }
@@ -1282,15 +1286,34 @@ impl Drop for Frontend {
 /// An in-process client session: the socket-free face of the protocol, and
 /// what each TCP connection wraps.
 pub struct ClientHandle {
+    session: SessionSender,
+    rx: mpsc::Receiver<Response>,
+}
+
+/// The send half of a session. Dropping it disconnects the session: queued
+/// jobs dropped, running jobs cancelled.
+pub(crate) struct SessionSender {
     id: u64,
     hub: Arc<Hub>,
-    rx: mpsc::Receiver<Response>,
+}
+
+impl SessionSender {
+    /// Handles one typed request on this session.
+    pub(crate) fn send(&self, request: Request) {
+        self.hub.handle(self.id, request);
+    }
+}
+
+impl Drop for SessionSender {
+    fn drop(&mut self) {
+        self.hub.disconnect(self.id);
+    }
 }
 
 impl ClientHandle {
     /// This session's server-assigned client id.
     pub fn client_id(&self) -> u64 {
-        self.id
+        self.session.id
     }
 
     /// Handles one raw request line exactly as the TCP reader would:
@@ -1300,11 +1323,11 @@ impl ClientHandle {
     pub fn send_line(&self, line: &str) -> bool {
         match Request::from_line(line) {
             Ok(request) => {
-                self.hub.handle(self.id, request);
+                self.session.send(request);
                 true
             }
             Err(error) => {
-                self.hub.reject(self.id, &error);
+                self.session.hub.reject(self.session.id, &error);
                 false
             }
         }
@@ -1312,7 +1335,7 @@ impl ClientHandle {
 
     /// Sends one typed request.
     pub fn send(&self, request: Request) {
-        self.hub.handle(self.id, request);
+        self.session.send(request);
     }
 
     /// Convenience submit.
@@ -1339,12 +1362,11 @@ impl ClientHandle {
     pub fn try_recv(&self) -> Option<Response> {
         self.rx.try_recv().ok()
     }
-}
 
-impl Drop for ClientHandle {
-    /// Disconnect semantics: queued jobs dropped, running jobs cancelled.
-    fn drop(&mut self) {
-        self.hub.disconnect(self.id);
+    /// Splits the session so sending never waits on a thread blocked in a
+    /// receive. The session stays connected until the sender drops.
+    pub(crate) fn split(self) -> (SessionSender, mpsc::Receiver<Response>) {
+        (self.session, self.rx)
     }
 }
 
@@ -1482,6 +1504,9 @@ fn handle_connection(hub: Arc<Hub>, stream: TcpStream) {
 pub struct NdjsonClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The bytes of a frame whose read timed out part-way, kept for the
+    /// next [`NdjsonClient::recv`].
+    partial: Vec<u8>,
 }
 
 impl NdjsonClient {
@@ -1497,6 +1522,7 @@ impl NdjsonClient {
         Ok(NdjsonClient {
             reader: BufReader::new(stream),
             writer,
+            partial: Vec::new(),
         })
     }
 
@@ -1511,8 +1537,9 @@ impl NdjsonClient {
         self.writer.flush()
     }
 
-    /// Bounds how long [`NdjsonClient::recv`] blocks (`None` blocks
-    /// forever); a timeout surfaces as a `WouldBlock`/`TimedOut` error.
+    /// Bounds how long [`NdjsonClient::recv`] blocks; a timeout surfaces
+    /// as a `WouldBlock`/`TimedOut` error, and a frame cut by the timeout
+    /// is completed by the next call.
     ///
     /// # Errors
     ///
@@ -1540,16 +1567,20 @@ impl NdjsonClient {
     /// kinds for transport failures, and `InvalidData` when the server sent
     /// a line this client's schema cannot parse.
     pub fn recv(&mut self) -> std::io::Result<Response> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
+        // on a timeout `read_until` leaves the bytes it consumed in
+        // `partial`, so a frame split across calls is never lost
+        self.reader.read_until(b'\n', &mut self.partial)?;
+        if self.partial.last() != Some(&b'\n') {
+            self.partial.clear();
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
         }
-        Response::from_line(line.trim_end())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        let invalid = std::io::ErrorKind::InvalidData;
+        let line = String::from_utf8(std::mem::take(&mut self.partial))
+            .map_err(|e| std::io::Error::new(invalid, e))?;
+        Response::from_line(line.trim_end()).map_err(|e| std::io::Error::new(invalid, e))
     }
 
     /// Submits with retry: on [`Response::Overloaded`] sleeps the larger of

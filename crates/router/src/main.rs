@@ -26,7 +26,8 @@
 //!   fully-down fleet sheds with `overloaded` instead of hanging; a second
 //!   phase re-runs the fleet with `k = 2` hedged routing and one stalled
 //!   shard and verifies speculation alone (no breaker verdict) settles
-//!   every job exactly once.
+//!   every job exactly once; a third routes a job through [`TcpLink`], the
+//!   deployment transport, to a loopback `saim-server` backend.
 //!
 //! Run `saim-router --help` for the flag list.
 
@@ -44,7 +45,7 @@ use saim_machine::cluster::{
     ReplicationPolicy, TcpLink,
 };
 use saim_machine::frontend::faults::BackendFaultPlan;
-use saim_machine::frontend::{FrontendConfig, NdjsonClient, Request, Response};
+use saim_machine::frontend::{Frontend, FrontendConfig, NdjsonClient, Request, Response};
 use saim_machine::service::{JobSpec, SolverSpec};
 
 const USAGE: &str = "\
@@ -435,7 +436,8 @@ fn run_smoke(opts: &Options) -> Result<(), String> {
          ({} reroutes), malformed and shape-lie frames rejected, fully-down fleet sheds",
         report.reroutes
     );
-    run_smoke_hedging()
+    run_smoke_hedging()?;
+    run_smoke_tcp()
 }
 
 /// The hedging smoke phase: k = 2 speculative routing over a two-shard
@@ -550,5 +552,51 @@ fn run_smoke_hedging() -> Result<(), String> {
         stats.hedges.wasted,
         stats.hedges.cancelled
     );
+    Ok(())
+}
+
+/// The transport smoke phase: one loopback `Frontend::serve` backend
+/// reached over [`TcpLink`], as `run_router` reaches its `--backend`s; a
+/// job routed through it must settle bit-identical to the direct run.
+fn run_smoke_tcp() -> Result<(), String> {
+    let scratch =
+        std::env::temp_dir().join(format!("saim-router-smoke-tcp-{}", std::process::id()));
+    let backend = Frontend::start(FrontendConfig {
+        workers: 1,
+        ..FrontendConfig::default()
+    });
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
+    let addr = listener.local_addr().map_err(|e| e.to_string())?;
+    let serving = backend.serve(listener);
+    let link = TcpLink::connect(&addr.to_string()).map_err(|e| e.to_string())?;
+    let (cluster, _recovery) = Cluster::start(ClusterConfig::default(), vec![Box::new(link)])
+        .map_err(|e| format!("journal: {e}"))?;
+    let handle = cluster.connect();
+    let spec = smoke_spec(1);
+    handle.submit(spec.clone(), 0, None);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let outcome = loop {
+        if Instant::now() >= deadline {
+            return Err("tcp smoke timed out waiting for the outcome".into());
+        }
+        match handle.recv_timeout(Duration::from_millis(200)) {
+            Some(Response::Outcome { outcome }) => break outcome,
+            Some(Response::Accepted { .. }) | None => {}
+            Some(other) => return Err(format!("unexpected frame {other:?}")),
+        }
+    };
+    if outcome.canonical() != spec.run().canonical() {
+        return Err("job routed over TcpLink diverged from direct run".into());
+    }
+    let report = cluster.shutdown();
+    backend
+        .shutdown_to(&scratch)
+        .map_err(|e| format!("backend drain: {e}"))?;
+    let _ = serving.join();
+    let _ = std::fs::remove_dir_all(&scratch);
+    if report.fleet.completed != 1 || report.unsettled != 0 {
+        return Err(format!("expected one settled job, got {report:?}"));
+    }
+    println!("smoke ok: a job routed over TcpLink to a loopback backend settled bit-identical");
     Ok(())
 }

@@ -2,7 +2,9 @@
 //! `saim-server` fleets behind `saim_machine::cluster`, with every backend
 //! fault scripted through `frontend::faults::BackendFaultPlan` (kill,
 //! partition + delayed heal, duplicate-outcome replay) and worker holds
-//! scripted through each backend's own `FaultPlan`.
+//! scripted through each backend's own `FaultPlan`. The `TcpLink` legs
+//! route over real sockets instead: to `Frontend::serve` backends, and to
+//! fake backends that split or never end a frame.
 //!
 //! The headline invariant is **exactly-once settlement**: K submitted jobs
 //! observe exactly K terminal frames, each bit-identical to the direct
@@ -12,22 +14,24 @@
 //! `tests/determinism.rs` (`SAIM_DETERMINISM_THREADS`).
 
 use std::collections::HashMap;
-use std::net::TcpListener;
+use std::io::Write;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use saim_ising::QuboBuilder;
 use saim_machine::cluster::{
-    BackendLink, BackendState, Cluster, ClusterConfig, FaultyLink, ManagedBackend,
-    ReplicationPolicy, RouterHandle,
+    BackendLink, BackendState, Cluster, ClusterConfig, FaultyLink, LinkError, LinkWaker,
+    ManagedBackend, ReplicationPolicy, RouterHandle, TcpLink,
 };
 use saim_machine::frontend::{
     faults::{BackendFaultPlan, FaultPlan},
-    FrontendConfig, NdjsonClient, Request, Response,
+    Frontend, FrontendConfig, NdjsonClient, Request, Response,
 };
 use saim_machine::service::{JobOutcome, JobSpec, SolverSpec};
-use saim_machine::OutcomeKind;
+use saim_machine::{ClientStats, EnsembleConfig, OutcomeKind, PtConfig};
 
 fn env_workers() -> usize {
     std::env::var("SAIM_DETERMINISM_THREADS")
@@ -795,4 +799,255 @@ fn default_policy_journal_is_byte_identical_to_the_pre_hedging_fixture() {
         String::from_utf8_lossy(&bytes),
         String::from_utf8_lossy(&expected)
     );
+}
+
+/// A fake backend: on its first connection it writes `chunks` with `gap`
+/// between them, then keeps the connection open until the peer hangs up.
+fn scripted_backend(chunks: Vec<Vec<u8>>, gap: Duration) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+    let addr = listener.local_addr().expect("bound").to_string();
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("router connects");
+        for (i, chunk) in chunks.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(gap);
+            }
+            if stream.write_all(chunk).is_err() {
+                return;
+            }
+        }
+        let _ = std::io::copy(&mut stream, &mut std::io::sink());
+    });
+    addr
+}
+
+/// Polls `link` in 10 ms slices until it yields a frame or dies.
+fn poll_until_frame_or_death(link: &mut TcpLink) -> Result<Response, LinkError> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        assert!(Instant::now() < deadline, "the link stayed quiet");
+        if let Some(frame) = link.poll(Duration::from_millis(10))? {
+            return Ok(frame);
+        }
+    }
+}
+
+/// A backend frame that straddles several poll timeouts still arrives
+/// whole: a healthy but slow backend must not be marked dead.
+#[test]
+fn tcp_link_keeps_a_frame_split_across_poll_timeouts() {
+    let frame = Response::Stats {
+        client: ClientStats::default(),
+        fleet: ClientStats::default(),
+        queue_depth: 2,
+        eta_ms: 9,
+    };
+    let bytes = format!("{}\n", frame.to_line()).into_bytes();
+    let (head, tail) = bytes.split_at(bytes.len() / 2);
+    let addr = scripted_backend(
+        vec![head.to_vec(), tail.to_vec()],
+        Duration::from_millis(60),
+    );
+    let mut link = TcpLink::connect(&addr).expect("connect");
+    match poll_until_frame_or_death(&mut link) {
+        Ok(got) => assert_eq!(got, frame),
+        Err(e) => panic!("a split frame from a healthy backend killed the link: {e}"),
+    }
+}
+
+/// A backend line that never ends is cut off at the protocol's 1 MiB frame
+/// cap and kills the link, instead of growing the router's buffer forever.
+#[test]
+fn tcp_link_reports_an_endless_backend_line_dead() {
+    let addr = scripted_backend(vec![vec![b'x'; 2 << 20]], Duration::ZERO);
+    let mut link = TcpLink::connect(&addr).expect("connect");
+    match poll_until_frame_or_death(&mut link) {
+        Err(e) => assert!(e.0.contains("exceeds"), "unexpected death: {e}"),
+        Ok(frame) => panic!("an endless line parsed as {frame:?}"),
+    }
+}
+
+/// A loopback TCP relay in front of one backend; `cut` closes both of its
+/// sockets, as the death of the backend's process would.
+struct Relay {
+    addr: String,
+    sockets: Arc<Mutex<Vec<TcpStream>>>,
+}
+
+impl Relay {
+    fn start(upstream: String) -> Relay {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let sockets = Arc::new(Mutex::new(Vec::new()));
+        let registry = Arc::clone(&sockets);
+        std::thread::spawn(move || {
+            let (down, _) = listener.accept().expect("router connects");
+            let up = TcpStream::connect(&upstream).expect("backend listens");
+            let clone = |s: &TcpStream| s.try_clone().expect("socket clones");
+            for s in [&down, &up] {
+                s.set_nodelay(true).expect("nodelay");
+            }
+            registry
+                .lock()
+                .expect("relay lock")
+                .extend([clone(&down), clone(&up)]);
+            for (mut from, mut to) in [(clone(&down), clone(&up)), (up, down)] {
+                std::thread::spawn(move || {
+                    let _ = std::io::copy(&mut from, &mut to);
+                    let _ = to.shutdown(Shutdown::Both);
+                });
+            }
+        });
+        Relay { addr, sockets }
+    }
+
+    fn cut(&self) {
+        for socket in self.sockets.lock().expect("relay lock").iter() {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// A cheap job of one of the three solver kinds, by `job % 3`.
+fn mixed_spec(job: u64) -> JobSpec {
+    let solver = match job % 3 {
+        0 => SolverSpec::Descent { max_sweeps: 40 },
+        1 => SolverSpec::Ensemble(EnsembleConfig {
+            replicas: 2,
+            threads: 1,
+            mcs_per_run: 60,
+            ..EnsembleConfig::default()
+        }),
+        _ => SolverSpec::Pt(PtConfig {
+            replicas: 3,
+            sweeps: 40,
+            threads: 1,
+            ..PtConfig::default()
+        }),
+    };
+    JobSpec {
+        solver,
+        ..quick_spec(job, 300 + job)
+    }
+}
+
+/// The deployment transport end to end: two `Frontend::serve` backends
+/// behind the router over `TcpLink`. A mixed stream settles exactly once
+/// and bit-identically on both; then backend 0's connection dies, the
+/// router marks it down, and later jobs settle on backend 1.
+#[test]
+fn tcp_links_route_a_mixed_stream_and_fail_over_a_dead_backend() {
+    let start_backend = || {
+        let frontend = Frontend::start(backend_config(None));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let serving = frontend.serve(listener);
+        (frontend, addr, serving)
+    };
+    let (f0, addr0, serving0) = start_backend();
+    let (f1, addr1, serving1) = start_backend();
+    let relay = Relay::start(addr0);
+    let links: Vec<Box<dyn BackendLink>> = vec![
+        Box::new(TcpLink::connect(&relay.addr).expect("relay accepts")),
+        Box::new(TcpLink::connect(&addr1).expect("backend 1 accepts")),
+    ];
+    let (cluster, _recovery) = Cluster::start(fast_probes(), links).expect("no journal");
+    let handle = cluster.connect();
+
+    let first: Vec<JobSpec> = (1..=9).map(mixed_spec).collect();
+    for spec in &first {
+        handle.submit(spec.clone(), 0, None);
+    }
+    assert_oracle(&collect_outcomes(&handle, first.len()), &first);
+    let on_b1 = f1.fleet_stats().completed;
+    assert!(
+        f0.fleet_stats().completed > 0 && on_b1 > 0,
+        "both backends must carry part of the stream"
+    );
+
+    relay.cut();
+    wait_for(
+        || cluster.backend_states()[0] == BackendState::Down,
+        "backend 0 marked down",
+    );
+    let rest: Vec<JobSpec> = (10..=15).map(mixed_spec).collect();
+    for spec in &rest {
+        handle.submit(spec.clone(), 0, None);
+    }
+    assert_oracle(&collect_outcomes(&handle, rest.len()), &rest);
+    assert_eq!(
+        f1.fleet_stats().completed - on_b1,
+        rest.len() as u64,
+        "every later job settled on backend 1"
+    );
+
+    let report = cluster.shutdown();
+    assert_eq!(report.fleet.completed, 15, "settled exactly once each");
+    assert_eq!(report.unsettled, 0);
+    assert_eq!(report.duplicates_dropped, 0);
+    for (frontend, serving, tag) in [(f0, serving0, "tcp-b0"), (f1, serving1, "tcp-b1")] {
+        frontend.shutdown_to(&scratch_dir(tag)).expect("drain");
+        serving.join().expect("serve thread");
+    }
+}
+
+/// Counts a link's polls and forwards its waker.
+struct CountingLink {
+    inner: Box<dyn BackendLink>,
+    polls: Arc<AtomicU64>,
+}
+
+impl BackendLink for CountingLink {
+    fn send(&mut self, request: &Request) -> Result<(), LinkError> {
+        self.inner.send(request)
+    }
+
+    fn poll(&mut self, timeout: Duration) -> Result<Option<Response>, LinkError> {
+        self.polls.fetch_add(1, Ordering::Relaxed);
+        self.inner.poll(timeout)
+    }
+
+    fn waker(&self) -> Option<LinkWaker> {
+        self.inner.waker()
+    }
+}
+
+/// An idle pump sleeps until its next probe instead of polling on a fixed
+/// cadence, and a submit wakes it at once.
+#[test]
+fn idle_pump_sleeps_until_woken() {
+    let mut b0 = ManagedBackend::start(backend_config(None), scratch_dir("idle-b0"));
+    let polls = Arc::new(AtomicU64::new(0));
+    let links: Vec<Box<dyn BackendLink>> = vec![Box::new(CountingLink {
+        inner: b0.link(),
+        polls: Arc::clone(&polls),
+    })];
+    let config = ClusterConfig {
+        probe_interval: Duration::from_secs(60),
+        ..ClusterConfig::default()
+    };
+    let (cluster, _recovery) = Cluster::start(config, links).expect("no journal");
+    let handle = cluster.connect();
+    std::thread::sleep(Duration::from_millis(500));
+    let idle = polls.load(Ordering::Relaxed);
+    assert!(idle <= 5, "an idle pump polled {idle} times in 500 ms");
+
+    let spec = quick_spec(1, 11);
+    let submitted = Instant::now();
+    handle.submit(spec.clone(), 0, None);
+    let outcome = loop {
+        assert!(
+            submitted.elapsed() < Duration::from_secs(2),
+            "the submit never woke the pump"
+        );
+        match handle.recv_timeout(Duration::from_millis(50)) {
+            Some(Response::Outcome { outcome }) => break outcome,
+            Some(Response::Accepted { .. }) | None => {}
+            Some(other) => panic!("unexpected frame {other:?}"),
+        }
+    };
+    assert_oracle(&HashMap::from([(outcome.job, outcome)]), &[spec]);
+    let report = cluster.shutdown();
+    assert_eq!(report.fleet.completed, 1);
+    b0.drain().expect("drain");
 }

@@ -22,7 +22,7 @@ use saim_machine::frontend::{
     faults::FaultPlan, Backoff, Frontend, FrontendConfig, NdjsonClient, Request, Response,
 };
 use saim_machine::service::{JobOutcome, JobSpec, SolverSpec};
-use saim_machine::{EnsembleConfig, OutcomeKind};
+use saim_machine::{ClientStats, EnsembleConfig, OutcomeKind};
 
 fn env_workers() -> usize {
     std::env::var("SAIM_DETERMINISM_THREADS")
@@ -610,4 +610,47 @@ fn drain_and_resume_over_tcp_replays_bit_identically() {
     drop(recovery);
     drop(resumed);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A frame cut by a read timeout is not lost: the client keeps the bytes it
+/// already read, so after one timeout the next `recv` returns the whole
+/// frame instead of a parse error on its tail.
+#[test]
+fn recv_keeps_a_frame_split_across_a_read_timeout() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+    let addr = listener.local_addr().expect("bound").to_string();
+    let frame = Response::Stats {
+        client: ClientStats::default(),
+        fleet: ClientStats::default(),
+        queue_depth: 3,
+        eta_ms: 40,
+    };
+    let bytes = format!("{}\n", frame.to_line()).into_bytes();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("client connects");
+        let half = bytes.len() / 2;
+        stream.write_all(&bytes[..half]).expect("first half");
+        std::thread::sleep(Duration::from_millis(100));
+        stream.write_all(&bytes[half..]).expect("second half");
+        let _ = std::io::copy(&mut stream, &mut std::io::sink());
+    });
+    let mut client = NdjsonClient::connect(&addr).expect("connect");
+    std::thread::sleep(Duration::from_millis(20)); // the first half lands
+    client
+        .set_read_timeout(Duration::from_millis(10))
+        .expect("timeout");
+    let timed_out = client.recv().expect_err("the frame is still incomplete");
+    assert!(
+        matches!(
+            timed_out.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "expected a timeout, got {timed_out}"
+    );
+    client
+        .set_read_timeout(Duration::from_secs(5))
+        .expect("timeout");
+    assert_eq!(client.recv().expect("the whole frame"), frame);
+    drop(client);
+    server.join().expect("server thread");
 }
