@@ -16,7 +16,9 @@
 //! ```
 //!
 //! The router speaks the same schema-versioned NDJSON protocol on both
-//! faces. Clients see one logical fleet; behind the router each backend is
+//! faces, and its client face runs the same session layer as
+//! `saim-server` (one [`RouterHandle`] per connection, plus a writer
+//! thread). Clients see one logical fleet; behind the router each backend is
 //! an ordinary `saim-server` (or an in-process [`Frontend`] in tests),
 //! reached over a [`BackendLink`] and pumped by one dedicated thread. The
 //! pump is event-driven: it sleeps in the link's poll until a response
@@ -143,10 +145,11 @@ use std::time::{Duration, Instant};
 use crate::checkpoint::{digest64, CheckpointError, OutcomeKind};
 use crate::frontend::faults::BackendFaultPlan;
 use crate::frontend::{
-    read_line_capped, ClientHandle, DrainReport, FrameError, Frontend, FrontendConfig, ReadError,
-    Request, Response, SessionSender,
+    ClientHandle, DrainReport, FrameError, Frontend, FrontendConfig, Request, Response,
+    MAX_FRAME_BYTES,
 };
 use crate::service::{JobOutcome, JobSpec, SolverSpec};
+use crate::session::{read_line_capped, Listeners, ReadError, SessionCore, SessionSender};
 use crate::telemetry::{ClientStats, HedgeStats};
 use journal::{Journal, JournalAnomaly, JournalError, JournalRecord};
 use saim_ising::QuboBuilder;
@@ -336,9 +339,8 @@ impl TcpLink {
         let read_half = stream.try_clone()?;
         let inbox = Inbox::new();
         let tx = inbox.feeder();
-        let limit = FrontendConfig::default().max_frame_bytes;
         std::thread::spawn(move || {
-            let dead = read_frames(BufReader::new(read_half), limit, &tx);
+            let dead = read_frames(BufReader::new(read_half), MAX_FRAME_BYTES, &tx);
             let _ = tx.send(Inbound::Dead(dead));
         });
         Ok(TcpLink { stream, inbox })
@@ -650,12 +652,6 @@ pub struct ClusterConfig {
     pub down_after_misses: u32,
     /// Retry hint carried on shed [`Response::Overloaded`] frames.
     pub retry_after_ms: u64,
-    /// Longest client request line accepted before an `oversized`
-    /// rejection.
-    pub max_frame_bytes: usize,
-    /// Slow-loris guard for client connections (same contract as
-    /// [`FrontendConfig::read_timeout`]).
-    pub read_timeout: Duration,
     /// Where the write-ahead intent journal lives; `None` keeps settlement
     /// state in memory only (no crash recovery).
     pub journal: Option<PathBuf>,
@@ -670,8 +666,6 @@ impl Default for ClusterConfig {
             probe_interval: Duration::from_millis(25),
             down_after_misses: 3,
             retry_after_ms: 25,
-            max_frame_bytes: 1 << 20,
-            read_timeout: Duration::from_secs(30),
             journal: None,
             replication: ReplicationPolicy::default(),
         }
@@ -681,7 +675,6 @@ impl Default for ClusterConfig {
 impl ClusterConfig {
     fn validate(&self) {
         assert!(self.window > 0, "in-flight window must be positive");
-        assert!(self.max_frame_bytes > 0, "frame limit must be positive");
         assert!(
             !self.probe_interval.is_zero(),
             "probe interval must be positive"
@@ -907,73 +900,16 @@ impl RouterCore {
 
     // -------------------------------------------------------- client face
 
-    fn register_client(&self, tx: mpsc::Sender<Response>) -> u64 {
-        let mut state = self.state.lock().expect("router lock is never poisoned");
-        let id = state.next_client;
-        state.next_client += 1;
-        state.clients.insert(
-            id,
-            RouterClient {
-                stats: ClientStats::default(),
-                by_job: HashMap::new(),
-                tx,
-            },
-        );
-        id
-    }
-
-    /// Disconnect semantics: the slot (and its delivery channel) goes away;
-    /// the router still owes each routed job a settlement — it lands in the
-    /// journal as usual, just with nobody left to deliver to.
-    fn disconnect(&self, client: u64) {
-        let mut state = self.state.lock().expect("router lock is never poisoned");
-        state.clients.remove(&client);
-    }
-
     fn send_to(state: &CoreState, client: u64, response: Response) {
         if let Some(slot) = state.clients.get(&client) {
             let _ = slot.tx.send(response);
         }
     }
 
-    fn reject(&self, client: u64, error: &FrameError) {
-        let state = self.state.lock().expect("router lock is never poisoned");
-        Self::send_to(
-            &state,
-            client,
-            Response::Rejected {
-                code: error.code().to_string(),
-                error: error.to_string(),
-            },
-        );
-    }
-
-    fn handle(self: &Arc<Self>, client: u64, request: Request) {
-        match request {
-            // weights are a backend-scheduler concern; the router accepts
-            // the frame for protocol parity and keeps fair sharing local to
-            // each shard
-            Request::Hello { .. } => {}
-            Request::Submit {
-                spec,
-                priority,
-                deadline_ms,
-            } => self.submit(client, spec, priority, deadline_ms),
-            Request::Cancel { job } => self.cancel(client, job),
-            Request::Stats => self.stats(client),
-        }
-    }
-
     /// Admission: shed while shutting down or with no live shard; else
     /// journal the intent, stamp the gid, place (or park), and acknowledge
     /// — all under one lock hold so `Accepted` precedes the terminal frame.
-    fn submit(
-        self: &Arc<Self>,
-        client: u64,
-        spec: JobSpec,
-        priority: u8,
-        deadline_ms: Option<u64>,
-    ) {
+    fn submit(&self, client: u64, spec: JobSpec, priority: u8, deadline_ms: Option<u64>) {
         let mut guard = self.state.lock().expect("router lock is never poisoned");
         let state = &mut *guard;
         let now = self.now_ms();
@@ -1037,7 +973,7 @@ impl RouterCore {
         Self::send_to(state, client, Response::Accepted { job: client_job });
     }
 
-    fn cancel(self: &Arc<Self>, client: u64, job: u64) {
+    fn cancel(&self, client: u64, job: u64) {
         let mut guard = self.state.lock().expect("router lock is never poisoned");
         let state = &mut *guard;
         let gid = state
@@ -1714,6 +1650,59 @@ impl RouterCore {
     }
 }
 
+impl SessionCore for RouterCore {
+    fn register(&self, tx: mpsc::Sender<Response>) -> u64 {
+        let mut state = self.state.lock().expect("router lock is never poisoned");
+        let id = state.next_client;
+        state.next_client += 1;
+        state.clients.insert(
+            id,
+            RouterClient {
+                stats: ClientStats::default(),
+                by_job: HashMap::new(),
+                tx,
+            },
+        );
+        id
+    }
+
+    fn handle(&self, client: u64, request: Request) {
+        match request {
+            // weights are a backend-scheduler concern; the router accepts
+            // the frame for protocol parity and keeps fair sharing local to
+            // each shard
+            Request::Hello { .. } => {}
+            Request::Submit {
+                spec,
+                priority,
+                deadline_ms,
+            } => self.submit(client, spec, priority, deadline_ms),
+            Request::Cancel { job } => self.cancel(client, job),
+            Request::Stats => self.stats(client),
+        }
+    }
+
+    fn reject(&self, client: u64, error: &FrameError) {
+        let state = self.state.lock().expect("router lock is never poisoned");
+        Self::send_to(
+            &state,
+            client,
+            Response::Rejected {
+                code: error.code().to_string(),
+                error: error.to_string(),
+            },
+        );
+    }
+
+    /// Disconnect semantics: the slot (and its delivery channel) goes away;
+    /// the router still owes each routed job a settlement — it lands in the
+    /// journal as usual, just with nobody left to deliver to.
+    fn disconnect(&self, client: u64) {
+        let mut state = self.state.lock().expect("router lock is never poisoned");
+        state.clients.remove(&client);
+    }
+}
+
 /// The longest poll of a link that has no [`LinkWaker`]: nothing can cut
 /// its wait short, so this bounds how late it sees newly queued work.
 const UNWAKEABLE_POLL: Duration = Duration::from_millis(10);
@@ -1780,6 +1769,7 @@ pub struct ClusterReport {
 pub struct Cluster {
     core: Arc<RouterCore>,
     pumps: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    listeners: Arc<Listeners>,
     recovery_anomalies: Vec<JournalAnomaly>,
 }
 
@@ -1840,6 +1830,7 @@ impl Cluster {
         let mut cluster = Cluster {
             core: Arc::clone(&core),
             pumps: Mutex::new(Vec::new()),
+            listeners: Arc::default(),
             recovery_anomalies: Vec::new(),
         };
         let recovery_handle = cluster.connect();
@@ -1850,10 +1841,10 @@ impl Cluster {
             for job in recovered.unsettled {
                 state.jobs.insert(
                     job.gid,
-                    JobRecord::new(recovery_handle.id, job.client_job, job.spec, 0),
+                    JobRecord::new(recovery_handle.client_id(), job.client_job, job.spec, 0),
                 );
                 state.fleet.accepted += 1;
-                if let Some(slot) = state.clients.get_mut(&recovery_handle.id) {
+                if let Some(slot) = state.clients.get_mut(&recovery_handle.client_id()) {
                     slot.stats.accepted += 1;
                     slot.by_job.insert(job.client_job, job.gid);
                 }
@@ -1915,48 +1906,21 @@ impl Cluster {
         self.attach(b, link, BackendState::Down);
     }
 
-    /// Registers an in-process client session. Dropping the handle
-    /// disconnects it (remaining settlements still happen; delivery is
-    /// dropped).
+    /// Registers an in-process client session, the same session each TCP
+    /// connection runs. Dropping the handle disconnects it (remaining
+    /// settlements still happen; delivery is dropped).
     pub fn connect(&self) -> RouterHandle {
-        let (tx, rx) = mpsc::channel();
-        let id = self.core.register_client(tx);
-        RouterHandle {
-            id,
-            core: Arc::clone(&self.core),
-            rx,
-        }
+        ClientHandle::open(self.core.clone())
     }
 
     /// Serves NDJSON client connections from `listener` on a background
-    /// thread until shutdown, one session per connection — the same wire
-    /// face as `saim-server`, so existing clients need no changes to talk
+    /// thread that blocks in `accept` until [`Cluster::shutdown`] or the
+    /// cluster's drop. Each connection is a [`Cluster::connect`] session
+    /// plus a thread writing its responses to the socket — the same session
+    /// layer as `saim-server`, so existing clients need no changes to talk
     /// to the cluster.
     pub fn serve(&self, listener: TcpListener) -> std::thread::JoinHandle<()> {
-        let core = Arc::clone(&self.core);
-        listener
-            .set_nonblocking(true)
-            .expect("loopback listeners accept nonblocking mode");
-        std::thread::spawn(move || loop {
-            if core
-                .state
-                .lock()
-                .expect("router lock is never poisoned")
-                .shutting_down
-            {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let core = Arc::clone(&core);
-                    std::thread::spawn(move || client_connection(core, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => return,
-            }
-        })
+        self.listeners.serve(self.core.clone(), listener)
     }
 
     /// Every backend's health state, by index.
@@ -1998,16 +1962,18 @@ impl Cluster {
         &self.recovery_anomalies
     }
 
-    /// Stops routing and joins the pumps, returning the final counters.
-    /// Unsettled jobs stay in the journal (when configured) for the next
-    /// incarnation; draining backends to their checkpoint directories is
-    /// the caller's move next ([`ManagedBackend::drain`]).
+    /// Stops serving and routing and joins the pumps, returning the final
+    /// counters. Unsettled jobs stay in the journal (when configured) for
+    /// the next incarnation; draining backends to their checkpoint
+    /// directories is the caller's move next ([`ManagedBackend::drain`]).
     pub fn shutdown(self) -> ClusterReport {
-        self.stop_pumps();
+        self.stop();
         self.stats()
     }
 
-    fn stop_pumps(&self) {
+    /// Stops the accept loops and the pumps; idempotent.
+    fn stop(&self) {
+        self.listeners.stop();
         {
             let mut state = self
                 .core
@@ -2033,125 +1999,13 @@ impl Cluster {
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        self.stop_pumps();
+        self.stop();
     }
 }
 
-/// An in-process client session on a [`Cluster`] — the router-side mirror
-/// of [`ClientHandle`].
-pub struct RouterHandle {
-    id: u64,
-    core: Arc<RouterCore>,
-    rx: mpsc::Receiver<Response>,
-}
-
-impl RouterHandle {
-    /// This session's router-assigned client id.
-    pub fn client_id(&self) -> u64 {
-        self.id
-    }
-
-    /// Handles one raw request line exactly as a TCP session would;
-    /// returns whether the line parsed.
-    pub fn send_line(&self, line: &str) -> bool {
-        match Request::from_line(line) {
-            Ok(request) => {
-                self.core.handle(self.id, request);
-                true
-            }
-            Err(error) => {
-                self.core.reject(self.id, &error);
-                false
-            }
-        }
-    }
-
-    /// Sends one typed request.
-    pub fn send(&self, request: Request) {
-        self.core.handle(self.id, request);
-    }
-
-    /// Convenience submit.
-    pub fn submit(&self, spec: JobSpec, priority: u8, deadline_ms: Option<u64>) {
-        self.send(Request::Submit {
-            spec,
-            priority,
-            deadline_ms,
-        });
-    }
-
-    /// Next response, blocking until one arrives (`None` after shutdown).
-    pub fn recv(&self) -> Option<Response> {
-        self.rx.recv().ok()
-    }
-
-    /// Next response, waiting at most `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Response> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Next response if one is already waiting.
-    pub fn try_recv(&self) -> Option<Response> {
-        self.rx.try_recv().ok()
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.core.disconnect(self.id);
-    }
-}
-
-/// One TCP client session: writer thread drains the response channel while
-/// this thread reads, parses, and dispatches — the router-side twin of the
-/// frontend's connection handler, sharing its framing and slow-loris
-/// rules.
-fn client_connection(core: Arc<RouterCore>, stream: TcpStream) {
-    let limit = core.config.max_frame_bytes;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(core.config.read_timeout));
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = mpsc::channel::<Response>();
-    let client = core.register_client(tx);
-    let writer = std::thread::spawn(move || {
-        let mut out = std::io::BufWriter::new(write_half);
-        while let Ok(response) = rx.recv() {
-            if out
-                .write_all(response.to_line().as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
-                .and_then(|()| out.flush())
-                .is_err()
-            {
-                return;
-            }
-        }
-    });
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_line_capped(&mut reader, limit) {
-            Ok(Some(line)) => {
-                if line.is_empty() {
-                    continue;
-                }
-                match Request::from_line(&line) {
-                    Ok(request) => core.handle(client, request),
-                    Err(error) => core.reject(client, &error),
-                }
-            }
-            Ok(None) => break,
-            Err(ReadError::Oversized) => {
-                core.reject(client, &FrameError::Oversized { limit });
-                break;
-            }
-            Err(ReadError::Stalled) | Err(ReadError::Transport) => break,
-        }
-    }
-    core.disconnect(client);
-    drop(reader);
-    let _ = writer.join();
-}
+/// An in-process client session on a [`Cluster`]: the one session type
+/// both faces share, named for its router role.
+pub type RouterHandle = ClientHandle;
 
 // ------------------------------------------------------- managed backend
 

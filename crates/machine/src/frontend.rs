@@ -35,11 +35,14 @@
 //!   no-lost-jobs invariant: every accepted job lands in exactly one
 //!   terminal bucket (completed / failed / cancelled / expired).
 //!
-//! The session machinery is socket-free — [`Frontend::connect`] returns an
-//! in-process [`ClientHandle`] speaking the same [`Request`]/[`Response`]
-//! values the TCP layer serializes — so every scheduling and failure path is
-//! unit-testable without networking. [`Frontend::serve`] adds the TCP face,
-//! and [`NdjsonClient`] is the matching client helper.
+//! A session is an in-process [`ClientHandle`] ([`Frontend::connect`])
+//! speaking the same [`Request`]/[`Response`] values the TCP face
+//! serializes, so every scheduling and failure path is unit-testable
+//! without networking. A TCP session is exactly such a handle plus a thread
+//! writing its responses to the socket: [`Frontend::serve`] blocks in
+//! `accept` until shutdown or drop and runs one per connection, the same
+//! session layer `saim-router`'s client face uses. [`NdjsonClient`] is the
+//! matching client helper.
 //!
 //! # Running the server
 //!
@@ -108,6 +111,7 @@ use crate::service::{
     self, check_known_fields, parse_field, parse_json, JobOutcome, JobSpec, SchemaError, SolverJob,
     SCHEMA_VERSION,
 };
+use crate::session::{Listeners, SessionCore};
 use crate::telemetry::ClientStats;
 use serde::{Serialize, Value};
 use std::collections::HashMap;
@@ -118,6 +122,8 @@ use std::path::Path;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+pub use crate::session::ClientHandle;
+
 pub mod faults;
 
 // ---------------------------------------------------------------- framing
@@ -125,9 +131,10 @@ pub mod faults;
 /// Why a request line was rejected before reaching the scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FrameError {
-    /// The line exceeded [`FrontendConfig::max_frame_bytes`]. The framing
-    /// itself is no longer trustworthy past this point, so the connection
-    /// is closed after the error frame.
+    /// The line exceeded the session's frame cap
+    /// ([`FrontendConfig::max_frame_bytes`], [`MAX_FRAME_BYTES`] on the
+    /// router's client face). The framing itself is no longer trustworthy
+    /// past this point, so the connection is closed after the error frame.
     Oversized {
         /// The configured limit the line exceeded.
         limit: usize,
@@ -599,6 +606,15 @@ impl From<std::io::Error> for RetryError {
 
 // ------------------------------------------------------------------- hub
 
+/// The protocol's longest request line, the default of
+/// [`FrontendConfig::max_frame_bytes`] and the cap of the router's client
+/// face and of [`TcpLink`](crate::cluster::TcpLink)'s backend reads.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// How long a TCP session may sit with half a line before it is kicked: the
+/// default of [`FrontendConfig::read_timeout`] and the router's client face.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Configuration of a [`Frontend`].
 #[derive(Clone)]
 pub struct FrontendConfig {
@@ -630,10 +646,10 @@ impl Default for FrontendConfig {
             workers: 0,
             max_queued: 256,
             max_queued_per_client: 64,
-            max_frame_bytes: 1 << 20,
+            max_frame_bytes: MAX_FRAME_BYTES,
             retry_after_ms: 25,
             poll_interval: 8,
-            read_timeout: Duration::from_secs(30),
+            read_timeout: READ_TIMEOUT,
             faults: None,
         }
     }
@@ -732,7 +748,7 @@ impl Hub {
     /// `Accepted` always precedes its job's terminal frame even against a
     /// worker that settles instantly.
     fn submit_job(
-        self: &Arc<Self>,
+        &self,
         client: u64,
         job: SolverJob,
         priority: u8,
@@ -805,52 +821,7 @@ impl Hub {
         }
     }
 
-    /// Handles one parsed request on behalf of `client`. Immediate
-    /// responses (admission results, rejections, stats) are delivered on
-    /// the client's channel, in order with the job outcomes.
-    fn handle(self: &Arc<Self>, client: u64, request: Request) {
-        match request {
-            Request::Hello { weight } => {
-                let mut state = self.state.lock().expect("hub lock is never poisoned");
-                if let Some(slot) = state.clients.get_mut(&client) {
-                    slot.weight = weight.max(1);
-                }
-            }
-            Request::Submit {
-                spec,
-                priority,
-                deadline_ms,
-            } => {
-                self.submit_job(client, SolverJob::Fresh(spec), priority, deadline_ms, true);
-            }
-            Request::Cancel { job } => self.cancel(client, job),
-            Request::Stats => {
-                let state = self.state.lock().expect("hub lock is never poisoned");
-                if let Some(slot) = state.clients.get(&client) {
-                    let response = Response::Stats {
-                        client: slot.stats,
-                        fleet: state.fleet,
-                        queue_depth: self.queue.len() as u64,
-                        eta_ms: self.eta_ms(&state),
-                    };
-                    let _ = slot.tx.send(response);
-                }
-            }
-        }
-    }
-
-    /// Rejects an unparsable line on the client's channel.
-    fn reject(&self, client: u64, error: &FrameError) {
-        let state = self.state.lock().expect("hub lock is never poisoned");
-        if let Some(slot) = state.clients.get(&client) {
-            let _ = slot.tx.send(Response::Rejected {
-                code: error.code().to_string(),
-                error: error.to_string(),
-            });
-        }
-    }
-
-    fn cancel(self: &Arc<Self>, client: u64, job: u64) {
+    fn cancel(&self, client: u64, job: u64) {
         let mut state = self.state.lock().expect("hub lock is never poisoned");
         let Some(slot) = state.clients.get(&client) else {
             return;
@@ -892,22 +863,6 @@ impl Hub {
         }
     }
 
-    /// Removes a departed client: queued jobs are dropped (counted
-    /// cancelled fleet-wide), running ones are cooperatively cancelled.
-    fn disconnect(&self, client: u64) {
-        let mut state = self.state.lock().expect("hub lock is never poisoned");
-        if state.clients.remove(&client).is_none() {
-            return;
-        }
-        let dropped = self.queue.remove_client(client);
-        state.fleet.cancelled += dropped.len() as u64;
-        for running in state.running.values() {
-            if running.client == client {
-                running.ctrl.request_cancel();
-            }
-        }
-    }
-
     /// Classifies one terminal result into the stats buckets and delivers
     /// the response (when the client is still connected).
     fn settle(
@@ -934,6 +889,90 @@ impl Hub {
             }
             let _ = slot.tx.send(response);
         }
+    }
+}
+
+impl SessionCore for Hub {
+    fn register(&self, tx: mpsc::Sender<Response>) -> u64 {
+        let mut state = self.state.lock().expect("hub lock is never poisoned");
+        let id = state.next_client;
+        state.next_client += 1;
+        state.clients.insert(
+            id,
+            ClientSlot {
+                weight: 1,
+                queued: 0,
+                stats: ClientStats::default(),
+                by_job: HashMap::new(),
+                tx,
+            },
+        );
+        id
+    }
+
+    /// Handles one parsed request on behalf of `client`. Immediate
+    /// responses (admission results, rejections, stats) are delivered on
+    /// the client's channel, in order with the job outcomes.
+    fn handle(&self, client: u64, request: Request) {
+        match request {
+            Request::Hello { weight } => {
+                let mut state = self.state.lock().expect("hub lock is never poisoned");
+                if let Some(slot) = state.clients.get_mut(&client) {
+                    slot.weight = weight.max(1);
+                }
+            }
+            Request::Submit {
+                spec,
+                priority,
+                deadline_ms,
+            } => {
+                self.submit_job(client, SolverJob::Fresh(spec), priority, deadline_ms, true);
+            }
+            Request::Cancel { job } => self.cancel(client, job),
+            Request::Stats => {
+                let state = self.state.lock().expect("hub lock is never poisoned");
+                if let Some(slot) = state.clients.get(&client) {
+                    let response = Response::Stats {
+                        client: slot.stats,
+                        fleet: state.fleet,
+                        queue_depth: self.queue.len() as u64,
+                        eta_ms: self.eta_ms(&state),
+                    };
+                    let _ = slot.tx.send(response);
+                }
+            }
+        }
+    }
+
+    /// Rejects an unparsable line on the client's channel.
+    fn reject(&self, client: u64, error: &FrameError) {
+        let state = self.state.lock().expect("hub lock is never poisoned");
+        if let Some(slot) = state.clients.get(&client) {
+            let _ = slot.tx.send(Response::Rejected {
+                code: error.code().to_string(),
+                error: error.to_string(),
+            });
+        }
+    }
+
+    /// Removes a departed client: queued jobs are dropped (counted
+    /// cancelled fleet-wide), running ones are cooperatively cancelled.
+    fn disconnect(&self, client: u64) {
+        let mut state = self.state.lock().expect("hub lock is never poisoned");
+        if state.clients.remove(&client).is_none() {
+            return;
+        }
+        let dropped = self.queue.remove_client(client);
+        state.fleet.cancelled += dropped.len() as u64;
+        for running in state.running.values() {
+            if running.client == client {
+                running.ctrl.request_cancel();
+            }
+        }
+    }
+
+    fn frame_limits(&self) -> (usize, Duration) {
+        (self.config.max_frame_bytes, self.config.read_timeout)
     }
 }
 
@@ -1067,6 +1106,7 @@ pub struct DrainReport {
 pub struct Frontend {
     hub: Arc<Hub>,
     workers: Vec<std::thread::JoinHandle<()>>,
+    listeners: Arc<Listeners>,
 }
 
 impl Frontend {
@@ -1101,7 +1141,11 @@ impl Frontend {
                 std::thread::spawn(move || worker_loop(hub))
             })
             .collect();
-        Frontend { hub, workers }
+        Frontend {
+            hub,
+            workers,
+            listeners: Arc::default(),
+        }
     }
 
     /// Starts a fleet and resubmits every job a previous
@@ -1140,31 +1184,11 @@ impl Frontend {
     }
 
     /// Registers an in-process client session (weight 1 until a
-    /// [`Request::Hello`] changes it). Dropping the handle disconnects it,
-    /// cancelling the client's remaining work.
+    /// [`Request::Hello`] changes it), the same session each TCP connection
+    /// runs. Dropping the handle disconnects it, cancelling the client's
+    /// remaining work.
     pub fn connect(&self) -> ClientHandle {
-        let (tx, rx) = mpsc::channel();
-        let mut state = self.hub.state.lock().expect("hub lock is never poisoned");
-        let id = state.next_client;
-        state.next_client += 1;
-        state.clients.insert(
-            id,
-            ClientSlot {
-                weight: 1,
-                queued: 0,
-                stats: ClientStats::default(),
-                by_job: HashMap::new(),
-                tx,
-            },
-        );
-        drop(state);
-        ClientHandle {
-            session: SessionSender {
-                id,
-                hub: Arc::clone(&self.hub),
-            },
-            rx,
-        }
+        ClientHandle::open(self.hub.clone())
     }
 
     /// Fleet-wide counters.
@@ -1181,10 +1205,10 @@ impl Frontend {
         self.workers.len()
     }
 
-    /// Graceful drain — the SIGTERM path: stops admitting, pulls queued
-    /// jobs into spec/checkpoint files, asks running jobs to checkpoint,
-    /// joins the workers, and persists everything under `dir` in the drain
-    /// layout (`job-NNNNNN.spec.json` / `job-NNNNNN.ckpt`, ordered by
+    /// Graceful drain — the SIGTERM path: stops serving and admitting,
+    /// pulls queued jobs into spec/checkpoint files, asks running jobs to
+    /// checkpoint, joins the workers, and persists everything under `dir`
+    /// in the drain layout (`job-NNNNNN.spec.json` / `job-NNNNNN.ckpt`, ordered by
     /// scheduler sequence; see the [`service`] docs). [`Frontend::resume`]
     /// continues the work bit-identically.
     ///
@@ -1198,6 +1222,7 @@ impl Frontend {
     /// written; files persisted before the failure remain on disk.
     pub fn shutdown_to(mut self, dir: &Path) -> Result<DrainReport, CheckpointError> {
         std::fs::create_dir_all(dir).map_err(|e| CheckpointError::Io(e.to_string()))?;
+        self.listeners.stop();
         {
             let mut state = self.hub.state.lock().expect("hub lock is never poisoned");
             state.draining = true;
@@ -1239,40 +1264,19 @@ impl Frontend {
     }
 
     /// Serves NDJSON connections from `listener` on a background thread
-    /// until the frontend drains or drops. Each connection gets its own
-    /// session (reader + writer threads) over [`Frontend::connect`]'s
-    /// machinery.
+    /// that blocks in `accept` until [`Frontend::shutdown_to`] or the
+    /// frontend's drop. Each connection is a [`Frontend::connect`] session
+    /// plus a thread writing its responses to the socket.
     pub fn serve(&self, listener: TcpListener) -> std::thread::JoinHandle<()> {
-        let hub = Arc::clone(&self.hub);
-        listener
-            .set_nonblocking(true)
-            .expect("loopback listeners accept nonblocking mode");
-        std::thread::spawn(move || loop {
-            if hub
-                .state
-                .lock()
-                .expect("hub lock is never poisoned")
-                .draining
-            {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let hub = Arc::clone(&hub);
-                    std::thread::spawn(move || handle_connection(hub, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => return,
-            }
-        })
+        self.listeners.serve(self.hub.clone(), listener)
     }
 }
 
 impl Drop for Frontend {
-    /// Discards queued jobs, lets running ones finish, joins the workers.
+    /// Stops serving, discards queued jobs, lets running ones finish, joins
+    /// the workers.
     fn drop(&mut self) {
+        self.listeners.stop();
         if let Some(f) = &self.hub.config.faults {
             f.release_workers();
         }
@@ -1281,220 +1285,6 @@ impl Drop for Frontend {
             let _ = handle.join();
         }
     }
-}
-
-/// An in-process client session: the socket-free face of the protocol, and
-/// what each TCP connection wraps.
-pub struct ClientHandle {
-    session: SessionSender,
-    rx: mpsc::Receiver<Response>,
-}
-
-/// The send half of a session. Dropping it disconnects the session: queued
-/// jobs dropped, running jobs cancelled.
-pub(crate) struct SessionSender {
-    id: u64,
-    hub: Arc<Hub>,
-}
-
-impl SessionSender {
-    /// Handles one typed request on this session.
-    pub(crate) fn send(&self, request: Request) {
-        self.hub.handle(self.id, request);
-    }
-}
-
-impl Drop for SessionSender {
-    fn drop(&mut self) {
-        self.hub.disconnect(self.id);
-    }
-}
-
-impl ClientHandle {
-    /// This session's server-assigned client id.
-    pub fn client_id(&self) -> u64 {
-        self.session.id
-    }
-
-    /// Handles one raw request line exactly as the TCP reader would:
-    /// parsed strictly, rejected lines earn a typed [`Response::Rejected`]
-    /// on the stream. Returns whether the line was parseable (`false`
-    /// signals framing loss; the TCP layer hangs up on oversized lines).
-    pub fn send_line(&self, line: &str) -> bool {
-        match Request::from_line(line) {
-            Ok(request) => {
-                self.session.send(request);
-                true
-            }
-            Err(error) => {
-                self.session.hub.reject(self.session.id, &error);
-                false
-            }
-        }
-    }
-
-    /// Sends one typed request.
-    pub fn send(&self, request: Request) {
-        self.session.send(request);
-    }
-
-    /// Convenience submit.
-    pub fn submit(&self, spec: JobSpec, priority: u8, deadline_ms: Option<u64>) {
-        self.send(Request::Submit {
-            spec,
-            priority,
-            deadline_ms,
-        });
-    }
-
-    /// Next response, blocking until one arrives. `None` after the hub
-    /// side has gone away (fleet drained).
-    pub fn recv(&self) -> Option<Response> {
-        self.rx.recv().ok()
-    }
-
-    /// Next response, waiting at most `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Response> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Next response if one is already waiting.
-    pub fn try_recv(&self) -> Option<Response> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Splits the session so sending never waits on a thread blocked in a
-    /// receive. The session stays connected until the sender drops.
-    pub(crate) fn split(self) -> (SessionSender, mpsc::Receiver<Response>) {
-        (self.session, self.rx)
-    }
-}
-
-// ---------------------------------------------------------------- TCP face
-
-/// Reads one `\n`-terminated line of at most `limit` bytes. Distinguishes
-/// a clean EOF (`Ok(None)`), a complete line, an oversized line, a timeout
-/// with a partial line buffered (the slow-loris signature), and transport
-/// errors.
-pub(crate) fn read_line_capped<R: BufRead>(
-    reader: &mut R,
-    limit: usize,
-) -> Result<Option<String>, ReadError> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if buf.is_empty() {
-                    continue; // idle connection: keep waiting
-                }
-                return Err(ReadError::Stalled); // half a frame, then silence
-            }
-            Err(_) => return Err(ReadError::Transport),
-        };
-        if chunk.is_empty() {
-            return if buf.is_empty() {
-                Ok(None)
-            } else {
-                Err(ReadError::Transport) // EOF inside a frame: truncated
-            };
-        }
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(chunk.len(), |i| i + 1);
-        if buf.len() + take > limit + 1 {
-            reader.consume(take);
-            return Err(ReadError::Oversized);
-        }
-        buf.extend_from_slice(&chunk[..take]);
-        reader.consume(take);
-        if newline.is_some() {
-            buf.pop(); // the newline
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-            return Ok(Some(String::from_utf8_lossy(&buf).into_owned()));
-        }
-    }
-}
-
-pub(crate) enum ReadError {
-    Oversized,
-    Stalled,
-    Transport,
-}
-
-/// One TCP session: a writer thread drains the client's response channel
-/// onto the socket while this thread reads, parses, and dispatches request
-/// lines. Any exit path disconnects the client, which cancels its work.
-fn handle_connection(hub: Arc<Hub>, stream: TcpStream) {
-    let limit = hub.config.max_frame_bytes;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(hub.config.read_timeout));
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    // register the session exactly like an in-process one
-    let (tx, rx) = mpsc::channel::<Response>();
-    let client = {
-        let mut state = hub.state.lock().expect("hub lock is never poisoned");
-        let id = state.next_client;
-        state.next_client += 1;
-        state.clients.insert(
-            id,
-            ClientSlot {
-                weight: 1,
-                queued: 0,
-                stats: ClientStats::default(),
-                by_job: HashMap::new(),
-                tx,
-            },
-        );
-        id
-    };
-    let writer = std::thread::spawn(move || {
-        let mut out = std::io::BufWriter::new(write_half);
-        while let Ok(response) = rx.recv() {
-            if out
-                .write_all(response.to_line().as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
-                .and_then(|()| out.flush())
-                .is_err()
-            {
-                return; // client stopped reading; reader will notice too
-            }
-        }
-    });
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_line_capped(&mut reader, limit) {
-            Ok(Some(line)) => {
-                if line.is_empty() {
-                    continue;
-                }
-                match Request::from_line(&line) {
-                    Ok(request) => hub.handle(client, request),
-                    Err(error) => hub.reject(client, &error),
-                }
-            }
-            Ok(None) => break, // clean EOF
-            Err(ReadError::Oversized) => {
-                // past the cap the line boundary itself is untrusted: send
-                // the typed error and hang up rather than resynchronize
-                let error = FrameError::Oversized { limit };
-                hub.reject(client, &error);
-                break;
-            }
-            Err(ReadError::Stalled) | Err(ReadError::Transport) => break,
-        }
-    }
-    hub.disconnect(client);
-    drop(reader);
-    // disconnect dropped the slot (and its sender); the writer drains what
-    // was already queued and exits
-    let _ = writer.join();
 }
 
 // ------------------------------------------------------------- the client

@@ -129,6 +129,7 @@ mod rng;
 mod sa;
 mod schedule;
 pub mod service;
+mod session;
 mod solver;
 mod telemetry;
 

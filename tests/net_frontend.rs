@@ -11,15 +11,18 @@
 //! `tests/determinism.rs` (`SAIM_DETERMINISM_THREADS`).
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use saim_ising::QuboBuilder;
+use saim_machine::cluster::{Cluster, ClusterConfig, InProcessLink};
 use saim_machine::frontend::{
     faults::FaultPlan, Backoff, Frontend, FrontendConfig, NdjsonClient, Request, Response,
+    MAX_FRAME_BYTES,
 };
 use saim_machine::service::{JobOutcome, JobSpec, SolverSpec};
 use saim_machine::{ClientStats, EnsembleConfig, OutcomeKind};
@@ -653,4 +656,129 @@ fn recv_keeps_a_frame_split_across_a_read_timeout() {
     assert_eq!(client.recv().expect("the whole frame"), frame);
     drop(client);
     server.join().expect("server thread");
+}
+
+/// Whether `thread` finishes within `limit`.
+fn joins_within(thread: &JoinHandle<()>, limit: Duration) -> bool {
+    let deadline = Instant::now() + limit;
+    while !thread.is_finished() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    true
+}
+
+/// Dropping a serving frontend closes its listener: the accept loop must
+/// not outlive the fleet it hands sessions to.
+#[test]
+fn a_dropped_frontend_stops_listening() {
+    let frontend = Frontend::start(test_config(1, None));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+    let addr = listener.local_addr().expect("bound");
+    let serving = frontend.serve(listener);
+    drop(frontend);
+    assert!(
+        joins_within(&serving, Duration::from_secs(1)),
+        "the accept loop outlived its frontend"
+    );
+    serving.join().expect("the accept loop exits cleanly");
+    let refused = TcpStream::connect(addr).expect_err("nothing listens after the drop");
+    assert_eq!(refused.kind(), ErrorKind::ConnectionRefused);
+}
+
+/// The hostile-line table, run against one served face: each case is the
+/// bytes sent, the rejection code they earn (`None`: no answer at all), and
+/// whether the session survives them. A fresh connection is then served
+/// bit-identically to the direct run.
+fn hostile_lines_leave_the_face_serving(addr: &str) {
+    let mut oversized = vec![b'x'; MAX_FRAME_BYTES + 1];
+    oversized.push(b'\n');
+    let cases: [(&str, Vec<u8>, Option<&str>, bool); 3] = [
+        ("blank line", b"\n".to_vec(), None, true),
+        (
+            "malformed json",
+            b"{malformed\n".to_vec(),
+            Some("json"),
+            true,
+        ),
+        ("line over the cap", oversized, Some("oversized"), false),
+    ];
+    let mut client = NdjsonClient::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Duration::from_secs(30))
+        .expect("socket option");
+    for (case, bytes, code, survives) in cases {
+        client.send_raw(&bytes).expect("write");
+        if let Some(want) = code {
+            match client.recv() {
+                Ok(Response::Rejected { code, .. }) => assert_eq!(code, want, "{case}"),
+                other => panic!("{case}: expected a {want} rejection, got {other:?}"),
+            }
+        }
+        if survives {
+            // the next answer is this probe's, so the case earned no other
+            client.send(&Request::Stats).expect("write");
+            assert!(
+                matches!(client.recv(), Ok(Response::Stats { .. })),
+                "{case}: the session did not survive"
+            );
+        } else {
+            let closed = client.recv().expect_err("the face hangs up");
+            assert_eq!(closed.kind(), ErrorKind::UnexpectedEof, "{case}");
+        }
+    }
+    let spec = quick_spec(1, 11);
+    let mut fresh = NdjsonClient::connect(addr).expect("reconnect");
+    fresh
+        .set_read_timeout(Duration::from_secs(30))
+        .expect("socket option");
+    fresh
+        .send(&Request::Submit {
+            spec: spec.clone(),
+            priority: 0,
+            deadline_ms: None,
+        })
+        .expect("write");
+    assert!(matches!(fresh.recv(), Ok(Response::Accepted { job: 1 })));
+    match fresh.recv() {
+        Ok(Response::Outcome { outcome }) => {
+            assert_eq!(outcome.canonical(), spec.run().canonical());
+        }
+        other => panic!("expected the outcome, got {other:?}"),
+    }
+}
+
+/// Both TCP faces, `saim-server`'s and `saim-router`'s, run one session
+/// layer: the same hostile lines get the same answers on each, and each
+/// accept loop returns promptly once its owner shuts down.
+#[test]
+fn both_tcp_faces_answer_hostile_lines_alike_and_stop_promptly() {
+    let dir = scratch_dir("faces");
+    let frontend = Frontend::start(test_config(env_workers(), None));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+    let addr = listener.local_addr().expect("bound").to_string();
+    let serving = frontend.serve(listener);
+    hostile_lines_leave_the_face_serving(&addr);
+    frontend.shutdown_to(&dir).expect("drain");
+    assert!(
+        joins_within(&serving, Duration::from_secs(1)),
+        "the frontend's accept loop outlived shutdown_to"
+    );
+
+    let backend = Frontend::start(test_config(env_workers(), None));
+    let link = InProcessLink::new(backend.connect());
+    let (cluster, _recovery) =
+        Cluster::start(ClusterConfig::default(), vec![Box::new(link)]).expect("no journal");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+    let addr = listener.local_addr().expect("bound").to_string();
+    let serving = cluster.serve(listener);
+    hostile_lines_leave_the_face_serving(&addr);
+    cluster.shutdown();
+    assert!(
+        joins_within(&serving, Duration::from_secs(1)),
+        "the router's accept loop outlived Cluster::shutdown"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
