@@ -368,7 +368,12 @@ impl Journal {
     }
 
     /// Appends one record and flushes it — the write-*ahead* property: the
-    /// record is on disk before the action it describes happens.
+    /// record is handed to the operating system before the action it
+    /// describes happens.
+    ///
+    /// The record is flushed but not fsynced. It therefore survives a crash
+    /// of the router process, but a power loss or kernel crash can lose the
+    /// last records the OS had not yet written back.
     ///
     /// # Errors
     ///

@@ -10,9 +10,12 @@
 
 use proptest::prelude::*;
 use saim_ising::QuboBuilder;
-use saim_machine::frontend::{FrameError, Frontend, FrontendConfig, Request, Response};
+use saim_machine::frontend::{
+    ClientHandle, FrameError, Frontend, FrontendConfig, Request, Response, MAX_FRAME_BYTES,
+};
 use saim_machine::service::{JobOutcome, JobSpec, SchemaError, SolverSpec};
 use saim_machine::ClientStats;
+use std::time::{Duration, Instant};
 
 /// A small but real spec: enough structure that mutations can land inside
 /// nested objects, arrays, floats, and string literals.
@@ -233,6 +236,20 @@ fn deep_nesting_lands_on_the_json_code() {
     }
 }
 
+/// Submits a valid job on `client` and checks that it completes
+/// bit-identically to running its spec directly.
+fn serves_a_valid_job(client: &ClientHandle) {
+    let spec = sample_spec(5, 9, 4);
+    client.submit(spec.clone(), 0, None);
+    assert_eq!(client.recv(), Some(Response::Accepted { job: 5 }));
+    match client.recv() {
+        Some(Response::Outcome { outcome }) => {
+            assert_eq!(outcome.canonical(), spec.run().canonical());
+        }
+        other => panic!("expected the job's outcome, got {other:?}"),
+    }
+}
+
 /// After a too-deep line is rejected, the same session still completes a
 /// valid job bit-identically.
 #[test]
@@ -247,15 +264,7 @@ fn a_session_survives_a_too_deep_line() {
         Some(Response::Rejected { code, .. }) => assert_eq!(code, "json"),
         other => panic!("expected a json rejection, got {other:?}"),
     }
-    let spec = sample_spec(5, 9, 4);
-    client.submit(spec.clone(), 0, None);
-    assert_eq!(client.recv(), Some(Response::Accepted { job: 5 }));
-    match client.recv() {
-        Some(Response::Outcome { outcome }) => {
-            assert_eq!(outcome.canonical(), spec.run().canonical());
-        }
-        other => panic!("expected the job's outcome, got {other:?}"),
-    }
+    serves_a_valid_job(&client);
 }
 
 /// Specs whose model lies about its shape or breaks the invariants
@@ -335,15 +344,56 @@ fn a_session_survives_hostile_models() {
             other => panic!("expected a malformed rejection, got {other:?}"),
         }
     }
-    let spec = sample_spec(5, 9, 4);
-    client.submit(spec.clone(), 0, None);
-    assert_eq!(client.recv(), Some(Response::Accepted { job: 5 }));
-    match client.recv() {
-        Some(Response::Outcome { outcome }) => {
-            assert_eq!(outcome.canonical(), spec.run().canonical());
-        }
-        other => panic!("expected the job's outcome, got {other:?}"),
-    }
+    serves_a_valid_job(&client);
     let fleet = frontend.fleet_stats();
     assert_eq!((fleet.accepted, fleet.completed, fleet.failed), (1, 1, 0));
+}
+
+/// Lines of one shape, sized `units` repetitions long: one long string in
+/// the `frame` tag, and an array of one-character strings. Each shape's
+/// rejection code does not depend on its size.
+fn string_heavy_lines(units: usize) -> [(String, &'static str); 2] {
+    [
+        (
+            format!("{{\"schema\":3,\"frame\":\"{}\"}}", "a".repeat(units)),
+            "unknown_frame",
+        ),
+        (format!("[{}\"a\"]", "\"a\",".repeat(units)), "malformed"),
+    ]
+}
+
+/// String-heavy lines just under the frame cap are rejected within 2 s, with
+/// the code a short line of the same shape earns, and the session then still
+/// completes a valid job bit-identically. A parser that re-scans the rest of
+/// the line for each string character spends seconds to tens of seconds of
+/// CPU on each of these lines, on a thread that serves a client.
+#[test]
+fn a_session_survives_cap_sized_string_lines() {
+    let frontend = Frontend::start(FrontendConfig {
+        workers: 1,
+        ..FrontendConfig::default()
+    });
+    let client = frontend.connect();
+    // each shape sized to just under the cap
+    let [long_string, _] = string_heavy_lines(MAX_FRAME_BYTES - 24);
+    let [_, long_array] = string_heavy_lines((MAX_FRAME_BYTES - 5) / 4);
+    for (line, code) in string_heavy_lines(4)
+        .into_iter()
+        .chain([long_string, long_array])
+    {
+        assert!(line.len() < MAX_FRAME_BYTES, "{} bytes", line.len());
+        let started = Instant::now();
+        assert!(!client.send_line(&line));
+        match client.recv() {
+            Some(Response::Rejected { code: got, .. }) => assert_eq!(got, code),
+            other => panic!("expected a {code} rejection, got {other:?}"),
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "a {}-byte line took {took:?} to reject",
+            line.len()
+        );
+    }
+    serves_a_valid_job(&client);
 }
