@@ -105,6 +105,35 @@ impl Couplings {
         }
     }
 
+    /// Full-row axpy: `fields[j] += M_ij * delta` for every column `j`
+    /// (dense) or stored neighbour `j` (sparse), in ascending `j` — one
+    /// spin flip's whole local-field propagation in a single pass. The
+    /// dense loop is a plain zip the compiler auto-vectorizes (an A/B
+    /// against a manually 8-blocked version measured no slower: the pass
+    /// is memory-bound); the sparse loop walks only the actual neighbours.
+    /// Elementwise, so it is bit-identical to [`Couplings::row_axpy_suffix`]
+    /// plus [`Couplings::row_axpy_prefix`] in either order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds, or (sparse) a stored neighbour
+    /// index is past the end of `fields`.
+    #[inline]
+    pub fn row_axpy(&self, i: usize, delta: f64, fields: &mut [f64]) {
+        match self {
+            Couplings::Dense(m) => {
+                for (f, &jij) in fields.iter_mut().zip(m.row(i)) {
+                    *f += jij * delta;
+                }
+            }
+            Couplings::Sparse(m) => {
+                for (j, jij) in m.row_iter(i) {
+                    fields[j] += jij * delta;
+                }
+            }
+        }
+    }
+
     /// Suffix axpy over row `i`: `fields[j] += M_ij * delta` for every
     /// column `j ≥ i` (dense) or stored neighbour `j ≥ i` (sparse), where
     /// `fields` is one replica lane's contiguous length-`n` field vector.
@@ -268,6 +297,26 @@ mod tests {
             Couplings::from_dense_auto(full),
             Couplings::Dense(_)
         ));
+    }
+
+    #[test]
+    fn full_row_axpy_matches_the_split_halves_on_both_representations() {
+        let d = sample_dense();
+        for c in [
+            Couplings::Dense(d.clone()),
+            Couplings::Sparse(CsrMatrix::from_dense(&d)),
+        ] {
+            for i in 0..3 {
+                let mut full = vec![0.5, -1.25, 3.0];
+                let mut split = full.clone();
+                c.row_axpy(i, -2.0, &mut full);
+                c.row_axpy_suffix(i, -2.0, &mut split);
+                c.row_axpy_prefix(i, -2.0, &mut split);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&full), bits(&split), "row {i}");
+                assert_eq!(full[0], 0.5 - 2.0 * d.get(i, 0), "row {i}");
+            }
+        }
     }
 
     #[test]

@@ -72,10 +72,13 @@
 //!    fully-propagated fields, so per-lane snapshot images are unaffected
 //!    by the deferral.
 //!
-//! Single-lane batches skip the buffer entirely: width-1 groups (narrow
-//! ensemble groups, narrow parallel-tempering ladder groups) take the
-//! serial-shaped sweep with the serial machine's one-pass full-row
-//! propagation — no lane machinery at all.
+//! Single-lane batches skip the buffer entirely. Every one-lane group of
+//! both batched engines — a width-1 ensemble group (`batch_width: 1`, or
+//! the adaptive width on a pool with as many workers as replicas) and a
+//! narrow parallel-tempering ladder group alike — takes the serial-shaped
+//! sweep with the serial machine's one-pass full-row propagation
+//! ([`Couplings::row_axpy`]), the same kernel a
+//! [`PbitMachine`](crate::PbitMachine) runs.
 //!
 //! # Decision kernel
 //!
@@ -129,10 +132,7 @@
 //! # }
 //! ```
 
-use crate::bracket::gibbs_decision;
-use crate::pbit::{
-    propagate_dense, settled_run, MachineSnapshot, CLASS_PAD, SATURATION, SETTLE_PAD_UP,
-};
+use crate::pbit::{gibbs_up, settled_run, MachineSnapshot, SATURATION, SETTLE_PAD_UP};
 use crate::rng::{new_rng, NoiseSnapshot, NoiseSource};
 use rand::Rng;
 use saim_ising::{Couplings, IsingModel, Spin, SpinState};
@@ -563,9 +563,9 @@ impl ReplicaBatch {
     /// parallel-tempering shape: lane `r` samples at `betas[r]`).
     ///
     /// Every lane's decisions replay [`PbitMachine::sweep`] on that lane's
-    /// stream bit-for-bit; see the module docs. Width-1 groups — including
-    /// narrow parallel-tempering ladder groups — take the serial-shaped
-    /// sweep with one-pass propagation and no flip buffer.
+    /// stream bit-for-bit; see the module docs. Width-1 groups of either
+    /// batched engine take the serial-shaped sweep with one-pass
+    /// propagation and no flip buffer.
     ///
     /// # Panics
     ///
@@ -616,7 +616,7 @@ impl ReplicaBatch {
     /// One lane's Gibbs sweep. If the lane's settled-set candidate list is
     /// valid for this β it takes the masked visit
     /// ([`ReplicaBatch::masked_lane_gibbs`]); otherwise the serial-shaped
-    /// full scan ([`ReplicaBatch::scan_range_gibbs`]), which may request a
+    /// full scan ([`Lane::scan_gibbs`]), which may request a
     /// rebuild of the list when the lane has quenched and β is stable.
     /// Both visit exactly the unsettled spins in ascending order, so both
     /// replay [`PbitMachine::sweep`] bit-for-bit.
@@ -640,7 +640,7 @@ impl ReplicaBatch {
             // moment it runs — kill the tag or a later sweep at that β
             // would resume the old certificate against a moved state
             self.active_settle[r] = f64::NAN;
-            let settled = self.scan_range_gibbs::<DEFER>(couplings, r, beta, settle, 0);
+            let settled = self.lane(r).scan_gibbs::<DEFER>(couplings, beta, settle, 0);
             // quenched, β stable for two sweeps, and not cooling off after
             // a short-lived list: invest one predicate scan after the
             // drain to skip the full scan from next sweep on
@@ -657,88 +657,20 @@ impl ReplicaBatch {
         self.last_settle[r] = settle;
     }
 
-    /// The serial-shaped Gibbs scan over spins `start..n`: blocked settled
-    /// scan, three-tier decision per unsettled spin, flip propagation over
-    /// the coupling row — exactly [`PbitMachine::sweep`]'s loop on the
-    /// lane's contiguous plane slices. Returns how many spins passed the
-    /// settled certificate.
-    ///
-    /// `DEFER = true` splits each flip's propagation: the suffix (`j ≥ i`)
-    /// is applied immediately, the prefix (`j < i`) is recorded in the flip
-    /// buffer for the end-of-sweep coalesced pass. `DEFER = false`
-    /// propagates the full row in one pass like the serial machine. Both
-    /// orderings apply identical adds to every field in identical per-lane
-    /// order (module docs), so decisions, draws, and all books are
-    /// bit-identical either way.
-    fn scan_range_gibbs<const DEFER: bool>(
-        &mut self,
-        couplings: &Couplings,
-        r: usize,
-        beta: f64,
-        settle: f64,
-        start: usize,
-    ) -> usize {
-        let n = self.n;
-        let base = r * n;
-        let spins = &mut self.spins[base..base + n];
-        let fields = &mut self.fields[base..base + n];
-        let stream = &mut self.streams[r];
-        let mut settled = 0;
-        let mut i = start;
-        while i < n {
-            // settled scan + three-tier decisions, exactly like
-            // [`PbitMachine`]'s sweep (see its docs for the certificates)
-            let run = settled_run(&fields[i..n], &spins[i..n], settle);
-            settled += run;
-            i += run;
-            while i < n {
-                let f = fields[i];
-                if f * spins[i] >= settle {
-                    break;
-                }
-                let drive = beta * f;
-                let new_up = if beta * self.drive_bounds[i] * CLASS_PAD >= SATURATION {
-                    if drive >= SATURATION {
-                        true
-                    } else if drive <= -SATURATION {
-                        false
-                    } else {
-                        gibbs_decision(drive, stream.symmetric())
-                    }
-                } else {
-                    gibbs_decision(drive, stream.symmetric())
-                };
-                let old = spins[i];
-                if new_up != (old > 0.0) {
-                    // ΔH for flipping spin i is 2 s_i I_i
-                    self.energies[r] += 2.0 * old * f;
-                    spins[i] = -old;
-                    self.flips[r] += 1;
-                    let delta = -2.0 * old; // new - old spin value
-                    if DEFER {
-                        couplings.row_axpy_suffix(i, delta, fields);
-                        if i > 0 {
-                            self.flip_log.push(FlipRec {
-                                spin: i as u32,
-                                lane: r as u32,
-                                delta,
-                            });
-                        }
-                    } else {
-                        match couplings {
-                            Couplings::Dense(m) => propagate_dense(fields, m.row(i), delta),
-                            Couplings::Sparse(m) => {
-                                for (j, jij) in m.row_iter(i) {
-                                    fields[j] += jij * delta;
-                                }
-                            }
-                        }
-                    }
-                }
-                i += 1;
-            }
+    /// Borrows lane `r`'s share of the batch for a sweep ([`Lane`]).
+    #[inline(always)]
+    fn lane(&mut self, r: usize) -> Lane<'_> {
+        let base = r * self.n;
+        Lane {
+            r,
+            spins: &mut self.spins[base..base + self.n],
+            fields: &mut self.fields[base..base + self.n],
+            energy: &mut self.energies[r],
+            flips: &mut self.flips[r],
+            stream: &mut self.streams[r],
+            drive_bounds: &self.drive_bounds,
+            flip_log: &mut self.flip_log,
         }
-        settled
     }
 
     /// The masked Gibbs visit: only the lane's settled-set candidates are
@@ -769,44 +701,10 @@ impl ReplicaBatch {
             if f * self.spins[base + i] >= settle {
                 continue;
             }
-            let drive = beta * f;
-            let new_up = if beta * self.drive_bounds[i] * CLASS_PAD >= SATURATION {
-                if drive >= SATURATION {
-                    true
-                } else if drive <= -SATURATION {
-                    false
-                } else {
-                    gibbs_decision(drive, self.streams[r].symmetric())
-                }
-            } else {
-                gibbs_decision(drive, self.streams[r].symmetric())
-            };
-            let old = self.spins[base + i];
-            if new_up != (old > 0.0) {
-                self.energies[r] += 2.0 * old * f;
-                self.spins[base + i] = -old;
-                self.flips[r] += 1;
-                let delta = -2.0 * old;
-                let fields = &mut self.fields[base..base + n];
-                if DEFER {
-                    couplings.row_axpy_suffix(i, delta, fields);
-                    if i > 0 {
-                        self.flip_log.push(FlipRec {
-                            spin: i as u32,
-                            lane: r as u32,
-                            delta,
-                        });
-                    }
-                } else {
-                    match couplings {
-                        Couplings::Dense(m) => propagate_dense(fields, m.row(i), delta),
-                        Couplings::Sparse(m) => {
-                            for (j, jij) in m.row_iter(i) {
-                                fields[j] += jij * delta;
-                            }
-                        }
-                    }
-                }
+            let stream = &mut self.streams[r];
+            let new_up = gibbs_up(beta, f, self.drive_bounds[i], || stream.symmetric());
+            if new_up != (self.spins[base + i] > 0.0) {
+                self.lane(r).flip::<DEFER>(couplings, i);
                 self.slack[r] -=
                     2.0 * self.row_max_abs[i] * CHARGE_PAD + self.field_bound * CHARGE_ABS;
                 if self.slack[r] <= 0.0 {
@@ -820,7 +718,8 @@ impl ReplicaBatch {
             // drop the list and finish this sweep in serial shape (spins
             // before `from` were already visited or certified in time)
             self.active_settle[r] = f64::NAN;
-            self.scan_range_gibbs::<DEFER>(couplings, r, beta, settle, from);
+            self.lane(r)
+                .scan_gibbs::<DEFER>(couplings, beta, settle, from);
             if self.age[r] >= MIN_LIST_AGE {
                 // the list paid for itself — rebuild right after the drain
                 // instead of wasting a plain-scan sweep first
@@ -956,8 +855,8 @@ impl ReplicaBatch {
     /// [`PbitMachine::metropolis_sweep`]: propose every spin in order,
     /// accept with probability `min(1, exp(-β ΔH))` (the accept test draws
     /// from the lane's stream only when `ΔH > 0`, like the serial kernel).
-    /// Flip propagation is split or one-pass exactly as in
-    /// [`ReplicaBatch::sweep_lane_gibbs`].
+    /// Flip propagation is split or one-pass exactly as in the Gibbs
+    /// sweep ([`Lane::flip`]).
     fn metropolis_lane_sweep<const DEFER: bool>(
         &mut self,
         couplings: &Couplings,
@@ -972,30 +871,7 @@ impl ReplicaBatch {
             let delta_h = 2.0 * old * f;
             let accept = delta_h <= 0.0 || self.streams[r].unit() < (-beta * delta_h).exp();
             if accept {
-                self.energies[r] += 2.0 * old * f;
-                self.spins[base + i] = -old;
-                self.flips[r] += 1;
-                let delta = -2.0 * old;
-                let fields = &mut self.fields[base..base + n];
-                if DEFER {
-                    couplings.row_axpy_suffix(i, delta, fields);
-                    if i > 0 {
-                        self.flip_log.push(FlipRec {
-                            spin: i as u32,
-                            lane: r as u32,
-                            delta,
-                        });
-                    }
-                } else {
-                    match couplings {
-                        Couplings::Dense(m) => propagate_dense(fields, m.row(i), delta),
-                        Couplings::Sparse(m) => {
-                            for (j, jij) in m.row_iter(i) {
-                                fields[j] += jij * delta;
-                            }
-                        }
-                    }
-                }
+                self.lane(r).flip::<DEFER>(couplings, i);
             }
         }
     }
@@ -1038,6 +914,95 @@ impl ReplicaBatch {
         let betas = std::mem::take(&mut self.betas_uniform);
         self.metropolis_sweep(model, &betas);
         self.betas_uniform = betas;
+    }
+}
+
+/// Lane `r`'s share of a [`ReplicaBatch`], borrowed out for one sweep: its
+/// contiguous spin and field slices, energy, flip count and noise stream,
+/// with the shared drive bounds and flip buffer. The serial-shaped scan
+/// runs on its plain slices, and [`Lane::flip`] is the one flip path of
+/// every lane sweep, Gibbs and Metropolis, masked or not.
+struct Lane<'a> {
+    r: usize,
+    spins: &'a mut [f64],
+    fields: &'a mut [f64],
+    energy: &'a mut f64,
+    flips: &'a mut u64,
+    stream: &'a mut NoiseSource,
+    drive_bounds: &'a [f64],
+    flip_log: &'a mut Vec<FlipRec>,
+}
+
+impl Lane<'_> {
+    /// The serial-shaped Gibbs scan over spins `start..n`: blocked settled
+    /// scan, three-tier decision per unsettled spin ([`gibbs_up`]), flip
+    /// propagation over the coupling row — exactly [`PbitMachine::sweep`]'s
+    /// loop on the lane's contiguous plane slices. Returns how many spins
+    /// passed the settled certificate.
+    ///
+    /// [`PbitMachine::sweep`]: crate::PbitMachine::sweep
+    fn scan_gibbs<const DEFER: bool>(
+        &mut self,
+        couplings: &Couplings,
+        beta: f64,
+        settle: f64,
+        start: usize,
+    ) -> usize {
+        let n = self.spins.len();
+        let mut settled = 0;
+        let mut i = start;
+        while i < n {
+            // settled scan + three-tier decisions, exactly like
+            // [`PbitMachine`]'s sweep (see its docs for the certificates)
+            let run = settled_run(&self.fields[i..n], &self.spins[i..n], settle);
+            settled += run;
+            i += run;
+            while i < n {
+                let f = self.fields[i];
+                if f * self.spins[i] >= settle {
+                    break;
+                }
+                let stream = &mut *self.stream;
+                let new_up = gibbs_up(beta, f, self.drive_bounds[i], || stream.symmetric());
+                if new_up != (self.spins[i] > 0.0) {
+                    self.flip::<DEFER>(couplings, i);
+                }
+                i += 1;
+            }
+        }
+        settled
+    }
+
+    /// Flips spin `i` and keeps the lane's books: the energy
+    /// (`ΔH = 2 s_i I_i`), the spin, the flip count, and the coupling-row
+    /// propagation into the lane's fields.
+    ///
+    /// `DEFER = true` splits the propagation: the suffix (`j ≥ i`) is
+    /// applied now, the prefix (`j < i`) is recorded in the flip buffer for
+    /// the end-of-sweep coalesced pass. `DEFER = false` propagates the full
+    /// row in one pass ([`Couplings::row_axpy`]) like the serial machine.
+    /// Both apply identical adds to every field in identical per-lane order
+    /// (module docs), so decisions, draws, and all books are bit-identical
+    /// either way.
+    #[inline(always)]
+    fn flip<const DEFER: bool>(&mut self, couplings: &Couplings, i: usize) {
+        let old = self.spins[i];
+        *self.energy += 2.0 * old * self.fields[i];
+        self.spins[i] = -old;
+        *self.flips += 1;
+        let delta = -2.0 * old; // new - old spin value
+        if DEFER {
+            couplings.row_axpy_suffix(i, delta, self.fields);
+            if i > 0 {
+                self.flip_log.push(FlipRec {
+                    spin: i as u32,
+                    lane: self.r as u32,
+                    delta,
+                });
+            }
+        } else {
+            couplings.row_axpy(i, delta, self.fields);
+        }
     }
 }
 

@@ -596,14 +596,19 @@ pub enum GroupState {
         /// The replica seeds the group will run.
         seeds: Vec<u64>,
     },
-    /// A single-replica group running through the serial annealer.
+    /// A single-replica group image written by older builds, which ran
+    /// one-lane groups on the serial annealer. Legacy and read-only: no
+    /// build writes it any more, but drain directories holding it still
+    /// resume — as a one-lane [`GroupState::Batch`] built from the
+    /// annealer's machine, noise stream and best, which is exactly the
+    /// lane the annealer replays.
     Serial {
         /// The replica's seed.
         seed: u64,
         /// The annealer image at the boundary.
         sa: SaState,
     },
-    /// A multi-lane group running through the replica batch.
+    /// A group of one or more lanes running through the replica batch.
     Batch {
         /// The replica seeds, one per lane.
         seeds: Vec<u64>,
@@ -658,11 +663,9 @@ pub struct PtState {
 }
 
 /// A complete engine state image — everything a bit-exact resume needs,
-/// tagged by engine.
+/// tagged by the engine a served [`JobSpec`] runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EngineState {
-    /// A [`crate::SimulatedAnnealing`] run.
-    Sa(SaState),
     /// A [`crate::GreedyDescent`] run.
     Descent(DescentState),
     /// An [`crate::EnsembleAnnealer`] run.
@@ -774,13 +777,10 @@ impl Checkpoint {
     /// [`CheckpointError::Io`] when the filesystem says no.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let payload = self.to_json();
-        let text = format!("{payload}\n{:016x}\n", digest64(payload.as_bytes()));
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = PathBuf::from(tmp_name);
-        std::fs::write(&tmp, &text).map_err(io_err)?;
-        std::fs::rename(&tmp, path).map_err(io_err)?;
-        Ok(())
+        write_atomic(
+            path,
+            &format!("{payload}\n{:016x}\n", digest64(payload.as_bytes())),
+        )
     }
 
     /// Reads and fully verifies a checkpoint file.
@@ -796,6 +796,19 @@ impl Checkpoint {
         let text = std::fs::read_to_string(path).map_err(io_err)?;
         Self::from_json(verify_payload(&text)?)
     }
+}
+
+/// Stages `text` in a `<path>.tmp` sibling and `rename`s it into place, so
+/// a crash mid-write leaves the previous file (or none) — never a torn one.
+/// The one atomic write behind [`Checkpoint::save`], the spec files a
+/// drain persists alongside checkpoints, and journal compaction. It does
+/// not fsync: the file survives a process crash, not a power loss.
+pub(crate) fn write_atomic(path: &Path, text: &str) -> Result<(), CheckpointError> {
+    let mut tmp_name = path.as_os_str().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = PathBuf::from(tmp_name);
+    std::fs::write(&tmp, text).map_err(io_err)?;
+    std::fs::rename(&tmp, path).map_err(io_err)
 }
 
 /// Splits a checkpoint file's text into payload and checksum and verifies

@@ -53,7 +53,7 @@
 //! partitioned backend silently forfeits the race long before the circuit
 //! breaker would trip, bounding the job's settlement latency by
 //! `hedge delay + healthy-backend time` instead of the breaker's
-//! `down_after_misses × probe_interval`.
+//! [`DOWN_AFTER_MISSES`] `× probe_interval`.
 //!
 //! Replica dispatches are budgeted: at most
 //! [`ReplicationPolicy::max_extra_load`] extra copies may be live
@@ -638,6 +638,10 @@ impl Default for ReplicationPolicy {
     }
 }
 
+/// Consecutive missed probes before a backend's breaker trips to
+/// [`BackendState::Down`].
+pub const DOWN_AFTER_MISSES: u32 = 3;
+
 /// Configuration of a [`Cluster`].
 #[derive(Clone)]
 pub struct ClusterConfig {
@@ -647,9 +651,6 @@ pub struct ClusterConfig {
     pub window: usize,
     /// How often each pump probes its backend with a `stats` frame.
     pub probe_interval: Duration,
-    /// Consecutive missed probes before the breaker trips to
-    /// [`BackendState::Down`].
-    pub down_after_misses: u32,
     /// Retry hint carried on shed [`Response::Overloaded`] frames.
     pub retry_after_ms: u64,
     /// Where the write-ahead intent journal lives; `None` keeps settlement
@@ -664,7 +665,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             window: 8,
             probe_interval: Duration::from_millis(25),
-            down_after_misses: 3,
             retry_after_ms: 25,
             journal: None,
             replication: ReplicationPolicy::default(),
@@ -1810,7 +1810,7 @@ impl Cluster {
                 jobs: HashMap::new(),
                 parked: VecDeque::new(),
                 fleet: ClientStats::default(),
-                health: HealthTracker::new(backends, config.down_after_misses),
+                health: HealthTracker::new(backends, DOWN_AFTER_MISSES),
                 journal,
                 next_client: 1,
                 next_gid: recovery.as_ref().map_or(1, |r| r.next_gid),

@@ -51,8 +51,8 @@
 //! records — through the same atomic tmp+rename discipline as
 //! `checkpoint.rs`, so a corrupt tail can never be appended to.
 
-use crate::checkpoint::digest64;
-use crate::service::{check_known_fields, parse_field, parse_json, write_atomic, JobSpec};
+use crate::checkpoint::{digest64, write_atomic};
+use crate::service::{check_known_fields, parse_field, parse_json, JobSpec};
 use serde::{Serialize, Value};
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};

@@ -41,7 +41,7 @@
 use crate::batch::{LaneBests, ReplicaBatch};
 use crate::checkpoint::{
     BestState, CheckpointError, Controlled, DoneLane, EnsembleState, GroupState, LaneState,
-    OutcomeKind, RunController, SaState,
+    OutcomeKind, RunController,
 };
 use crate::parallel;
 use crate::rng::derive_seed;
@@ -56,15 +56,18 @@ use serde::{Deserialize, Serialize};
 pub struct EnsembleConfig {
     /// Number of independent replicas per [`EnsembleAnnealer::solve`] call.
     pub replicas: usize,
-    /// Worker threads; `0` means all available cores. The thread count
-    /// affects wall-clock only, never results.
+    /// Worker threads; `0` means all available cores, or one inside
+    /// another pool's worker. The thread count affects wall-clock only,
+    /// never results.
     pub threads: usize,
     /// Replica lanes advanced together per structure-of-arrays batch
-    /// ([`ReplicaBatch`]). `0` (the default) adapts the width to the worker
-    /// pool — as wide as possible without starving workers of groups,
-    /// capped at [`EnsembleConfig::DEFAULT_BATCH_WIDTH`]; a nonzero value
-    /// is used as-is. Wider batches amortize each coupling-row load over
-    /// more replicas. The batch width affects wall-clock only, never
+    /// ([`ReplicaBatch`]). `0` (the default) adapts the width to the
+    /// workers `threads` resolves to — as wide as possible without starving
+    /// workers of groups, capped at [`EnsembleConfig::DEFAULT_BATCH_WIDTH`],
+    /// by the rule parallel tempering groups its ladder with; a nonzero
+    /// value is used as-is. Every group, one lane wide or more, anneals on
+    /// a [`ReplicaBatch`]. Wider batches amortize each coupling-row load
+    /// over more replicas. The batch width affects wall-clock only, never
     /// results — lane trajectories are batch-width-invariant by the
     /// [`ReplicaBatch`] contract.
     pub batch_width: usize,
@@ -93,9 +96,10 @@ impl Default for EnsembleConfig {
 
 impl EnsembleConfig {
     /// Cap on the adaptive lane count when [`EnsembleConfig::batch_width`]
-    /// is `0`: up to eight replicas share each coupling-row pass, and eight
-    /// f64 lanes fill one AVX-512 register (two AVX2 registers) while
-    /// keeping the spin/field planes cache-resident.
+    /// is `0`, and on parallel tempering's ladder groups: up to eight
+    /// replicas share each coupling-row pass, and eight f64 lanes fill one
+    /// AVX-512 register (two AVX2 registers) while keeping the spin/field
+    /// planes cache-resident.
     pub const DEFAULT_BATCH_WIDTH: usize = 8;
 
     fn validate(&self) {
@@ -193,12 +197,13 @@ impl EnsembleAnnealer {
     /// Runs `count` independent annealed runs of `model` in parallel and
     /// returns their outcomes **in run order** (thread-count invariant).
     ///
-    /// Runs are grouped into [`ReplicaBatch`]es: each worker advances its
-    /// whole group through every sweep together, so one coupling-row pass
-    /// serves the full lane set. With the default
-    /// [`EnsembleConfig::batch_width`] of `0`, the group width adapts
-    /// downward so the fan-out still covers the worker pool (more workers →
-    /// narrower groups), capped at
+    /// Runs are grouped into [`ReplicaBatch`]es — one-lane groups included
+    /// — and each worker advances its whole group through every sweep
+    /// together, so one coupling-row pass serves the full lane set. With
+    /// the default [`EnsembleConfig::batch_width`] of `0`, the group width
+    /// adapts downward so the fan-out still covers its workers (more
+    /// workers → narrower groups; one group inside another pool's worker,
+    /// where the fan-out runs inline), capped at
     /// [`EnsembleConfig::DEFAULT_BATCH_WIDTH`]; an explicit width is used
     /// as-is. Each run's trajectory is in every case bit-identical to a
     /// serial [`SimulatedAnnealing`](crate::SimulatedAnnealing) of the same
@@ -247,8 +252,11 @@ impl EnsembleAnnealer {
         let batch = self.batches;
         self.batches += 1;
         let config = self.config;
-        let width = self.group_width(count);
-        let groups = count.div_ceil(width.max(1));
+        let width = match config.batch_width {
+            0 => parallel::lane_group_width(count, config.threads),
+            fixed => fixed,
+        };
+        let groups = count.div_ceil(width);
         let runs = parallel::parallel_map_indexed(groups, config.threads, |g| {
             let lo = g * width;
             let hi = count.min(lo + width);
@@ -258,22 +266,6 @@ impl EnsembleAnnealer {
             run_group_fresh(model, &config, &seeds, ctrl)
         });
         (batch, runs)
-    }
-
-    /// The lane-group width `run_groups` uses for `count` replicas.
-    fn group_width(&self, count: usize) -> usize {
-        if self.config.batch_width == 0 {
-            let workers = if self.config.threads == 0 {
-                parallel::available_threads()
-            } else {
-                self.config.threads
-            };
-            count
-                .div_ceil(workers.max(1))
-                .clamp(1, EnsembleConfig::DEFAULT_BATCH_WIDTH)
-        } else {
-            self.config.batch_width
-        }
     }
 
     /// Like [`IsingSolver::solve`] (which delegates here), but polling
@@ -353,13 +345,6 @@ fn group_len(group: &GroupState) -> usize {
 /// Checks the controller before the first sweep (a stop there records the
 /// group as [`GroupState::Pending`], consuming no RNG words) and polls it at
 /// every sweep boundary after.
-///
-/// A single-seed group routes through a serial
-/// [`SimulatedAnnealing`](crate::SimulatedAnnealing) directly: that solver
-/// *is* the documented replay reference for a batch lane on the same seed,
-/// so the outcome is identical by contract while skipping the batch
-/// scaffolding a one-lane group would pay for (the `R = 1` overhead the
-/// perf snapshot's `batch` section records).
 fn run_group_fresh(
     model: &IsingModel,
     config: &EnsembleConfig,
@@ -375,26 +360,12 @@ fn run_group_fresh(
             outcomes: Vec::new(),
         };
     }
-    if let [seed] = seeds {
-        let mut sa = crate::sa::SimulatedAnnealing::new(config.schedule, config.mcs_per_run, *seed)
-            .with_dynamics(config.dynamics);
-        return serial_group_run(*seed, sa.solve_controlled(model, ctrl));
-    }
     let batch = ReplicaBatch::new(model, seeds);
     let bests = LaneBests::new(&batch);
     run_group_steps(model, config, seeds, batch, bests, 0, ctrl)
 }
 
-/// Wraps a serial lane's controlled result as a one-lane group.
-fn serial_group_run(seed: u64, run: Controlled<SaState>) -> GroupRun {
-    GroupRun {
-        status: run.status,
-        state: run.state.map(|sa| GroupState::Serial { seed, sa }),
-        outcomes: vec![run.outcome],
-    }
-}
-
-/// The ensemble's one batched sweep loop: advances a multi-lane group from
+/// The ensemble's one group loop: advances a group of any width from
 /// schedule step `start` under the controller, for fresh and resumed runs
 /// alike. The final sweep never checkpoints: a group caught there
 /// completes instead.
@@ -455,8 +426,9 @@ fn run_group_steps(
 }
 
 /// Rebuilds one recorded group and carries it forward: finished groups
-/// re-emit verbatim, pending groups start fresh, interrupted groups resume
-/// from their recorded boundary.
+/// re-emit verbatim, pending groups start fresh, interrupted groups —
+/// legacy serial groups included — resume on the batch from their recorded
+/// boundary.
 fn run_group_resumed(
     model: &IsingModel,
     config: &EnsembleConfig,
@@ -484,15 +456,23 @@ fn run_group_resumed(
             }
             Ok(run_group_fresh(model, config, seeds, ctrl))
         }
-        GroupState::Serial { seed, sa } => {
-            let mut solver =
-                crate::sa::SimulatedAnnealing::new(config.schedule, config.mcs_per_run, *seed)
-                    .with_dynamics(config.dynamics);
-            Ok(serial_group_run(
-                *seed,
-                solver.resume_controlled(model, sa, ctrl)?,
-            ))
-        }
+        // a serial-annealer image from an older build is a one-lane batch
+        // image: the annealer and a batch lane keep the same books, stream
+        // and best, so the group resumes as that batch
+        GroupState::Serial { seed, sa } => run_group_resumed(
+            model,
+            config,
+            &GroupState::Batch {
+                seeds: vec![*seed],
+                next_step: sa.next_step,
+                lanes: vec![LaneState {
+                    machine: sa.machine.clone(),
+                    noise: sa.noise.clone(),
+                }],
+                bests: vec![sa.best.clone()],
+            },
+            ctrl,
+        ),
         GroupState::Batch {
             seeds,
             next_step,
@@ -700,17 +680,47 @@ mod tests {
     #[test]
     fn matches_serial_reference_runs() {
         let (model, _) = planted_model();
-        // one 5-lane group: every lane runs the batch kernel, whatever the
-        // core count, so this checks it against the serial machine
-        let cfg = EnsembleConfig {
-            batch_width: 5,
-            ..config(5, 0)
-        };
-        let mut ensemble = EnsembleAnnealer::new(cfg, 9);
-        let out = ensemble.solve_ensemble(&model);
-        for r in &out.replicas {
-            let mut serial = SimulatedAnnealing::new(BetaSchedule::linear(6.0), 60, r.seed);
-            assert_eq!(serial.solve(&model), r.outcome, "replica {}", r.replica);
+        // one 5-lane group, then five one-lane groups: every lane runs the
+        // batch kernel, whatever the core count, so this checks both group
+        // shapes against the serial annealer
+        for batch_width in [5, 1] {
+            let cfg = EnsembleConfig {
+                batch_width,
+                ..config(5, 0)
+            };
+            let mut ensemble = EnsembleAnnealer::new(cfg, 9);
+            let out = ensemble.solve_ensemble(&model);
+            for r in &out.replicas {
+                let mut serial = SimulatedAnnealing::new(BetaSchedule::linear(6.0), 60, r.seed);
+                assert_eq!(
+                    serial.solve(&model),
+                    r.outcome,
+                    "width {batch_width} replica {}",
+                    r.replica
+                );
+            }
+        }
+    }
+
+    /// Inside a pool worker an auto-sized fan-out runs inline on one
+    /// thread, so the adaptive width must not split the replicas for cores
+    /// the fan-out will never use: all eight form one group.
+    #[test]
+    fn auto_width_inside_a_pool_worker_is_one_group() {
+        let (model, _) = planted_model();
+        let groups = parallel::parallel_map_indexed(2, 2, |_| {
+            let ctrl = RunController::unlimited();
+            ctrl.request_checkpoint();
+            let cut = EnsembleAnnealer::new(config(8, 0), 5).solve_controlled(&model, &ctrl);
+            cut.state
+                .expect("checkpointed before the first sweep")
+                .groups
+        });
+        for recorded in groups {
+            match recorded.as_slice() {
+                [GroupState::Pending { seeds }] => assert_eq!(seeds.len(), 8),
+                other => panic!("expected one 8-seed pending group, got {other:?}"),
+            }
         }
     }
 

@@ -105,7 +105,7 @@
 //! partition/heal, duplicate-outcome replay) are scripted through
 //! [`faults::BackendFaultPlan`].
 
-use crate::checkpoint::{CheckpointError, OutcomeKind, RunController};
+use crate::checkpoint::{write_atomic, CheckpointError, OutcomeKind, RunController};
 use crate::parallel::{self, ScheduledQueue, Ticket};
 use crate::service::{
     self, check_known_fields, parse_field, parse_json, JobOutcome, JobSpec, SchemaError, SolverJob,
@@ -615,6 +615,10 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// default of [`FrontendConfig::read_timeout`] and the router's client face.
 pub const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// The retry hint a [`Frontend`] carries on every [`Response::Overloaded`]
+/// it sheds, in milliseconds.
+pub const RETRY_AFTER_MS: u64 = 25;
+
 /// Configuration of a [`Frontend`].
 #[derive(Clone)]
 pub struct FrontendConfig {
@@ -628,10 +632,6 @@ pub struct FrontendConfig {
     pub max_queued_per_client: usize,
     /// Longest request line accepted before an `oversized` rejection.
     pub max_frame_bytes: usize,
-    /// Retry hint carried on [`Response::Overloaded`].
-    pub retry_after_ms: u64,
-    /// Sweeps between [`RunController`] polls for running jobs.
-    pub poll_interval: u64,
     /// How long a connection may sit with a half-written line before the
     /// reader kicks it (the slow-loris guard). Idle connections with no
     /// partial line are never kicked.
@@ -647,8 +647,6 @@ impl Default for FrontendConfig {
             max_queued: 256,
             max_queued_per_client: 64,
             max_frame_bytes: MAX_FRAME_BYTES,
-            retry_after_ms: 25,
-            poll_interval: 8,
             read_timeout: READ_TIMEOUT,
             faults: None,
         }
@@ -782,7 +780,7 @@ impl Hub {
         let job_id = job.spec().job;
         if state.draining || !state.clients.contains_key(&client) {
             return Response::Overloaded {
-                retry_after_ms: self.config.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             };
         }
         if enforce_admission {
@@ -794,7 +792,7 @@ impl Hub {
                 slot.stats.rejected += 1;
                 state.fleet.rejected += 1;
                 return Response::Overloaded {
-                    retry_after_ms: self.config.retry_after_ms,
+                    retry_after_ms: RETRY_AFTER_MS,
                 };
             }
         }
@@ -816,7 +814,7 @@ impl Hub {
             // the queue closes only when the hub is draining, checked above;
             // losing that race still sheds politely
             Err(_) => Response::Overloaded {
-                retry_after_ms: self.config.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             },
         }
     }
@@ -1021,7 +1019,7 @@ fn worker_loop(hub: Arc<Hub>) {
                 Hub::send_to(&state, client, Response::Outcome { outcome });
                 continue;
             }
-            let mut ctrl = RunController::unlimited().with_poll_interval(hub.config.poll_interval);
+            let mut ctrl = RunController::unlimited();
             if let Some(deadline) = scheduled.ticket.deadline {
                 let remaining = deadline.saturating_sub(hub.now_ms());
                 ctrl = ctrl.with_deadline_in(Duration::from_millis(remaining));
@@ -1244,7 +1242,7 @@ impl Frontend {
         }
         for (seq, _, job) in &pending {
             match job {
-                SolverJob::Fresh(spec) => service::write_atomic(
+                SolverJob::Fresh(spec) => write_atomic(
                     &dir.join(format!("job-{seq:06}.spec.json")),
                     &spec.to_json(),
                 )?,
@@ -1728,7 +1726,9 @@ mod tests {
         expect_accepted(&handle, 1);
         handle.submit(toy_spec(2, 2), 0, None);
         match handle.recv_timeout(Duration::from_secs(5)) {
-            Some(Response::Overloaded { retry_after_ms }) => assert_eq!(retry_after_ms, 25),
+            Some(Response::Overloaded { retry_after_ms }) => {
+                assert_eq!(retry_after_ms, RETRY_AFTER_MS)
+            }
             other => panic!("expected overloaded, got {other:?}"),
         }
         plan.release_workers();

@@ -145,16 +145,25 @@ where
 /// another auto-sized primitive's worker, where it means 1 (no nested
 /// pools). Always capped at `count` and at least 1.
 fn resolve_threads(threads: usize, count: usize) -> usize {
-    let threads = if threads == 0 {
-        if IN_POOL.with(std::cell::Cell::get) {
-            1
-        } else {
-            available_threads()
-        }
-    } else {
-        threads
-    };
-    threads.min(count).max(1)
+    resolve_pool_workers(threads).min(count).max(1)
+}
+
+/// The lane-group width both batched engines
+/// ([`EnsembleAnnealer`](crate::EnsembleAnnealer)'s adaptive width and
+/// [`ParallelTempering`](crate::ParallelTempering)'s ladder groups) split
+/// `count` replicas into for a `threads` request: as wide as possible
+/// while the group fan-out still covers its workers, capped at
+/// [`EnsembleConfig::DEFAULT_BATCH_WIDTH`](crate::EnsembleConfig::DEFAULT_BATCH_WIDTH).
+/// `threads` resolves exactly as the fan-out resolves it — `0` is
+/// [`auto_workers`], so inside another pool's worker, where the fan-out
+/// runs inline on one thread, the replicas form one group instead of
+/// being split for cores that will never run them. Lane trajectories are
+/// batch-width-invariant, so the width changes wall-clock only, never
+/// results.
+pub(crate) fn lane_group_width(count: usize, threads: usize) -> usize {
+    count
+        .div_ceil(resolve_pool_workers(threads))
+        .clamp(1, crate::EnsembleConfig::DEFAULT_BATCH_WIDTH)
 }
 
 /// Runs `rounds` fork–join rounds over one persistent worker pool.

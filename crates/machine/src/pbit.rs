@@ -2,7 +2,7 @@ use crate::bracket::gibbs_decision;
 use crate::rng::{NoiseSource, SweepNoise};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use saim_ising::{Couplings, IsingModel, Spin, SpinState};
+use saim_ising::{IsingModel, Spin, SpinState};
 
 /// Beyond this drive, `tanh(x)` rounds to exactly `±1.0` in `f64`
 /// (`2e^{-2x} < 2^{-53}` ulp), and `sign(±1 + u)` with `u ∈ [-1, 1)` is the
@@ -387,18 +387,7 @@ impl PbitMachine {
         self.state.flip(i);
         self.spins_f[i] = -old;
         let delta = -2.0 * old; // new - old spin value
-        match model.couplings() {
-            Couplings::Dense(m) => {
-                propagate_dense(&mut self.local_fields, m.row(i), delta);
-            }
-            // sparse fast path: only actual neighbours shift (Qubo::to_ising
-            // stores low-density models as CSR for exactly this loop)
-            Couplings::Sparse(m) => {
-                for (j, jij) in m.row_iter(i) {
-                    self.local_fields[j] += jij * delta;
-                }
-            }
-        }
+        model.couplings().row_axpy(i, delta, &mut self.local_fields);
         self.flips += 1;
     }
 
@@ -469,23 +458,7 @@ impl PbitMachine {
                 if f * self.spins_f[i] >= settle {
                     break;
                 }
-                // The three-tier decision (see the type docs): spins whose
-                // precomputed drive bound can reach saturation at this β
-                // run the exact compares; never-saturating spins — the hot
-                // regime's majority — go straight to the drawn bracket
-                // decision. Both replay the exact kernel bit-for-bit.
-                let drive = beta * f;
-                let new_up = if beta * self.drive_bounds[i] * CLASS_PAD >= SATURATION {
-                    if drive >= SATURATION {
-                        true
-                    } else if drive <= -SATURATION {
-                        false
-                    } else {
-                        gibbs_decision(drive, noise.noise_symmetric())
-                    }
-                } else {
-                    gibbs_decision(drive, noise.noise_symmetric())
-                };
+                let new_up = gibbs_up(beta, f, self.drive_bounds[i], || noise.noise_symmetric());
                 if new_up != (self.spins_f[i] > 0.0) {
                     self.apply_flip(model, i);
                     changed += 1;
@@ -662,23 +635,42 @@ pub(crate) fn settled_run(fields: &[f64], spins: &[f64], thresh: f64) -> usize {
     i
 }
 
-/// The dense flip propagation `I += delta · row` as a plain zip loop the
-/// compiler auto-vectorizes (an A/B against a manually 8-blocked version
-/// measured no slower — the pass is memory-bound). Elementwise, so the
-/// results are bit-identical to any blocking. Shared with the batched
-/// engine's width-1 serial path ([`crate::ReplicaBatch`]).
-#[inline]
-pub(crate) fn propagate_dense(fields: &mut [f64], row: &[f64], delta: f64) {
-    for (f, &jij) in fields.iter_mut().zip(row) {
-        *f += jij * delta;
+/// The three-tier Gibbs decision for one spin the settled scan left
+/// undecided (tiers 1–3 in [`PbitMachine`]'s docs): whether the spin
+/// comes up, given its local `field`, its drive bound `D_i` and the
+/// inverse temperature.
+///
+/// A spin whose drive bound can reach saturation at this β runs the exact
+/// saturation compares, which decide without a draw past `±SATURATION`;
+/// never-saturating spins — the hot regime's majority — go straight to
+/// the drawn bracket decision ([`gibbs_decision`]). `noise` is called
+/// exactly once on the drawn path and never otherwise, which is the
+/// kernel's RNG-consumption contract, so every caller — the serial
+/// machine and every batch lane — replays the exact kernel bit-for-bit.
+#[inline(always)]
+pub(crate) fn gibbs_up(
+    beta: f64,
+    field: f64,
+    drive_bound: f64,
+    noise: impl FnOnce() -> f64,
+) -> bool {
+    let drive = beta * field;
+    if beta * drive_bound * CLASS_PAD >= SATURATION {
+        if drive >= SATURATION {
+            return true;
+        }
+        if drive <= -SATURATION {
+            return false;
+        }
     }
+    gibbs_decision(drive, noise())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::new_rng;
-    use saim_ising::QuboBuilder;
+    use saim_ising::{Couplings, QuboBuilder};
 
     fn frustrated_model() -> IsingModel {
         let mut b = QuboBuilder::new(4);

@@ -12,7 +12,8 @@
 //! # Batched parallel execution and determinism
 //!
 //! Rounds are embarrassingly parallel across the ladder. Adjacent slots are
-//! grouped — eight per group — into one structure-of-arrays
+//! grouped — up to eight per group, by the lane-group width rule the
+//! replica ensemble uses too — into one structure-of-arrays
 //! [`ReplicaBatch`], so within a group every coupling-row pass of a sweep
 //! serves all member slots at once, and each round's group sweeps fan out
 //! over one **persistent per-solve worker pool**
@@ -78,17 +79,6 @@ use saim_ising::{IsingModel, SpinState};
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
-/// Cap on ladder slots advanced together per structure-of-arrays batch:
-/// within a group every coupling-row pass is shared ([`ReplicaBatch`]), and
-/// eight f64 lanes fill one AVX-512 register while keeping the spin/field
-/// planes cache-resident. The actual group width adapts downward so the
-/// per-round fan-out still covers the worker pool (more workers → narrower
-/// groups, never below one slot); lane trajectories are
-/// batch-width-invariant, so the grouping affects wall-clock only — results
-/// match the one-machine-per-slot engine bit for bit for every thread
-/// count, as `tests/determinism.rs` asserts.
-const MAX_GROUP_WIDTH: usize = 8;
-
 /// Configuration of the parallel-tempering solver.
 ///
 /// Defaults follow the PT-DA baseline the paper benchmarks against
@@ -106,10 +96,10 @@ pub struct PtConfig {
     /// Replica-exchange attempts happen between rounds of `swap_interval`
     /// sweeps (never after the final round).
     pub swap_interval: usize,
-    /// Worker threads for the per-round fan-out over slot groups (eight
-    /// adjacent ladder slots share one batched sweep); `0` means all
-    /// available cores. The thread count affects wall-clock only, never
-    /// results.
+    /// Worker threads for the per-round fan-out over slot groups (up to
+    /// eight adjacent ladder slots share one batched sweep); `0` means all
+    /// available cores, or one inside another pool's worker. The thread
+    /// count affects wall-clock only, never results.
     pub threads: usize,
 }
 
@@ -323,18 +313,12 @@ impl ParallelTempering {
         let rounds = lens.len();
 
         // Adjacent slots share a batch so every coupling-row pass serves the
-        // whole group. The width adapts to the worker pool — narrower groups
-        // when more workers are available, so the round fan-out still covers
-        // every core — capped at MAX_GROUP_WIDTH for cache residency. Lane
+        // whole group; the width adapts to the round fan-out's workers
+        // (`parallel::lane_group_width`, the ensemble's rule too). Lane
         // trajectories are batch-width-invariant, so this is wall-clock
         // only. Group construction consumes only the member slots' own
         // streams, so building serially changes nothing.
-        let workers = if config.threads == 0 {
-            parallel::available_threads()
-        } else {
-            config.threads
-        };
-        let width = r.div_ceil(workers.max(1)).clamp(1, MAX_GROUP_WIDTH);
+        let width = parallel::lane_group_width(r, config.threads);
         let group_count = r.div_ceil(width);
         // slot k lives in group k / width, lane k % width
         let locate = |k: usize| (k / width, k % width);

@@ -707,17 +707,6 @@ pub(crate) fn load_drain_dir(dir: &Path) -> Result<Vec<SolverJob>, CheckpointErr
     Ok(jobs)
 }
 
-/// Stages `text` in a `<path>.tmp` sibling and `rename`s it into place —
-/// the same crash-safety contract as [`Checkpoint::save`], for the spec
-/// files a drain persists alongside checkpoints.
-pub(crate) fn write_atomic(path: &Path, text: &str) -> Result<(), CheckpointError> {
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = PathBuf::from(tmp_name);
-    std::fs::write(&tmp, text).map_err(|e| CheckpointError::Io(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

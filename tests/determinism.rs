@@ -241,7 +241,7 @@ fn ensemble_outcome_is_invariant_in_batch_width() {
         let got = EnsembleAnnealer::new(config(batch_width), 55).solve_ensemble(&model);
         assert_eq!(got, reference, "batch_width = {batch_width}");
     }
-    // and the width-1 path is still the serial SimulatedAnnealing replay
+    // and the one-lane groups replay the serial SimulatedAnnealing
     for r in &reference.replicas {
         let serial = SimulatedAnnealing::new(BetaSchedule::linear(8.0), 120, r.seed).solve(&model);
         assert_eq!(r.outcome, serial, "replica {}", r.replica);
@@ -382,8 +382,9 @@ fn engines_are_invariant_at_env_selected_thread_count() {
     );
 
     // batch legs in the same env-selected matrix: the lane-major batched
-    // sweep at widths 2 and 16 must reproduce the width-1 serial-shaped
-    // replay at this thread count, on an anneal ramp and a hot hold alike
+    // sweep at widths 2 and 16 must reproduce the one-lane groups at this
+    // thread count, and those the serial annealer, on an anneal ramp and a
+    // hot hold alike
     for schedule in [BetaSchedule::linear(9.0), BetaSchedule::constant(4.0)] {
         let batch_ens = |threads: usize, batch_width: usize| EnsembleConfig {
             replicas: 5,
@@ -394,6 +395,10 @@ fn engines_are_invariant_at_env_selected_thread_count() {
             dynamics: Dynamics::Gibbs,
         };
         let reference = EnsembleAnnealer::new(batch_ens(1, 1), 37).solve_ensemble(&model);
+        for r in &reference.replicas {
+            let serial = SimulatedAnnealing::new(schedule, 80, r.seed).solve(&model);
+            assert_eq!(r.outcome, serial, "replica {}, {schedule:?}", r.replica);
+        }
         for batch_width in [2, 16] {
             assert_eq!(
                 EnsembleAnnealer::new(batch_ens(threads, batch_width), 37).solve_ensemble(&model),

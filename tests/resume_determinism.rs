@@ -4,9 +4,10 @@
 //! service's graceful drain safe to use at all. Covers every engine, hot
 //! (β ∈ {2, 8}) and deep-quench schedule legs, batch widths 1/4/8, the
 //! CI-matrix-selected worker count (`SAIM_DETERMINISM_THREADS` = 1/2/8),
-//! the on-disk checkpoint round trip at every width, and a fixture
-//! checkpoint written by the old spin-major batch build restoring under
-//! the lane-major layout.
+//! the on-disk checkpoint round trip at every width, and fixture
+//! checkpoints written by older builds — the spin-major batch layout, and
+//! one-lane ensemble groups on the serial annealer — restoring under the
+//! lane-major batch.
 
 use proptest::prelude::*;
 use saim_core::ConstrainedProblem;
@@ -296,21 +297,39 @@ fn a_checkpoint_file_resumes_bit_identically_after_the_disk_round_trip() {
 
 #[test]
 fn a_spin_major_era_checkpoint_restores_under_the_lane_major_layout() {
-    // `tests/fixtures/spin_major_ensemble_w4.ckpt` was written by the
-    // spin-major (n × W plane) build of the batch engine, interrupted at
-    // sweep 40 of a width-4 ensemble job. Checkpoints store per-lane
-    // *serial machine* images, not plane slabs, so the lane-major engine
-    // must scatter them into its own layout and finish bit-identically to
-    // the embedded spec's uninterrupted run — a layout change is not a
-    // checkpoint format bump.
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/spin_major_ensemble_w4.ckpt");
-    let loaded = Checkpoint::load(&path).expect("the spin-major fixture still loads");
-    let oracle = loaded.spec.run();
-    let resumed = loaded
-        .spec
-        .resume_controlled(&loaded.engine, &RunController::unlimited())
-        .expect("the fixture fits its embedded spec");
-    assert_eq!(resumed.outcome.outcome_kind, OutcomeKind::Completed);
-    assert_eq!(resumed.outcome.canonical(), oracle.canonical());
+    // Two fixtures written by older builds, each interrupted at sweep 40:
+    //
+    // - `spin_major_ensemble_w4.ckpt`, by the spin-major (n × W plane)
+    //   build of the batch engine, a width-4 ensemble job. Checkpoints
+    //   store per-lane *serial machine* images, not plane slabs, so the
+    //   lane-major engine must scatter them into its own layout — a layout
+    //   change is not a checkpoint format bump.
+    // - `serial_group_ensemble_w1.ckpt`, by a build that ran one-lane
+    //   ensemble groups on the serial annealer: three replicas at
+    //   `batch_width: 1`, every group a `GroupState::Serial` image, which
+    //   resumes as a one-lane batch built from the annealer's books,
+    //   stream and best.
+    //
+    // Both must finish bit-identically to the embedded spec's
+    // uninterrupted run.
+    for fixture in [
+        "spin_major_ensemble_w4.ckpt",
+        "serial_group_ensemble_w1.ckpt",
+    ] {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(fixture);
+        let loaded = Checkpoint::load(&path).expect("the fixture still loads");
+        let oracle = loaded.spec.run();
+        let resumed = loaded
+            .spec
+            .resume_controlled(&loaded.engine, &RunController::unlimited())
+            .expect("the fixture fits its embedded spec");
+        assert_eq!(
+            resumed.outcome.outcome_kind,
+            OutcomeKind::Completed,
+            "{fixture}"
+        );
+        assert_eq!(resumed.outcome.canonical(), oracle.canonical(), "{fixture}");
+    }
 }
