@@ -19,7 +19,6 @@ use saim_core::presets;
 use saim_core::{SaimConfig, SaimRunner};
 use saim_knapsack::generate;
 use saim_machine::{derive_seed, parallel, BetaSchedule, SimulatedAnnealing};
-use std::time::Duration;
 
 fn main() {
     let args = HarnessArgs::parse(0.08, std::env::args().skip(1));
@@ -48,8 +47,8 @@ fn main() {
         let mut avg_acc = Vec::new();
         let mut feas = Vec::new();
         // independent instances anneal across cores; fold in instance order
-        // (solver results are thread-count invariant; the time-limited B&B
-        // reference can vary with core contention, as it always did with load)
+        // (solver results and the node-budgeted B&B reference are both
+        // thread-count invariant)
         let cells = parallel::parallel_map_indexed(instances, 0, |idx| {
             let inst_seed = derive_seed(args.seed, idx as u64);
             let instance = generate::qkp(n, 0.5, inst_seed).expect("valid parameters");
@@ -67,7 +66,7 @@ fn main() {
                 derive_seed(inst_seed, 1),
             );
             let outcome = SaimRunner::new(config).run(&enc, solver);
-            let (reference, _) = experiments::qkp_reference(&instance, Duration::from_secs(2));
+            let (reference, _) = experiments::qkp_reference(&instance, 2.0);
             let reference =
                 reference.max(outcome.best.as_ref().map(|b| (-b.cost) as u64).unwrap_or(0));
             (

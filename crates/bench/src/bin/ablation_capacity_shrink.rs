@@ -20,7 +20,6 @@ use saim_core::presets;
 use saim_core::SaimRunner;
 use saim_knapsack::{generate, MkpInstance};
 use saim_machine::{derive_seed, parallel};
-use std::time::Duration;
 
 /// Copy of `instance` with every capacity scaled by `gamma`.
 fn shrink(instance: &MkpInstance, gamma: f64) -> MkpInstance {
@@ -52,8 +51,8 @@ fn main() {
         let mut best_acc = Vec::new();
         let mut avg_acc = Vec::new();
         // independent instances anneal across cores; fold in instance order
-        // (solver results are thread-count invariant; the time-limited B&B
-        // reference can vary with core contention, as it always did with load)
+        // (solver results and the node-budgeted B&B reference are both
+        // thread-count invariant)
         let cells = parallel::parallel_map_indexed(instances, 0, |idx| {
             let inst_seed = derive_seed(args.seed, idx as u64);
             let original =
@@ -64,7 +63,7 @@ fn main() {
             let outcome =
                 SaimRunner::new(config).run(&enc, preset.solver(derive_seed(inst_seed, 1)));
             // score each measured sample against the ORIGINAL capacities
-            let (reference, _, _) = experiments::mkp_reference(&original, Duration::from_secs(3));
+            let (reference, _, _) = experiments::mkp_reference(&original, 3.0);
             let mut n_feas = 0usize;
             let mut best: Option<u64> = None;
             let mut sum = 0u64;

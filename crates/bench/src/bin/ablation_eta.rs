@@ -17,7 +17,6 @@ use saim_core::presets;
 use saim_core::{SaimConfig, SaimRunner};
 use saim_knapsack::generate;
 use saim_machine::{derive_seed, parallel};
-use std::time::Duration;
 
 fn main() {
     let args = HarnessArgs::parse(0.08, std::env::args().skip(1));
@@ -42,8 +41,8 @@ fn main() {
         let mut feas = Vec::new();
         let mut first_feas = Vec::new();
         // instances are independent; anneal them across cores and fold in
-        // instance order (solver results are thread-count invariant; the
-        // time-limited B&B reference can vary with core contention)
+        // instance order (solver results and the node-budgeted B&B reference
+        // are both thread-count invariant)
         let cells = parallel::parallel_map_indexed(instances, 0, |idx| {
             let inst_seed = derive_seed(args.seed, idx as u64);
             let instance = generate::qkp(n, 0.5, inst_seed).expect("valid parameters");
@@ -52,7 +51,7 @@ fn main() {
             config.eta = eta;
             let outcome =
                 SaimRunner::new(config).run(&enc, preset.solver(derive_seed(inst_seed, 1)));
-            let (reference, _) = experiments::qkp_reference(&instance, Duration::from_secs(2));
+            let (reference, _) = experiments::qkp_reference(&instance, 2.0);
             let reference =
                 reference.max(outcome.best.as_ref().map(|b| (-b.cost) as u64).unwrap_or(0));
             let best = outcome

@@ -19,7 +19,6 @@ use saim_core::presets;
 use saim_core::{PenaltyMethod, SaimConfig, SaimRunner};
 use saim_knapsack::generate;
 use saim_machine::{derive_seed, parallel};
-use std::time::Duration;
 
 fn main() {
     let args = HarnessArgs::parse(0.08, std::env::args().skip(1));
@@ -45,13 +44,13 @@ fn main() {
         let mut pen_best = Vec::new();
         let mut pen_feas = Vec::new();
         // independent instances anneal across cores; fold in instance order
-        // (solver results are thread-count invariant; the time-limited B&B
-        // reference can vary with core contention, as it always did with load)
+        // (solver results and the node-budgeted B&B reference are both
+        // thread-count invariant)
         let cells = parallel::parallel_map_indexed(instances, 0, |idx| {
             let inst_seed = derive_seed(args.seed, idx as u64);
             let instance = generate::qkp(n, 0.5, inst_seed).expect("valid parameters");
             let enc = instance.encode().expect("encodes");
-            let (reference, _) = experiments::qkp_reference(&instance, Duration::from_secs(2));
+            let (reference, _) = experiments::qkp_reference(&instance, 2.0);
 
             // SAIM at this α
             use saim_core::ConstrainedProblem;

@@ -15,7 +15,6 @@ use saim_bench::experiments;
 use saim_bench::report::{downsample, sparkline, Table};
 use saim_core::presets;
 use saim_knapsack::generate;
-use std::time::Duration;
 
 fn main() {
     let args = HarnessArgs::parse(0.1, std::env::args().skip(1));
@@ -39,7 +38,7 @@ fn main() {
     );
 
     let (result, outcome) = experiments::saim_qkp(&enc, preset, args.scale, args.seed);
-    let (reference, certified) = experiments::qkp_reference(&instance, Duration::from_secs(5));
+    let (reference, certified) = experiments::qkp_reference(&instance, 5.0);
     let reference = experiments::best_known(reference, &[&result]);
 
     // b) cost trace: feasible (green triangles in the paper) vs unfeasible (red)

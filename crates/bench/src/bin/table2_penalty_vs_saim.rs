@@ -24,7 +24,6 @@ use saim_core::presets;
 use saim_knapsack::generate;
 use saim_machine::derive_seed;
 use saim_machine::parallel::parallel_map_indexed;
-use std::time::Duration;
 
 fn fmt_acc(v: Option<f64>) -> String {
     v.map_or("-".into(), |a| format!("{a:.1}"))
@@ -83,7 +82,7 @@ fn main() {
         // the paper's "same setup as SAIM" penalty run inherits the tuned P
         let pen = experiments::penalty_same_budget(&enc, preset, args.scale, inst_seed, alpha);
 
-        let (reference, certified) = experiments::qkp_reference(&instance, Duration::from_secs(3));
+        let (reference, certified) = experiments::qkp_reference(&instance, 3.0);
         let reference = experiments::best_known(reference, &[&saim, &pen, &tuned]);
         let label = format!("{n}-{}-{}", (density * 100.0) as u32, idx + 1);
         (label, saim, pen, tuned, alpha, reference, certified)

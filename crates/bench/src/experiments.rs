@@ -286,17 +286,40 @@ pub fn ga_mkp(instance: &MkpInstance, scale: f64, seed: u64) -> MethodResult {
     }
 }
 
+/// QKP branch & bound expands about this many nodes per second, divided by
+/// the item count `n`, on one of two busy cores of a 2-vCPU VM (the bins
+/// run two instances at once). Fitted to the bins' own `--full` instances
+/// at n = 100, 200 and 300: their 94 reference calls took 0.1–4× their
+/// budget, median 0.9× (at n = 40–60 the search runs 1–1.7× faster than
+/// the fit). The bound costs O(n²) per node at worst, but most
+/// nodes lie deep in the tree, where few items are still undecided.
+const QKP_NODES_PER_SECOND_TIMES_N: f64 = 6e6;
+
+/// MKP branch & bound expands about this many nodes per second, divided by
+/// `m·√n` for `n` items and `m` constraints, on the same busy core:
+/// fitted at n = 40–250 and m = 5–10; every `--full` row took 0.55–1.05×
+/// its budget.
+const MKP_NODES_PER_SECOND_TIMES_M_SQRT_N: f64 = 9e7;
+
+/// B&B limits worth about `core_seconds` of one core at `nodes_per_second`,
+/// as a node budget with no wall-clock limit. The node budget makes the
+/// reference, and whether it is certified, a function of the instance
+/// alone, never of the machine's speed or load; the size-aware rate keeps
+/// a reference's cost near `core_seconds` at every instance size.
+fn node_budget(core_seconds: f64, nodes_per_second: f64) -> BbLimits {
+    BbLimits {
+        max_nodes: (core_seconds * nodes_per_second) as u64,
+        time_limit: Duration::MAX,
+    }
+}
+
 /// The best profit this workspace can certify or witness for a QKP instance:
-/// branch & bound (certified when it completes) cross-checked against
-/// greedy + local search. Returns `(profit, certified)`.
-pub fn qkp_reference(instance: &QkpInstance, time_limit: Duration) -> (u64, bool) {
-    let bnb = bb::solve_qkp(
-        instance,
-        BbLimits {
-            max_nodes: u64::MAX,
-            time_limit,
-        },
-    );
+/// branch & bound within a node budget worth about `core_seconds` (certified
+/// when it completes) cross-checked against greedy + local search. Returns
+/// `(profit, certified)`.
+pub fn qkp_reference(instance: &QkpInstance, core_seconds: f64) -> (u64, bool) {
+    let rate = QKP_NODES_PER_SECOND_TIMES_N / instance.len() as f64;
+    let bnb = bb::solve_qkp(instance, node_budget(core_seconds, rate));
     let mut sel = greedy::qkp(instance);
     local::improve_qkp(instance, &mut sel);
     let heuristic = instance.profit(&sel);
@@ -309,16 +332,13 @@ pub fn qkp_reference(instance: &QkpInstance, time_limit: Duration) -> (u64, bool
 }
 
 /// The best profit this workspace can certify or witness for an MKP
-/// instance. Returns `(profit, certified, elapsed)` — elapsed is the
-/// Table V "B&B time" column.
-pub fn mkp_reference(instance: &MkpInstance, time_limit: Duration) -> (u64, bool, Duration) {
-    let bnb = bb::solve_mkp(
-        instance,
-        BbLimits {
-            max_nodes: u64::MAX,
-            time_limit,
-        },
-    );
+/// instance, with B&B limited to a node budget worth about `core_seconds`.
+/// Returns `(profit, certified, elapsed)` — elapsed is the Table V "B&B
+/// time" column, the one measured (machine-dependent) figure.
+pub fn mkp_reference(instance: &MkpInstance, core_seconds: f64) -> (u64, bool, Duration) {
+    let m_sqrt_n = instance.num_constraints() as f64 * (instance.len() as f64).sqrt();
+    let rate = MKP_NODES_PER_SECOND_TIMES_M_SQRT_N / m_sqrt_n;
+    let bnb = bb::solve_mkp(instance, node_budget(core_seconds, rate));
     let mut sel = greedy::mkp(instance);
     local::improve_mkp(instance, &mut sel);
     let heuristic = instance.profit(&sel);
@@ -348,7 +368,7 @@ mod tests {
         let enc = inst.encode().unwrap();
         let (res, outcome) = saim_qkp(&enc, presets::qkp(), 0.02, 1);
         assert_eq!(outcome.records.len(), 40);
-        let (opt, certified) = qkp_reference(&inst, Duration::from_secs(5));
+        let (opt, certified) = qkp_reference(&inst, 5.0);
         assert!(certified);
         if let Some(best) = res.best_profit {
             assert!(best <= opt);
@@ -394,7 +414,7 @@ mod tests {
     fn ga_and_reference_drivers_run() {
         let inst = generate::mkp(14, 3, 0.5, 4).unwrap();
         let res = ga_mkp(&inst, 0.005, 4);
-        let (opt, certified, _) = mkp_reference(&inst, Duration::from_secs(5));
+        let (opt, certified, _) = mkp_reference(&inst, 5.0);
         assert!(certified);
         assert!(res.best_profit.unwrap() <= opt);
     }

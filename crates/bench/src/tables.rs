@@ -8,7 +8,6 @@ use saim_core::presets;
 use saim_knapsack::generate;
 use saim_machine::derive_seed;
 use saim_machine::parallel::parallel_map_indexed;
-use std::time::Duration;
 
 /// Per-instance outcome of the three-way QKP comparison.
 #[derive(Debug, Clone)]
@@ -38,10 +37,9 @@ pub fn qkp_comparison(
     let preset = presets::qkp();
     // every instance is seeded independently, so the comparison grid fans
     // out over an ordered map and rows come back in grid order. Solver
-    // digests are thread-count invariant; the wall-clock-limited B&B
-    // *reference* is not (it explores fewer nodes under core contention),
-    // which the serial loop already suffered under machine load — treat
-    // the OPT/best-known labels as machine-dependent either way.
+    // digests are thread-count invariant, and so is the B&B reference,
+    // whose node budget makes the OPT/best-known labels a function of the
+    // instance alone.
     let count = densities.len() * instances_per_density;
     parallel_map_indexed(count, 0, |cell| {
         let di = cell / instances_per_density;
@@ -57,7 +55,7 @@ pub fn qkp_comparison(
         // (PT-DA had 7500x; see EXPERIMENTS.md)
         let pt = experiments::pt_baseline(&enc, preset, args.scale, inst_seed, 2.0, alpha);
 
-        let (reference, certified) = experiments::qkp_reference(&instance, Duration::from_secs(3));
+        let (reference, certified) = experiments::qkp_reference(&instance, 3.0);
         let reference = experiments::best_known(reference, &[&saim, &best_sa, &pt]);
 
         QkpComparisonRow {

@@ -726,7 +726,7 @@ impl Checkpoint {
     /// before anything else), [`CheckpointError::InstanceDigestMismatch`]
     /// when envelope and embedded spec disagree, and
     /// [`CheckpointError::Malformed`] on any shape problem — including a
-    /// rejected embedded spec, which is re-parsed through the strict
+    /// rejected embedded spec, which gets the strictness of
     /// [`JobSpec::from_json`].
     pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
         let value = serde_json::parse_value_str(text)
@@ -743,9 +743,7 @@ impl Checkpoint {
         let spec_value = value
             .field("spec")
             .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        let spec_text =
-            serde_json::to_string(spec_value).expect("value re-serialization is infallible");
-        let spec = JobSpec::from_json(&spec_text)
+        let spec = JobSpec::from_value_strict(spec_value)
             .map_err(|e| CheckpointError::Malformed(format!("embedded spec: {e}")))?;
         let engine: EngineState = read_field(&value, "engine")?;
         if instance_digest != spec.instance_digest {

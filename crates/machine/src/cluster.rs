@@ -101,18 +101,30 @@
 //!
 //! 1. **A write-ahead intent journal** ([`journal`]) — `routed` before a
 //!    job is owned, `accepted` once a backend admits it, `settled` after
-//!    the terminal frame is delivered. Atomic tmp+rename compaction on
-//!    open, one checksum per line, conservative torn-tail recovery.
+//!    the terminal frame is delivered. One checksum per line,
+//!    conservative torn-tail recovery, and atomic tmp+rename compaction
+//!    both on open and while the router runs, so the file stays bounded
+//!    by the live jobs' specs plus a constant.
 //! 2. **Global job ids**: the router rewrites each spec's `job` to a
 //!    router-global gid before forwarding, so every backend frame names
 //!    the gid and the original client id is restored only at delivery.
-//! 3. **Settlement dedup by gid**: the first terminal frame for a gid
-//!    settles it; late frames — a partition healing after failover, an
-//!    at-least-once transport replaying outcomes, a restarted backend's
-//!    recovery stream re-delivering work that was already re-routed — are
-//!    counted and dropped. Because a [`JobOutcome`] is a pure function of
-//!    its spec, whichever copy wins is bit-identical to the direct
-//!    `spec.run()` oracle.
+//!    Gids are never reused, across restarts and compactions alike: a
+//!    compacted journal records the next unissued gid as its fence.
+//! 3. **Settlement dedup by gid**: only a live gid settles, and settling
+//!    it removes the live job; late frames — a partition healing after
+//!    failover, an at-least-once transport replaying outcomes, a
+//!    restarted backend's recovery stream re-delivering work that was
+//!    already re-routed — are counted and dropped. Because a
+//!    [`JobOutcome`] is a pure function of its spec, whichever copy wins
+//!    is bit-identical to the direct `spec.run()` oracle.
+//!
+//! The router's memory is bounded the same way. Settling a job drops its
+//! spec and leaves a tombstone of a few dozen bytes (client, client job
+//! id, the winner's outcome digest) for the last [`TOMBSTONE_HORIZON`]
+//! settled gids; the tombstone is what the outcome-mismatch alarm checks a
+//! late replica against. A duplicate arriving past the horizon is still
+//! dropped, since its gid is not live, but without that check, and is
+//! counted in [`ClusterReport::duplicates_past_horizon`].
 //!
 //! # Degradation
 //!
@@ -688,41 +700,62 @@ impl ClusterConfig {
 
 // ------------------------------------------------------------------ core
 
-/// One client-owed job's bookkeeping, keyed by its router-global gid.
-struct JobRecord {
+/// One live job's bookkeeping, keyed by its router-global gid: routed and
+/// owed a terminal frame. Settlement replaces it with a [`Tombstone`].
+struct LiveJob {
     client: u64,
     client_job: u64,
     spec: JobSpec,
     priority: u8,
     deadline_ms: Option<u64>,
-    settled: bool,
     probe: bool,
     /// The first backend the job was placed on — the hedge timer's EMA
     /// source. `None` until first placement (or forever, when parked).
     primary: Option<usize>,
     /// Backends that received a speculative replica, in firing order.
     hedge_backends: Vec<usize>,
-    /// Canonical digest of the settling completed outcome, kept after the
-    /// settle so a late loser's outcome can be cross-checked against it.
-    settled_digest: Option<u64>,
 }
 
-impl JobRecord {
+impl LiveJob {
     fn new(client: u64, client_job: u64, spec: JobSpec, priority: u8) -> Self {
-        JobRecord {
+        LiveJob {
             client,
             client_job,
             spec,
             priority,
             deadline_ms: None,
-            settled: false,
             probe: false,
             primary: None,
             hedge_backends: Vec::new(),
-            settled_digest: None,
         }
     }
 }
+
+/// What a settled gid leaves behind for [`TOMBSTONE_HORIZON`] further
+/// settlements: who it was delivered to and, for a completed outcome, the
+/// canonical digest a late loser's outcome is cross-checked against.
+struct Tombstone {
+    client: u64,
+    client_job: u64,
+    digest: Option<u64>,
+}
+
+/// How many of the most recently settled gids keep a [`Tombstone`]. A late
+/// duplicate of an older gid is still dropped, since only live gids
+/// settle, but without the outcome-mismatch cross-check; it is counted in
+/// [`ClusterReport::duplicates_past_horizon`].
+///
+/// The horizon counts settlements, not time, and nothing in the router
+/// bounds how late a duplicate can arrive: a hedged loser arrives when its
+/// solve ends, but a partitioned backend delivers its copy whenever the
+/// partition heals, and a backend session drops a silent peer only after
+/// [`READ_TIMEOUT`](crate::frontend::READ_TIMEOUT) (30 s). At 4096 the
+/// horizon spans about 20 s of settlements at the 200 jobs/s a
+/// two-backend fleet sustains (less than one read timeout) and over two
+/// minutes at the 30 jobs/s of the end-to-end benchmark; it costs well
+/// under 1 MB. A duplicate past it loses only the cross-check, never
+/// exactly-once delivery.
+pub const TOMBSTONE_HORIZON: usize = 4096;
 
 /// One armed hedge timer: when it comes `due`, up to `remaining` extra
 /// replicas of the gid fire (budget and capacity permitting), re-arming
@@ -815,7 +848,12 @@ impl BackendSlot {
 struct CoreState {
     clients: HashMap<u64, RouterClient>,
     backends: Vec<BackendSlot>,
-    jobs: HashMap<u64, JobRecord>,
+    /// Live jobs by gid.
+    jobs: HashMap<u64, LiveJob>,
+    /// Tombstones of the last [`TOMBSTONE_HORIZON`] settled gids, and
+    /// those gids in settling order (the eviction queue).
+    tombstones: HashMap<u64, Tombstone>,
+    settled_order: VecDeque<u64>,
     /// Routed jobs with no eligible backend yet, in routing order.
     parked: VecDeque<u64>,
     fleet: ClientStats,
@@ -825,6 +863,8 @@ struct CoreState {
     next_gid: u64,
     shutting_down: bool,
     duplicates_dropped: u64,
+    duplicates_past_horizon: u64,
+    compactions: u64,
     reroutes: u64,
     timed_settles: u64,
     timed_settle_ms: u64,
@@ -959,9 +999,9 @@ impl RouterCore {
         }
         state.jobs.insert(
             gid,
-            JobRecord {
+            LiveJob {
                 deadline_ms,
-                ..JobRecord::new(client, client_job, spec, priority)
+                ..LiveJob::new(client, client_job, spec, priority)
             },
         );
         state.fleet.accepted += 1;
@@ -980,7 +1020,7 @@ impl RouterCore {
             .clients
             .get(&client)
             .and_then(|slot| slot.by_job.get(&job).copied());
-        let live = gid.filter(|gid| state.jobs.get(gid).is_some_and(|r| !r.settled));
+        let live = gid.filter(|gid| state.jobs.contains_key(gid));
         let Some(gid) = live else {
             Self::send_to(
                 state,
@@ -1140,9 +1180,6 @@ impl RouterCore {
         let Some(record) = state.jobs.get(&gid) else {
             return;
         };
-        if record.settled {
-            return;
-        }
         let key = shard_key(&record.spec);
         let candidates = self.eligible(state, now, exclude);
         match rendezvous_choice(key, &candidates) {
@@ -1156,11 +1193,10 @@ impl RouterCore {
     fn flush_parked(&self, state: &mut CoreState, now: u64) {
         let mut still_parked = VecDeque::new();
         while let Some(gid) = state.parked.pop_front() {
-            let live = state.jobs.get(&gid).is_some_and(|r| !r.settled);
-            if !live {
+            let Some(record) = state.jobs.get(&gid) else {
                 continue;
-            }
-            let key = shard_key(&state.jobs[&gid].spec);
+            };
+            let key = shard_key(&record.spec);
             let candidates = self.eligible(state, now, None);
             match rendezvous_choice(key, &candidates) {
                 Some(b) => self.placed_on(state, gid, b, now),
@@ -1178,9 +1214,6 @@ impl RouterCore {
         let Some(record) = state.jobs.get(&gid) else {
             return;
         };
-        if record.settled {
-            return;
-        }
         if record.probe {
             // a probe job dies with its backend attempt
             state.jobs.remove(&gid);
@@ -1210,7 +1243,7 @@ impl RouterCore {
             .collect();
         due.sort_unstable();
         for gid in due {
-            if state.jobs.get(&gid).is_none_or(|r| r.settled) {
+            if !state.jobs.contains_key(&gid) {
                 state.pending_hedges.remove(&gid);
                 continue;
             }
@@ -1343,9 +1376,9 @@ impl RouterCore {
             state.next_gid += 1;
             state.jobs.insert(
                 gid,
-                JobRecord {
+                LiveJob {
                     probe: true,
-                    ..JobRecord::new(0, gid, probe_spec(gid), 0)
+                    ..LiveJob::new(0, gid, probe_spec(gid), 0)
                 },
             );
             state.backends[b].enqueue(gid);
@@ -1354,17 +1387,14 @@ impl RouterCore {
         self.fire_due_hedges(state, now);
         if state.backends[b].awaiting.is_none() && now >= state.backends[b].backoff_until {
             while let Some(gid) = state.backends[b].queued.pop_front() {
-                match state.jobs.get(&gid) {
-                    Some(record) if !record.settled => {
-                        out.push(Request::Submit {
-                            spec: record.spec.clone(),
-                            priority: record.priority,
-                            deadline_ms: record.deadline_ms,
-                        });
-                        state.backends[b].awaiting = Some(gid);
-                        break;
-                    }
-                    _ => continue,
+                if let Some(record) = state.jobs.get(&gid) {
+                    out.push(Request::Submit {
+                        spec: record.spec.clone(),
+                        priority: record.priority,
+                        deadline_ms: record.deadline_ms,
+                    });
+                    state.backends[b].awaiting = Some(gid);
+                    break;
                 }
             }
         }
@@ -1410,9 +1440,9 @@ impl RouterCore {
                 // previous routing attempt of this link
                 if state.backends[b].awaiting == Some(gid) {
                     state.backends[b].awaiting = None;
-                    if state.jobs.get(&gid).is_some_and(|r| !r.settled) {
+                    if let Some(record) = state.jobs.get(&gid) {
+                        let probe = record.probe;
                         state.backends[b].assigned.insert(gid);
-                        let probe = state.jobs[&gid].probe;
                         if !probe {
                             if let Some(journal) = &mut state.journal {
                                 // best-effort: acceptance is an optimization
@@ -1494,37 +1524,44 @@ impl RouterCore {
         if outcome.outcome_kind != OutcomeKind::Completed {
             return;
         }
-        let Some(expected) = state.jobs.get(&gid).and_then(|r| r.settled_digest) else {
+        let Some(tombstone) = state.tombstones.get(&gid) else {
+            return;
+        };
+        let Some(expected) = tombstone.digest else {
             return;
         };
         let got = Self::outcome_digest(outcome);
         if got != expected {
             state.outcome_mismatches += 1;
             eprintln!(
-                "saim-cluster: outcome mismatch on job {gid}: late replica \
-                 digest {got:016x} != settled {expected:016x} — a backend \
-                 diverged from the deterministic solve"
+                "saim-cluster: outcome mismatch on job {gid} (client {} job {}): \
+                 late replica digest {got:016x} != settled {expected:016x} — a \
+                 backend diverged from the deterministic solve",
+                tombstone.client, tombstone.client_job
             );
         }
     }
 
     /// Exactly-once settlement: the first terminal frame for a live gid
     /// wins — it is journaled, counted, rewritten back to the client's job
-    /// id, and delivered; every later frame for the gid (partition heals,
-    /// duplicate replays, recovery streams) is counted and dropped.
-    /// `from` is the settling backend when one exists (`None` for
-    /// router-local settles such as queued cancels).
+    /// id, and delivered, and the job shrinks to a tombstone; every later
+    /// frame for the gid (partition heals, duplicate replays, recovery
+    /// streams) is counted and dropped. `from` is the settling backend when
+    /// one exists (`None` for router-local settles such as queued cancels).
     fn settle(&self, state: &mut CoreState, from: Option<usize>, gid: u64, payload: Settlement) {
         let now = self.now_ms();
-        let live = state.jobs.get(&gid).is_some_and(|r| !r.settled);
-        if !live {
+        let Some(record) = state.jobs.remove(&gid) else {
             // a late loser's outcome is cross-checked against the winner's
             // digest before it is dropped — engines are deterministic per
             // seed, so divergence here is a correctness alarm
-            Self::check_mismatch(state, gid, &payload);
+            if state.tombstones.contains_key(&gid) {
+                Self::check_mismatch(state, gid, &payload);
+            } else {
+                state.duplicates_past_horizon += 1;
+            }
             state.duplicates_dropped += 1;
             return;
-        }
+        };
         // clear every copy of the gid — failover or hedging may have
         // spread it — and cancel (best-effort) each losing copy a backend
         // is still running; its late terminal frame dedups right here
@@ -1547,13 +1584,39 @@ impl RouterCore {
             .extra_live
             .saturating_sub(holders.len().saturating_sub(1) as u64);
         state.pending_hedges.remove(&gid);
-        let record = state.jobs.get_mut(&gid).expect("liveness checked above");
-        record.settled = true;
-        let client = record.client;
-        let client_job = record.client_job;
-        let probe = record.probe;
-        let hedged = record.hedge_backends.len() as u64;
-        let hedge_won = from.is_some_and(|b| record.hedge_backends.contains(&b));
+        let LiveJob {
+            client,
+            client_job,
+            probe,
+            hedge_backends,
+            ..
+        } = record;
+        // remember a completed winner's canonical digest so late losers can
+        // be cross-checked (the determinism alarm)
+        let digest = match &payload {
+            Settlement::Outcome(outcome)
+                if !probe && outcome.outcome_kind == OutcomeKind::Completed =>
+            {
+                Some(Self::outcome_digest(outcome))
+            }
+            _ => None,
+        };
+        if state.settled_order.len() == TOMBSTONE_HORIZON {
+            if let Some(evicted) = state.settled_order.pop_front() {
+                state.tombstones.remove(&evicted);
+            }
+        }
+        state.settled_order.push_back(gid);
+        state.tombstones.insert(
+            gid,
+            Tombstone {
+                client,
+                client_job,
+                digest,
+            },
+        );
+        let hedged = hedge_backends.len() as u64;
+        let hedge_won = from.is_some_and(|b| hedge_backends.contains(&b));
         if !probe {
             if let Some(journal) = &mut state.journal {
                 // best-effort: a lost `settled` record costs one duplicate
@@ -1601,14 +1664,6 @@ impl RouterCore {
                         });
                     }
                 }
-                if outcome.outcome_kind == OutcomeKind::Completed {
-                    // remember the winner's canonical digest so late losers
-                    // can be cross-checked (the determinism alarm)
-                    let digest = Self::outcome_digest(&outcome);
-                    if let Some(record) = state.jobs.get_mut(&gid) {
-                        record.settled_digest = Some(digest);
-                    }
-                }
                 let bucket = match outcome.outcome_kind {
                     OutcomeKind::Cancelled => 2,
                     OutcomeKind::DeadlineExceeded => 3,
@@ -1647,6 +1702,37 @@ impl RouterCore {
             let _ = slot.tx.send(response);
         }
         self.flush_parked(state, now);
+        Self::compact_journal(state);
+    }
+
+    /// Rewrites the journal to its live jobs once it has outgrown the last
+    /// rewrite ([`Journal::wants_compaction`]), from the in-memory live
+    /// set: the work is proportional to the live bytes, never to the file.
+    /// A failed rewrite leaves the journal as it was; a failed reopen is
+    /// retried by the next append.
+    fn compact_journal(state: &mut CoreState) {
+        let CoreState {
+            journal: Some(journal),
+            jobs,
+            next_gid,
+            compactions,
+            ..
+        } = state
+        else {
+            return;
+        };
+        if !journal.wants_compaction() {
+            return;
+        }
+        let mut live: Vec<(&u64, &LiveJob)> = jobs.iter().filter(|(_, r)| !r.probe).collect();
+        live.sort_unstable_by_key(|&(&gid, _)| gid);
+        let live = live
+            .into_iter()
+            .map(|(&gid, r)| (gid, r.client_job, &r.spec));
+        match journal.compact(*next_gid, live) {
+            Ok(()) => *compactions += 1,
+            Err(e) => eprintln!("saim-cluster: journal compaction failed: {e}"),
+        }
     }
 }
 
@@ -1754,8 +1840,20 @@ pub struct ClusterReport {
     pub reroutes: u64,
     /// Late or duplicate terminal frames dropped by settlement dedup.
     pub duplicates_dropped: u64,
+    /// The part of `duplicates_dropped` whose gid had no live job and no
+    /// tombstone left: settled more than [`TOMBSTONE_HORIZON`] settlements
+    /// earlier (or a half-open probe job abandoned with its backend). Such
+    /// frames skip the outcome-mismatch cross-check.
+    pub duplicates_past_horizon: u64,
     /// Routed jobs still owed a terminal frame.
     pub unsettled: u64,
+    /// Settled gids still remembered as tombstones; at most
+    /// [`TOMBSTONE_HORIZON`]. With `unsettled`, all the jobs the router
+    /// tracks.
+    pub tombstones: u64,
+    /// Online journal compactions performed (zero without a journal); see
+    /// [`journal`'s compaction docs](journal#compaction).
+    pub compactions: u64,
     /// Hedged-replication counters (all zero with `k = 1`).
     pub hedges: HedgeStats,
     /// Settled-vs-late-replica outcome divergences — the determinism
@@ -1808,6 +1906,8 @@ impl Cluster {
                 clients: HashMap::new(),
                 backends: (0..backends).map(|_| BackendSlot::new()).collect(),
                 jobs: HashMap::new(),
+                tombstones: HashMap::new(),
+                settled_order: VecDeque::new(),
                 parked: VecDeque::new(),
                 fleet: ClientStats::default(),
                 health: HealthTracker::new(backends, DOWN_AFTER_MISSES),
@@ -1816,6 +1916,8 @@ impl Cluster {
                 next_gid: recovery.as_ref().map_or(1, |r| r.next_gid),
                 shutting_down: false,
                 duplicates_dropped: 0,
+                duplicates_past_horizon: 0,
+                compactions: 0,
                 reroutes: 0,
                 timed_settles: 0,
                 timed_settle_ms: 0,
@@ -1841,7 +1943,7 @@ impl Cluster {
             for job in recovered.unsettled {
                 state.jobs.insert(
                     job.gid,
-                    JobRecord::new(recovery_handle.client_id(), job.client_job, job.spec, 0),
+                    LiveJob::new(recovery_handle.client_id(), job.client_job, job.spec, 0),
                 );
                 state.fleet.accepted += 1;
                 if let Some(slot) = state.clients.get_mut(&recovery_handle.client_id()) {
@@ -1946,11 +2048,10 @@ impl Cluster {
             queue_depth: RouterCore::queue_depth(state),
             reroutes: state.reroutes,
             duplicates_dropped: state.duplicates_dropped,
-            unsettled: state
-                .jobs
-                .values()
-                .filter(|r| !r.settled && !r.probe)
-                .count() as u64,
+            duplicates_past_horizon: state.duplicates_past_horizon,
+            unsettled: state.jobs.values().filter(|r| !r.probe).count() as u64,
+            tombstones: state.tombstones.len() as u64,
+            compactions: state.compactions,
             hedges: state.hedges,
             outcome_mismatches: state.outcome_mismatches,
         }
@@ -2178,6 +2279,40 @@ mod tests {
             }
         }
         assert_eq!(rendezvous_choice(7, &[]), None);
+    }
+
+    #[test]
+    fn settled_jobs_keep_tombstones_for_the_horizon_and_count_older_duplicates() {
+        let (cluster, _recovery) =
+            Cluster::start(ClusterConfig::default(), Vec::new()).expect("no journal configured");
+        let core = &cluster.core;
+        let failure = || Settlement::Failure {
+            instance_digest: 0,
+            message: "scripted".into(),
+        };
+        let total = TOMBSTONE_HORIZON as u64 + 10;
+        {
+            let mut guard = core.state.lock().expect("router lock is never poisoned");
+            let state = &mut *guard;
+            for gid in 1..=total {
+                state
+                    .jobs
+                    .insert(gid, LiveJob::new(0, gid, toy_spec(gid, gid), 0));
+                core.settle(state, None, gid, failure());
+            }
+            assert!(state.jobs.is_empty(), "settling drops the live job");
+            assert_eq!(state.tombstones.len(), TOMBSTONE_HORIZON);
+            assert_eq!(state.settled_order.len(), TOMBSTONE_HORIZON);
+            // a duplicate inside the horizon meets its tombstone
+            core.settle(state, None, total, failure());
+            // one past it is dropped all the same, and counted
+            core.settle(state, None, 1, failure());
+        }
+        let report = cluster.shutdown();
+        assert_eq!(report.fleet.failed, total, "each gid settled once");
+        assert_eq!(report.duplicates_dropped, 2);
+        assert_eq!(report.duplicates_past_horizon, 1);
+        assert_eq!(report.tombstones, TOMBSTONE_HORIZON as u64);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! first line is a version envelope
 //! (`{"journal":"saim-cluster","version":1}`); foreign-version journals
 //! are refused with a typed [`JournalError::VersionMismatch`] rather than
-//! guessed at. After it, five record kinds trace each job's lifecycle:
+//! guessed at. A compacted journal's envelope also carries the gid fence,
+//! `"next_gid":N` (see [Compaction](#compaction)); a fresh journal's never
+//! does. After it, five record kinds trace each job's lifecycle:
 //!
 //! - `routed` — the router accepted the job and owes the client exactly
 //!   one terminal frame; carries the full spec so the job can be re-routed
@@ -29,9 +31,9 @@
 //! - `settled` — the terminal frame was delivered; the job must never be
 //!   routed, re-routed, or delivered again.
 //!
-//! A k=1 router never writes `hedged` or `superseded`, so its journal is
-//! byte-identical to the pre-replication (PR 8) format — pinned by a
-//! committed fixture in `tests/journal_corruption.rs`.
+//! A k=1 router never writes `hedged` or `superseded`, so until its first
+//! compaction its journal is byte-identical to the pre-replication format
+//! — pinned by a committed fixture in `tests/cluster.rs`.
 //!
 //! # Recovery
 //!
@@ -47,9 +49,39 @@
 //! upstream drops the duplicate outcome), while a fabricated `settled`
 //! record is impossible because the checksum would have to collide. Every
 //! irregularity is reported as a typed [`JournalAnomaly`]. After replay
-//! the journal is compacted — header plus the surviving unsettled `routed`
-//! records — through the same atomic tmp+rename discipline as
-//! `checkpoint.rs`, so a corrupt tail can never be appended to.
+//! the journal is compacted, so a corrupt tail can never be appended to.
+//!
+//! # Compaction
+//!
+//! Settled history is dead weight: only the live jobs' `routed` records
+//! matter to a recovery. One function rewrites the file to the envelope
+//! plus those records, in gid order, through the same atomic tmp+rename
+//! as checkpoints (`checkpoint::write_atomic`), and reopens the append
+//! handle. [`Journal::open`] calls it after every replay, and a running
+//! router calls it through [`Journal::compact`] whenever
+//! [`Journal::wants_compaction`] says the file has grown past both
+//! [`COMPACT_FLOOR_BYTES`] and [`COMPACT_MULTIPLE`] times what the last
+//! compaction wrote. The router builds the rewrite from its in-memory live
+//! set and never re-reads the file, so a compaction costs time
+//! proportional to the live bytes, each one is paid for by appends at
+//! least `COMPACT_MULTIPLE - 1` times its size, and the file stays within
+//! the floor or `COMPACT_MULTIPLE` times the live bytes of the last
+//! compaction (plus one append), however many jobs the router serves.
+//!
+//! A crash before the rename leaves the old journal in place beside a
+//! stale `<journal>.tmp`, which the next open ignores and overwrites; a
+//! crash after it leaves the complete new journal. If the rename succeeds
+//! but the reopen fails, the next append reopens the path.
+//!
+//! **The gid fence.** Dropping `settled` records also drops the highest
+//! gids the router ever issued, and a gid handed out twice could alias
+//! two jobs in settlement dedup. So every compacted envelope records
+//! `next_gid`, the first gid not yet issued, and replay resumes from the
+//! larger of it and the highest surviving gid plus one.
+//!
+//! The journal forgets settled gids outright; how long the router itself
+//! remembers them (to cross-check late duplicate outcomes) is the
+//! tombstone horizon, [`TOMBSTONE_HORIZON`](crate::cluster::TOMBSTONE_HORIZON).
 
 use crate::checkpoint::{digest64, write_atomic};
 use crate::service::{check_known_fields, parse_field, parse_json, JobSpec};
@@ -65,6 +97,16 @@ pub const JOURNAL_VERSION: u32 = 1;
 /// The envelope's `journal` tag — a foreign tag means the file is not a
 /// cluster journal at all.
 const JOURNAL_TAG: &str = "saim-cluster";
+
+/// Online compaction waits until the file exceeds this floor, so a small
+/// or quiet router rewrites its journal rarely.
+pub const COMPACT_FLOOR_BYTES: u64 = 1 << 20;
+
+/// Online compaction also waits until the file exceeds this multiple of
+/// what the last compaction wrote (the live jobs of that moment), so each
+/// rewrite, which costs time proportional to the live bytes, is paid for
+/// by appends of at least `COMPACT_MULTIPLE - 1` times as many bytes.
+pub const COMPACT_MULTIPLE: u64 = 4;
 
 /// One journal record; see the [module docs](self) for the lifecycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,12 +158,7 @@ impl JournalRecord {
                 gid,
                 client_job,
                 spec,
-            } => {
-                fields.push(("record".into(), Value::Str("routed".into())));
-                fields.push(("gid".into(), gid.to_value()));
-                fields.push(("client_job".into(), client_job.to_value()));
-                fields.push(("spec".into(), spec.to_value()));
-            }
+            } => return routed_json(*gid, *client_job, spec),
             JournalRecord::Accepted { gid, backend } => {
                 fields.push(("record".into(), Value::Str("accepted".into())));
                 fields.push(("gid".into(), gid.to_value()));
@@ -182,6 +219,18 @@ impl JournalRecord {
             other => Err(format!("unknown record kind `{other}`")),
         }
     }
+}
+
+/// A `routed` record's JSON, from borrowed parts (compaction writes the
+/// router's live specs without cloning them).
+fn routed_json(gid: u64, client_job: u64, spec: &JobSpec) -> String {
+    let fields: Vec<(String, Value)> = vec![
+        ("record".into(), Value::Str("routed".into())),
+        ("gid".into(), gid.to_value()),
+        ("client_job".into(), client_job.to_value()),
+        ("spec".into(), spec.to_value()),
+    ];
+    serde_json::to_string(&Value::Object(fields)).expect("record serialization is infallible")
 }
 
 /// Why the journal could not be opened at all (contrast with
@@ -306,7 +355,8 @@ pub struct JournalRecovery {
     pub settled: u64,
     /// Typed reports of every irregularity met during replay.
     pub anomalies: Vec<JournalAnomaly>,
-    /// First gid guaranteed unused by any surviving record.
+    /// First gid never issued: past every surviving record and the
+    /// envelope's gid fence.
     pub next_gid: u64,
 }
 
@@ -315,7 +365,14 @@ pub struct JournalRecovery {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: File,
+    /// The append handle; `None` only after a compaction renamed the new
+    /// file into place but could not reopen it. The next append reopens
+    /// the path (the renamed file is complete), never the old inode.
+    file: Option<File>,
+    /// Bytes in the file.
+    bytes: u64,
+    /// Bytes the last compaction wrote.
+    compacted_bytes: u64,
 }
 
 impl Journal {
@@ -338,33 +395,19 @@ impl Journal {
             },
             Err(e) => return Err(JournalError::Io(e.to_string())),
         };
-        // compact: envelope + the surviving unsettled intents, atomically —
         // whatever damage replay routed around is physically gone now
-        let mut text = String::new();
-        push_line(&mut text, &header_json());
-        for job in &recovery.unsettled {
-            push_line(
-                &mut text,
-                &JournalRecord::Routed {
-                    gid: job.gid,
-                    client_job: job.client_job,
-                    spec: job.spec.clone(),
-                }
-                .to_json(),
-            );
-        }
-        write_atomic(path, &text).map_err(|e| JournalError::Io(e.to_string()))?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| JournalError::Io(e.to_string()))?;
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file,
-            },
-            recovery,
-        ))
+        let mut journal = Journal {
+            path: path.to_path_buf(),
+            file: None,
+            bytes: 0,
+            compacted_bytes: 0,
+        };
+        let live = recovery
+            .unsettled
+            .iter()
+            .map(|job| (job.gid, job.client_job, &job.spec));
+        journal.compact(recovery.next_gid, live)?;
+        Ok((journal, recovery))
     }
 
     /// Appends one record and flushes it — the write-*ahead* property: the
@@ -377,14 +420,56 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] when the append or flush fails.
+    /// [`JournalError::Io`] when the append or flush fails, or when the
+    /// append handle a failed compaction dropped cannot be reopened.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
         let mut line = String::new();
         push_line(&mut line, &record.to_json());
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| JournalError::Io(e.to_string()))
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => self.file.insert(open_append(&self.path)?),
+        };
+        file.write_all(line.as_bytes())
+            .and_then(|()| file.flush())
+            .map_err(|e| JournalError::Io(e.to_string()))?;
+        self.bytes += line.len() as u64;
+        Ok(())
+    }
+
+    /// Whether the file has outgrown both [`COMPACT_FLOOR_BYTES`] and
+    /// [`COMPACT_MULTIPLE`] times what the last compaction wrote; see the
+    /// [module docs](self#compaction).
+    pub fn wants_compaction(&self) -> bool {
+        self.bytes > COMPACT_FLOOR_BYTES.max(COMPACT_MULTIPLE * self.compacted_bytes)
+    }
+
+    /// Rewrites the journal to the envelope, fenced at `next_gid`, plus one
+    /// `routed` record per live job `(gid, client_job, spec)`, given in gid
+    /// order; then reopens the append handle. The caller's live set
+    /// replaces the journal's own: the file is never re-read.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] when the rewrite or the reopen fails. A failed
+    /// rewrite leaves the old journal and its handle in place; after a
+    /// failed reopen the next [`append`](Self::append) tries again.
+    pub fn compact<'a>(
+        &mut self,
+        next_gid: u64,
+        live: impl IntoIterator<Item = (u64, u64, &'a JobSpec)>,
+    ) -> Result<(), JournalError> {
+        let mut text = String::new();
+        push_line(&mut text, &header_json(next_gid));
+        for (gid, client_job, spec) in live {
+            push_line(&mut text, &routed_json(gid, client_job, spec));
+        }
+        write_atomic(&self.path, &text).map_err(|e| JournalError::Io(e.to_string()))?;
+        self.bytes = text.len() as u64;
+        self.compacted_bytes = self.bytes;
+        // the old handle names the replaced inode: never append through it
+        self.file = None;
+        self.file = Some(open_append(&self.path)?);
+        Ok(())
     }
 
     /// Where this journal lives.
@@ -393,11 +478,24 @@ impl Journal {
     }
 }
 
-fn header_json() -> String {
-    let fields: Vec<(String, Value)> = vec![
+/// Opens the existing journal file for appending; never creates it.
+fn open_append(path: &Path) -> Result<File, JournalError> {
+    OpenOptions::new()
+        .append(true)
+        .open(path)
+        .map_err(|e| JournalError::Io(e.to_string()))
+}
+
+/// The envelope. The gid fence is written only past its default of 1, so
+/// a fresh journal's envelope is the bare version tag.
+fn header_json(next_gid: u64) -> String {
+    let mut fields: Vec<(String, Value)> = vec![
         ("journal".into(), Value::Str(JOURNAL_TAG.into())),
         ("version".into(), JOURNAL_VERSION.to_value()),
     ];
+    if next_gid > 1 {
+        fields.push(("next_gid".into(), next_gid.to_value()));
+    }
     serde_json::to_string(&Value::Object(fields)).expect("header serialization is infallible")
 }
 
@@ -447,6 +545,13 @@ fn replay(text: &str) -> Result<JournalRecovery, JournalError> {
             expected: JOURNAL_VERSION,
         });
     }
+    // only a compacted envelope carries the fence; absent, it is 1
+    let fence: u64 = match header.field("next_gid") {
+        Ok(_) => {
+            parse_field(&header, "next_gid").map_err(|e| JournalError::Malformed(e.to_string()))?
+        }
+        Err(_) => 1,
+    };
 
     let mut recovery = JournalRecovery::default();
     let mut routed: Vec<RoutedJob> = Vec::new();
@@ -531,7 +636,7 @@ fn replay(text: &str) -> Result<JournalRecovery, JournalError> {
         .into_iter()
         .filter(|job| !settled.contains(&job.gid))
         .collect();
-    recovery.next_gid = max_gid + 1;
+    recovery.next_gid = fence.max(max_gid + 1);
     Ok(recovery)
 }
 
@@ -588,6 +693,84 @@ mod tests {
         assert_eq!(gids, vec![2, 3], "settled gid 1 is gone, order kept");
         assert_eq!(recovery.next_gid, 4);
         assert_eq!(recovery.unsettled[0].client_job, 12);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn online_compaction_waits_for_the_floor_then_keeps_only_live_jobs() {
+        let path = scratch("online");
+        let (mut journal, _) = Journal::open(&path).expect("fresh journal");
+        let mut gid = 0u64;
+        // settle everything but every 100th job until the file first
+        // outgrows the floor
+        while !journal.wants_compaction() {
+            gid += 1;
+            journal
+                .append(&JournalRecord::Routed {
+                    gid,
+                    client_job: gid + 10,
+                    spec: tiny_spec(gid),
+                })
+                .expect("append");
+            if !gid.is_multiple_of(100) {
+                journal
+                    .append(&JournalRecord::Settled { gid })
+                    .expect("append");
+            }
+        }
+        assert!(journal.bytes > COMPACT_FLOOR_BYTES);
+        let live: Vec<JobSpec> = (100..=gid).step_by(100).map(tiny_spec).collect();
+        journal
+            .compact(
+                gid + 1,
+                live.iter().map(|spec| (spec.job, spec.job + 10, spec)),
+            )
+            .expect("compact");
+        assert!(!journal.wants_compaction());
+        assert_eq!(journal.bytes, std::fs::metadata(&path).expect("stat").len());
+        // the rewritten file appends and replays like any other
+        journal
+            .append(&JournalRecord::Settled { gid: 100 })
+            .expect("append after compaction");
+        drop(journal);
+        let (_journal, recovery) = Journal::open(&path).expect("reopen");
+        assert!(recovery.anomalies.is_empty(), "{:?}", recovery.anomalies);
+        let gids: Vec<u64> = recovery.unsettled.iter().map(|j| j.gid).collect();
+        let want: Vec<u64> = (200..=gid).step_by(100).collect();
+        assert_eq!(gids, want);
+        assert_eq!(recovery.unsettled[0].client_job, 210);
+        assert_eq!(recovery.next_gid, gid + 1, "the fence survives");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_append_after_a_failed_reopen_reopens_the_compacted_file() {
+        let path = scratch("reopen");
+        let (mut journal, _) = Journal::open(&path).expect("fresh journal");
+        let spec = tiny_spec(1);
+        journal
+            .append(&JournalRecord::Routed {
+                gid: 1,
+                client_job: 11,
+                spec: spec.clone(),
+            })
+            .expect("append");
+        journal.compact(2, [(1, 11, &spec)]).expect("compact");
+        // what a compaction whose reopen failed leaves behind
+        journal.file = None;
+        journal
+            .append(&JournalRecord::Settled { gid: 1 })
+            .expect("the next append reopens the path");
+        assert_eq!(journal.bytes, std::fs::metadata(&path).expect("stat").len());
+        drop(journal);
+        let (_journal, recovery) = Journal::open(&path).expect("reopen");
+        assert!(recovery.anomalies.is_empty(), "{:?}", recovery.anomalies);
+        assert!(
+            recovery.unsettled.is_empty(),
+            "the settle landed in the file"
+        );
+        assert_eq!(recovery.settled, 1);
+        assert_eq!(recovery.next_gid, 2);
         let _ = std::fs::remove_file(&path);
     }
 

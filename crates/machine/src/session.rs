@@ -192,7 +192,10 @@ pub(crate) fn read_line_capped<R: BufRead>(
             if buf.last() == Some(&b'\r') {
                 buf.pop();
             }
-            return Ok(Some(String::from_utf8_lossy(&buf).into_owned()));
+            // valid UTF-8 (every well-formed frame) moves without a copy
+            let line = String::from_utf8(buf)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+            return Ok(Some(line));
         }
     }
 }

@@ -1,9 +1,11 @@
 //! Corruption-injection tests of the router's write-ahead intent journal:
 //! every way the file can rot on disk — torn tails, bit flips, duplicate
 //! `settled` records, orphaned gids, foreign-version and damaged
-//! envelopes — must surface as the expected typed [`JournalError`] or
+//! envelopes, a compaction cut between its tmp write and its rename —
+//! must surface as the expected typed [`JournalError`] or
 //! [`JournalAnomaly`], never a panic, and recovery must always err the
 //! safe way: re-route a survivor rather than risk a double settlement.
+//! Compaction must never lower the gid fence.
 //!
 //! Journals here are grown by a real [`Journal`] writer so the corruption
 //! lands on exactly the bytes production would write, then damaged with
@@ -472,4 +474,65 @@ fn compaction_scrubs_damage_so_the_next_open_is_clean() {
     let (_journal, second) = Journal::open(&path).expect("clean open");
     assert!(second.anomalies.is_empty(), "the damage was compacted away");
     assert_eq!(unsettled_gids(&second), unsettled_gids(&first));
+}
+
+/// Compaction drops `settled` records, and with them the highest gids ever
+/// issued; the envelope's fence must carry them across any number of
+/// restarts, or a twice-restarted router would hand out used gids.
+#[test]
+fn restart_compaction_keeps_the_gid_fence() {
+    let dir = ScratchDir::new("fence");
+    let path = dir.file("intents.ndjson");
+    {
+        let (mut journal, _) = Journal::open(&path).expect("fresh journal");
+        journal.append(&routed(5)).expect("append");
+        journal
+            .append(&JournalRecord::Settled { gid: 5 })
+            .expect("append");
+    }
+    for reopen in 1..=3 {
+        let (_journal, recovery) = Journal::open(&path).expect("reopen");
+        assert!(recovery.unsettled.is_empty());
+        assert!(recovery.anomalies.is_empty(), "{:?}", recovery.anomalies);
+        assert_eq!(recovery.next_gid, 6, "gid fence lost at reopen {reopen}");
+    }
+}
+
+/// A crash between compaction's tmp write and its rename leaves the old
+/// journal beside a complete `<journal>.tmp`. The old journal is still the
+/// truth: the next open must replay exactly it, and its own compaction
+/// overwrites the stale tmp.
+#[test]
+fn crash_between_compaction_tmp_write_and_rename_replays_the_old_journal() {
+    let dir = ScratchDir::new("tmp-crash");
+    let path = dir.file("intents.ndjson");
+    let pristine = dir.file("pristine.ndjson");
+    grow_journal(&path, 4, &[1, 3]);
+    std::fs::copy(&path, &pristine).expect("copy journal");
+    // the tmp a compaction would have written: a different, later state
+    // (gid 2 settled too), complete but never renamed into place
+    {
+        let staged = dir.file("staged.ndjson");
+        std::fs::copy(&path, &staged).expect("copy journal");
+        let (mut journal, _) = Journal::open(&staged).expect("open copy");
+        let live = spec(4);
+        journal.compact(5, [(4, 104, &live)]).expect("compact copy");
+        drop(journal);
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(".tmp");
+        std::fs::rename(&staged, &tmp).expect("stage stale tmp");
+    }
+    let (_journal, recovery) = Journal::open(&path).expect("replay beside a stale tmp");
+    let (_journal, expected) = Journal::open(&pristine).expect("replay the pristine copy");
+    assert_eq!(recovery.unsettled, expected.unsettled);
+    assert_eq!(unsettled_gids(&recovery), vec![2, 4]);
+    assert_eq!(recovery.settled, expected.settled);
+    assert_eq!(recovery.next_gid, expected.next_gid);
+    assert_eq!(recovery.anomalies, expected.anomalies);
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    assert!(
+        !PathBuf::from(tmp).exists(),
+        "the open's own compaction consumed the stale tmp"
+    );
 }

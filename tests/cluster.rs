@@ -22,9 +22,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use saim_ising::QuboBuilder;
+use saim_machine::cluster::journal::COMPACT_FLOOR_BYTES;
 use saim_machine::cluster::{
     BackendLink, BackendState, Cluster, ClusterConfig, FaultyLink, LinkError, LinkWaker,
-    ManagedBackend, ReplicationPolicy, RouterHandle, TcpLink,
+    ManagedBackend, ReplicationPolicy, RouterHandle, TcpLink, TOMBSTONE_HORIZON,
 };
 use saim_machine::frontend::{
     faults::{BackendFaultPlan, FaultPlan},
@@ -259,6 +260,10 @@ fn kills_and_restarts_settle_k_jobs_exactly_once_over_tcp() {
     let report = cluster.shutdown();
     let _ = serving.join();
     assert_eq!(report.fleet.completed, 9, "every job settled exactly once");
+    assert_eq!(
+        report.duplicates_past_horizon, 0,
+        "every recovered duplicate met its tombstone"
+    );
     assert_eq!(report.unsettled, 0);
     b0.drain().expect("final drain shard 0");
     b1.drain().expect("final drain shard 1");
@@ -322,6 +327,10 @@ fn partition_heal_late_duplicates_are_dropped() {
     let report = cluster.shutdown();
     assert_eq!(report.fleet.completed, 8);
     assert_eq!(report.unsettled, 0);
+    assert_eq!(
+        report.duplicates_past_horizon, 0,
+        "every late duplicate met its tombstone"
+    );
     b0.drain().expect("drain shard 0");
     b1.drain().expect("drain shard 1");
 }
@@ -583,6 +592,10 @@ fn corrupt_late_loser_raises_the_outcome_mismatch_alarm() {
     assert!(report.outcome_mismatches >= 1);
     assert_eq!(report.fleet.completed, 8, "settled exactly once each");
     assert_eq!(report.unsettled, 0);
+    assert_eq!(
+        report.duplicates_past_horizon, 0,
+        "the alarm saw every late outcome"
+    );
     b0.drain().expect("drain shard 0");
     b1.drain().expect("drain shard 1");
 }
@@ -736,6 +749,80 @@ fn cancel_settles_exactly_once_through_the_cluster() {
     assert_eq!(report.fleet.cancelled, 1);
     assert_eq!(report.unsettled, 0);
     backend.drain().expect("drain");
+}
+
+/// A router that serves for a day must not grow with the jobs it served:
+/// over 10 000 settlements with the journal on, the jobs the router tracks
+/// (live plus tombstones) and the journal file both level off after
+/// warm-up, online compaction keeps the gid fence, and every outcome still
+/// matches the direct-run oracle.
+#[test]
+fn ten_thousand_settlements_keep_router_state_and_journal_flat() {
+    const ROUNDS: u64 = 50;
+    const PER_ROUND: u64 = 200;
+    let scratch = scratch_dir("bounded");
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    let journal_path = scratch.join("intents.ndjson");
+    let mut b0 = ManagedBackend::start(backend_config(None), scratch.join("b0"));
+    let mut b1 = ManagedBackend::start(backend_config(None), scratch.join("b1"));
+    let config = ClusterConfig {
+        journal: Some(journal_path.clone()),
+        ..fast_probes()
+    };
+    let (cluster, _recovery) =
+        Cluster::start(config, vec![b0.link(), b1.link()]).expect("fresh journal");
+    let handle = cluster.connect();
+    let mut samples = Vec::new();
+    for round in 0..ROUNDS {
+        let specs: Vec<JobSpec> = (0..PER_ROUND)
+            .map(|i| {
+                let job = round * PER_ROUND + i + 1;
+                quick_spec(job, 7_000 + job)
+            })
+            .collect();
+        for spec in &specs {
+            handle.submit(spec.clone(), 0, None);
+        }
+        assert_oracle(&collect_outcomes(&handle, specs.len()), &specs);
+        let stats = cluster.stats();
+        let journal_bytes = std::fs::metadata(&journal_path)
+            .expect("journal exists")
+            .len();
+        samples.push((stats, journal_bytes));
+    }
+    // warm-up: the tombstone horizon fills and the journal first compacts
+    let warm = ((TOMBSTONE_HORIZON as u64).div_ceil(PER_ROUND) + 1) as usize;
+    for (round, (stats, journal_bytes)) in samples.iter().enumerate().skip(warm) {
+        assert_eq!(stats.unsettled, 0, "round {round}");
+        assert_eq!(
+            stats.tombstones, TOMBSTONE_HORIZON as u64,
+            "round {round}: tracked jobs must level off at the horizon"
+        );
+        // between compactions the file grows to the floor, or to
+        // `COMPACT_MULTIPLE` times the last rewrite (at most one round's
+        // live `routed` records, a fraction of the floor for these specs)
+        assert!(
+            *journal_bytes <= 2 * COMPACT_FLOOR_BYTES,
+            "round {round}: journal grew to {journal_bytes} bytes"
+        );
+    }
+    let (first, last) = (&samples[warm].0, &samples[samples.len() - 1].0);
+    assert!(
+        last.compactions > first.compactions,
+        "the journal kept compacting after warm-up"
+    );
+    let report = cluster.shutdown();
+    assert_eq!(report.fleet.completed, ROUNDS * PER_ROUND);
+    assert_eq!(report.duplicates_dropped, 0);
+    b0.drain().expect("drain");
+    b1.drain().expect("drain");
+    // the compacted journal replays to nothing owed, fenced past every gid
+    let (_journal, replay) =
+        saim_machine::cluster::journal::Journal::open(&journal_path).expect("reopen");
+    assert!(replay.unsettled.is_empty());
+    assert!(replay.anomalies.is_empty(), "{:?}", replay.anomalies);
+    assert!(replay.next_gid > ROUNDS * PER_ROUND);
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// Runs a fixed sequential k = 1 workload against a journaling router and
