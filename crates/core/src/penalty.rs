@@ -1,9 +1,7 @@
 use crate::error::CoreError;
 use crate::problem::{ConstrainedProblem, Evaluation};
 use saim_ising::{BinaryState, Qubo, QuboBuilder};
-use saim_machine::{
-    EnsembleAnnealer, IsingSolver, ParallelTempering, PtConfig, SampleCounter, SolveOutcome,
-};
+use saim_machine::{EnsembleAnnealer, IsingSolver, SampleCounter, SolveOutcome};
 use serde::{Deserialize, Serialize};
 
 /// Builds the penalty-method energy (paper eq. 3):
@@ -244,28 +242,6 @@ impl PenaltyMethod {
         Ok(self.fold_outcomes(problem, outcomes))
     }
 
-    /// Runs the baseline with **parallel tempering** as the solver: `runs`
-    /// replica-exchange solves of the penalty landscape, each fanning its
-    /// ladder rounds out across threads (the PT-DA baseline's structure).
-    ///
-    /// Ladder and swap streams derive from `seed`, so the outcome is
-    /// identical for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-construction failures from [`penalty_qubo`].
-    pub fn run_pt<P>(
-        &self,
-        problem: &P,
-        pt: PtConfig,
-        seed: u64,
-    ) -> Result<PenaltyOutcome, CoreError>
-    where
-        P: ConstrainedProblem + ?Sized,
-    {
-        self.run(problem, ParallelTempering::new(pt, seed))
-    }
-
     /// The tuning protocol of [`PenaltyMethod::run_tuned`] on the parallel
     /// run engine: every α attempt anneals its `runs` measurements across
     /// threads via `make_ensemble(attempt)`.
@@ -385,7 +361,7 @@ impl PenaltyMethod {
 mod tests {
     use super::*;
     use crate::problem::{BinaryProblem, LinearConstraint};
-    use saim_machine::{BetaSchedule, SimulatedAnnealing};
+    use saim_machine::{BetaSchedule, ParallelTempering, PtConfig, SimulatedAnnealing};
 
     /// minimize -(2 x0 + x1 + 3 x2) s.t. x0 + x1 + x2 = 2
     fn small_problem() -> BinaryProblem {
@@ -492,9 +468,14 @@ mod tests {
             ..PtConfig::default()
         };
         let method = PenaltyMethod::new(10.0, 5).unwrap();
-        let serial = method.run_pt(&p, cfg(1), 3).unwrap();
-        assert_eq!(method.run_pt(&p, cfg(2), 3).unwrap(), serial);
-        assert_eq!(method.run_pt(&p, cfg(0), 3).unwrap(), serial);
+        let run = |threads: usize| {
+            method
+                .run(&p, ParallelTempering::new(cfg(threads), 3))
+                .unwrap()
+        };
+        let serial = run(1);
+        assert_eq!(run(2), serial);
+        assert_eq!(run(0), serial);
         assert!(serial.best.is_some());
         assert_eq!(serial.mcs_total, 5 * 4 * 80);
     }

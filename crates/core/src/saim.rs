@@ -3,11 +3,7 @@ use crate::lagrangian::LagrangianSystem;
 use crate::problem::{ConstrainedProblem, Evaluation};
 use crate::trace::IterationRecord;
 use saim_ising::BinaryState;
-use saim_machine::service::SolverSpec;
-use saim_machine::{
-    EnsembleAnnealer, EnsembleConfig, GreedyDescent, IsingSolver, ParallelTempering, PtConfig,
-    SampleCounter,
-};
+use saim_machine::{EnsembleAnnealer, EnsembleConfig, IsingSolver, SampleCounter};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the SAIM outer loop (paper Algorithm 1 and Table I).
@@ -257,54 +253,6 @@ impl SaimRunner {
     {
         self.run(problem, EnsembleAnnealer::new(ensemble, self.config.seed))
     }
-
-    /// Runs Algorithm 1 with **parallel tempering** as the inner minimizer:
-    /// every iteration runs one replica-exchange solve whose ladder rounds
-    /// fan out across threads, and reads the coldest replica's sample for
-    /// the λ update.
-    ///
-    /// [`SaimConfig::seed`] is the PT root seed; per-ladder-slot streams and
-    /// the swap stream are derived from it, so the outcome is bit-identical
-    /// for any thread count (including `threads: 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the PT configuration is invalid, plus the conditions of
-    /// [`SaimRunner::run`].
-    pub fn run_pt<P>(&self, problem: &P, pt: PtConfig) -> SaimOutcome
-    where
-        P: ConstrainedProblem + ?Sized,
-    {
-        self.run(problem, ParallelTempering::new(pt, self.config.seed))
-    }
-
-    /// Runs Algorithm 1 with the inner minimizer chosen by a serialized
-    /// [`SolverSpec`] — the solver selection the job wire schema speaks.
-    /// Equivalent to calling [`SaimRunner::run_ensemble`],
-    /// [`SaimRunner::run_pt`], or [`SaimRunner::run`] with a
-    /// [`GreedyDescent`] seeded from [`SaimConfig::seed`], respectively.
-    /// Many `(config, problem)` jobs fan out in job order with
-    /// `parallel_map_indexed(jobs.len(), 0, |i| …run_spec(…))`; each job's
-    /// streams derive from its own seed, so the results are bit-identical
-    /// to the serial loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solver configuration is invalid, plus the conditions
-    /// of [`SaimRunner::run`].
-    pub fn run_spec<P>(&self, problem: &P, solver: &SolverSpec) -> SaimOutcome
-    where
-        P: ConstrainedProblem + ?Sized,
-    {
-        match solver {
-            SolverSpec::Ensemble(config) => self.run_ensemble(problem, *config),
-            SolverSpec::Pt(config) => self.run_pt(problem, *config),
-            SolverSpec::Descent { max_sweeps } => self.run(
-                problem,
-                GreedyDescent::new(self.config.seed).with_max_sweeps(*max_sweeps),
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +260,9 @@ mod tests {
     use super::*;
     use crate::problem::{BinaryProblem, LinearConstraint};
     use saim_ising::QuboBuilder;
-    use saim_machine::{BetaSchedule, SimulatedAnnealing};
+    use saim_machine::{
+        BetaSchedule, GreedyDescent, ParallelTempering, PtConfig, SimulatedAnnealing,
+    };
 
     /// minimize -(4 x0 + 3 x1 + x2 + 2 x3) s.t. x0 + x1 + x2 + x3 = 2.
     /// OPT = -7 at x = (1,1,0,0).
@@ -437,7 +387,7 @@ mod tests {
                 threads,
                 ..PtConfig::default()
             };
-            SaimRunner::new(config).run_pt(&problem, pt)
+            SaimRunner::new(config).run(&problem, ParallelTempering::new(pt, config.seed))
         };
         let serial = run(1);
         assert_eq!(run(4), serial);
@@ -483,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn run_spec_descent_matches_seeded_greedy_descent() {
+    fn descent_inner_minimizer_replays_under_fixed_seed() {
         let config = SaimConfig {
             penalty: 0.5,
             eta: 0.5,
@@ -491,13 +441,11 @@ mod tests {
             seed: 21,
         };
         let problem = cardinality_problem();
-        let via_spec =
-            SaimRunner::new(config).run_spec(&problem, &SolverSpec::Descent { max_sweeps: 50 });
-        let direct = SaimRunner::new(config).run(
-            &problem,
-            saim_machine::GreedyDescent::new(21).with_max_sweeps(50),
-        );
-        assert_eq!(via_spec, direct);
+        let run =
+            || SaimRunner::new(config).run(&problem, GreedyDescent::new(21).with_max_sweeps(50));
+        let first = run();
+        assert_eq!(first, run());
+        assert_eq!(first.records.len(), 12);
     }
 
     #[test]

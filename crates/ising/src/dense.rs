@@ -136,9 +136,9 @@ impl SymmetricMatrix {
 
     /// `Σ_j M_ij v_j` for spins pre-converted to `±1.0` floats.
     ///
-    /// The sweep hot path caches its spins as `f64`
-    /// ([`PbitMachine`](../../saim_machine/struct.PbitMachine.html) keeps the
-    /// mirror), so the per-element `i8 → f64` conversion of
+    /// The sweep engines keep their spins as `±1.0` floats
+    /// ([`PbitMachine`](../../saim_machine/struct.PbitMachine.html) stores
+    /// no `i8` copy), so the per-element `i8 → f64` conversion of
     /// [`SymmetricMatrix::row_dot_spins`] disappears. The product runs over
     /// blocks of 8 lanes into 8 independent accumulators, breaking the
     /// serial f64-add dependency chain so the compiler can keep the loop in

@@ -185,21 +185,29 @@ impl SpinState {
         self.values[index] = -self.values[index];
     }
 
-    /// Overwrites this state with `other` without reallocating.
-    ///
-    /// The annealers' best-state tracking uses this instead of cloning a
-    /// fresh `SpinState` on every improvement.
+    /// Builds a state from the signs of `±1.0` floats — the sweep engines'
+    /// spin vectors — with [`SpinState::copy_from_signs`].
+    pub fn from_signs(signs: &[f64]) -> Self {
+        let mut state = SpinState::all_down(signs.len());
+        state.copy_from_signs(signs);
+        state
+    }
+
+    /// Overwrites this state with the signs of `signs` without
+    /// reallocating: non-negative maps to +1 and negative to -1, like
+    /// [`Spin::from_sign`]. This is the one `f64 → i8` export of the sweep
+    /// engines, whose spin vectors are `±1.0` floats; their best-state
+    /// tracking uses it instead of building a fresh state on every
+    /// improvement.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
-    pub fn copy_from(&mut self, other: &SpinState) {
-        assert_eq!(
-            self.values.len(),
-            other.values.len(),
-            "state length mismatch"
-        );
-        self.values.copy_from_slice(&other.values);
+    pub fn copy_from_signs(&mut self, signs: &[f64]) {
+        assert_eq!(self.values.len(), signs.len(), "state length mismatch");
+        for (v, &s) in self.values.iter_mut().zip(signs) {
+            *v = if s >= 0.0 { 1 } else { -1 };
+        }
     }
 
     /// Converts to the binary domain under `x = (1+s)/2`.

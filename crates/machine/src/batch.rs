@@ -1,20 +1,24 @@
 //! Batched lane-major multi-replica sweep engine.
 //!
 //! [`ReplicaBatch`] advances `R` replicas of **one** [`IsingModel`] through
-//! Monte Carlo sweeps together. Each replica lane runs the *same*
-//! serial-shaped scan as a [`PbitMachine`](crate::PbitMachine) — settled
-//! scan, three-tier bracket decisions, immediate forward flip propagation —
-//! over its own contiguous plane slice, and the batch adds one thing on
-//! top: the **backward half of every flip's propagation is deferred into a
-//! per-sweep flip buffer and applied at the end of the sweep in one
-//! coalesced pass**, spin-by-spin across all lanes, so a coupling row that
-//! several lanes flipped is loaded once and reused.
+//! Monte Carlo sweeps together. Every lane is a view of the one lane kernel
+//! in [`crate::lane`] — the code a [`PbitMachine`](crate::PbitMachine)
+//! sweeps its single lane with — over its own contiguous plane slice. The
+//! batch keeps only its sweep policy on top of that kernel:
+//!
+//! - **settled-set lists**: a quenched lane at a held β visits only a short
+//!   candidate list while a slack budget proves every other spin settled;
+//! - **split flip propagation**: in wide batches of large models the
+//!   **backward half of every flip's propagation is deferred into a
+//!   per-sweep flip buffer and applied at the end of the sweep in one
+//!   coalesced pass**, spin-by-spin across all lanes, so a coupling row that
+//!   several lanes flipped is loaded once and reused.
 //!
 //! # Memory layout
 //!
 //! All per-replica data is *lane-major*: lane `r` owns the contiguous
 //! slices `spins[r·n .. (r+1)·n]` and `fields[r·n .. (r+1)·n]` — each lane
-//! is bit-for-bit a serial machine's spin/field vector:
+//! is bit-for-bit the spin/field vector of a serial machine on its stream:
 //!
 //! ```text
 //!           lane 0 (n floats)      lane 1 (n floats)
@@ -27,16 +31,15 @@
 //! loses whenever lanes flip *different* spins, which is the common case:
 //! an uncorrelated single-lane flip either strides the whole plane (one
 //! useful f64 per 64-byte line) or broadcasts `±0.0` adds over the full
-//! slab (`R×` the memory traffic of the serial machine it replays). In the
-//! lane-major layout every per-lane operation — the settled scan, the
-//! forward suffix propagation, the deferred prefix pass, checkpoint
-//! gather/scatter, and the parallel-tempering lane swaps — streams a
-//! contiguous vector, exactly like the serial machine, so each lane costs
-//! what a serial sweep costs and the batch wins by sharing the coupling
-//! row between lanes (and by skipping the serial machine's `SpinState`
-//! mirror maintenance). This is also the layout the planned GPU batch
-//! sweep wants: one lane per thread block row, coalesced loads along the
-//! spin axis, the coupling row broadcast from shared memory.
+//! slab (`R×` the memory traffic of one lane). In the lane-major layout
+//! every per-lane operation — the settled scan, the forward suffix
+//! propagation, the deferred prefix pass, checkpoint gather/scatter, and
+//! the parallel-tempering lane swaps — streams a contiguous vector, so a
+//! lane's plane slice is exactly the slice shape the lane kernel takes,
+//! each lane costs what a serial sweep costs, and the batch wins by sharing
+//! the coupling row between lanes. This is also the layout the planned GPU
+//! batch sweep wants: one lane per thread block row, coalesced loads along
+//! the spin axis, the coupling row broadcast from shared memory.
 //!
 //! # Split flip propagation and the flip buffer
 //!
@@ -65,35 +68,33 @@
 //! 3. `fields[j]` therefore receives this sweep's adds from flips at
 //!    `i ≤ j` immediately (ascending `i`) and from flips at `i > j` in the
 //!    deferred pass (ascending `i`) — the same adds in the same order as
-//!    the serial machine's chronological `i = 0, 1, …, n-1` pass, so every
-//!    field is **bitwise identical** to the serial replay, signed zeros
-//!    included;
+//!    the one-pass propagation's chronological `i = 0, 1, …, n-1` pass, so
+//!    every field is **bitwise identical** to the serial replay, signed
+//!    zeros included;
 //! 4. the buffer is empty between sweeps — checkpoints only ever observe
 //!    fully-propagated fields, so per-lane snapshot images are unaffected
 //!    by the deferral.
 //!
-//! Single-lane batches skip the buffer entirely. Every one-lane group of
-//! both batched engines — a width-1 ensemble group (`batch_width: 1`, or
-//! the adaptive width on a pool with as many workers as replicas) and a
-//! narrow parallel-tempering ladder group alike — takes the serial-shaped
-//! sweep with the serial machine's one-pass full-row propagation
-//! ([`Couplings::row_axpy`]), the same kernel a
-//! [`PbitMachine`](crate::PbitMachine) runs.
+//! Single-lane batches and cache-resident models skip the buffer entirely
+//! (see `SPLIT_MIN_LEN`): every one-lane group of both batched engines — a
+//! width-1 ensemble group (`batch_width: 1`, or the adaptive width on a
+//! pool with as many workers as replicas) and a narrow parallel-tempering
+//! ladder group alike — propagates each flip in one full-row pass
+//! ([`Couplings::row_axpy`]).
 //!
 //! # Decision kernel
 //!
-//! Per lane the decisions are exactly the serial machine's three-tier
-//! kernel (see [`PbitMachine`](crate::PbitMachine)): the blocked settled
-//! scan ([`SATURATION`]-threshold certificate), per-spin saturation
-//! classification from the model's drive bounds, and the certified tanh
-//! bracket ([`crate::bracket`]) on everything else. The batch holds one
-//! shared `drive_bounds` vector (the bound depends only on the model) and
-//! runs each lane against it at that lane's β.
+//! Per lane the decisions are the lane kernel's three-tier rule (tiers
+//! described on [`PbitMachine`](crate::PbitMachine)): the blocked settled
+//! scan, per-spin saturation classification from the model's drive bounds,
+//! and the certified tanh bracket ([`crate::bracket`]) on everything else.
+//! The batch holds one shared `drive_bounds` vector (the bound depends only
+//! on the model) and runs each lane against it at that lane's β.
 //!
 //! # RNG-stream layout
 //!
 //! Replica lane `r` owns the ChaCha8 stream seeded with `seeds[r]`,
-//! consumed exactly like a serial machine's: `n` coin flips for the
+//! consumed by the one lane init and sweep code: `n` coin flips for the
 //! initial state, then one block-buffered `U(-1, 1)` draw per undecided
 //! spin in spin order (see [`NoiseSource`] for why buffering preserves the
 //! draw order). Lanes never share a stream, so the batch width and the
@@ -105,11 +106,14 @@
 //! is identical whether it runs in a batch of 1, a batch of 8, or on a
 //! serial [`PbitMachine`](crate::PbitMachine) fed the same stream: lanes
 //! are data-disjoint, decisions use only lane-`r` data, and the split
-//! propagation applies the serial adds in the serial order (see the flip
-//! buffer invariants above). `tests/determinism.rs` and the machine
-//! crate's proptests assert the contract for R = 1 vs R = 8 vs serial
-//! replay, on dense and CSR models, including n = 0/1 and widths that are
-//! not a multiple of any block size.
+//! propagation applies the one-pass adds in the one-pass order (see the
+//! flip buffer invariants above). The machine crate's proptests assert the
+//! contract for R = 1 vs R = 8 vs serial replay, on dense and CSR models,
+//! including n = 0/1 and widths that are not a multiple of any block size.
+//! Since both sides of that replay call the same lane kernel, the kernel
+//! itself is pinned by the exact-`tanh` oracle replays
+//! (`tests/bracket_cert.rs`) and by the recorded golden trajectories in
+//! `tests/determinism.rs`.
 //!
 //! ```
 //! use saim_ising::QuboBuilder;
@@ -132,20 +136,9 @@
 //! # }
 //! ```
 
-use crate::pbit::{gibbs_up, settled_run, MachineSnapshot, SATURATION, SETTLE_PAD_UP};
-use crate::rng::{new_rng, NoiseSnapshot, NoiseSource};
-use rand::Rng;
-use saim_ising::{Couplings, IsingModel, Spin, SpinState};
-
-/// One deferred backward propagation: lane `lane` flipped spin `spin` with
-/// spin-value delta `delta`; `fields[lane·n + j] += J_spin,j · delta` for
-/// every `j < spin` is still owed when the record is in the buffer.
-#[derive(Debug, Clone, Copy)]
-struct FlipRec {
-    spin: u32,
-    lane: u32,
-    delta: f64,
-}
+use crate::lane::{settle_threshold, FlipRec, Lane, MachineSnapshot};
+use crate::rng::{NoiseSnapshot, NoiseSource};
+use saim_ising::{Couplings, IsingModel, SpinState};
 
 /// Split flip propagation (suffix now, prefix deferred to the coalesced
 /// drain) engages only when one dense coupling row outgrows the caches:
@@ -223,9 +216,8 @@ pub struct ReplicaBatch {
     betas_uniform: Vec<f64>,
     /// Per-spin drive bounds `D_i = |h_i| + Σ_j |J_ij|` of the construction
     /// model (a batch is bound to one model for its lifetime): every lane's
-    /// serial-shaped scan classifies undecided spins from them on demand,
-    /// exactly like [`PbitMachine`](crate::PbitMachine). The bound depends
-    /// only on the model, so one vector serves all lanes.
+    /// Gibbs scan classifies undecided spins from them on demand. The bound
+    /// depends only on the model, so one vector serves all lanes.
     drive_bounds: Vec<f64>,
     /// The per-sweep flip buffer: backward (`j < i`) propagation owed by
     /// this sweep's flips, drained by the end-of-sweep coalesced pass.
@@ -261,7 +253,10 @@ pub struct ReplicaBatch {
     /// ([`REBUILD_COOLDOWN`]).
     cooldown: Vec<u32>,
     /// `max_j |J_ij|` per spin — the bound on how far one flip of `i` can
-    /// move any other spin's field, the slack-budget charge.
+    /// move any other spin's field, the slack-budget charge. An O(n²) pass
+    /// on dense models, so it stays empty until a lane first needs it
+    /// ([`ReplicaBatch::ensure_row_max_abs`]): an annealed schedule never
+    /// builds a settled-set list, so it never pays for the table.
     row_max_abs: Vec<f64>,
     /// `max_i D_i`, a global bound on every `|field|` this model can
     /// produce; scales the absolute rounding pad of the slack charges.
@@ -274,52 +269,98 @@ pub struct ReplicaBatch {
 impl ReplicaBatch {
     /// Builds a batch of `seeds.len()` replicas, lane `r` initialized from
     /// the stream seeded `seeds[r]` exactly like a serial
-    /// [`PbitMachine::new`]: `n` coin flips for the state, then one blocked
-    /// row-dot per spin for the fields.
+    /// [`PbitMachine::new`](crate::PbitMachine::new): the one lane init
+    /// ([`Lane::randomize`]) — `n` coin flips for the state, then one
+    /// blocked row-dot per spin for the fields.
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
     pub fn new(model: &IsingModel, seeds: &[u64]) -> Self {
-        assert!(!seeds.is_empty(), "a batch needs at least one replica lane");
+        let streams = seeds.iter().map(|&s| NoiseSource::from_seed(s)).collect();
+        let mut batch = Self::with_streams(model, streams);
+        for r in 0..batch.width {
+            // the buffer is still empty, so the coin flips read the raw
+            // stream exactly as a serial machine's construction does
+            let (mut lane, stream) = batch.lane(r);
+            lane.randomize(model, stream.rng_mut());
+        }
+        batch
+    }
+
+    /// Captures lane `r`'s complete trajectory state — spins, exact
+    /// incrementally-maintained fields and energy, flip counter, and the
+    /// lane's noise-stream state — for the checkpoint layer.
+    ///
+    /// The snapshot is the layout-independent lane image a
+    /// [`PbitMachine`](crate::PbitMachine) writes too (the lane-major plane
+    /// slice gathered into per-lane vectors), so checkpoints written by one
+    /// plane layout restore under any other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of bounds.
+    pub(crate) fn lane_snapshot(&self, r: usize) -> (MachineSnapshot, NoiseSnapshot) {
+        assert!(r < self.width, "lane index out of bounds");
+        let lane = r * self.n..(r + 1) * self.n;
+        (
+            MachineSnapshot::gather(
+                &self.spins[lane.clone()],
+                &self.fields[lane],
+                self.energies[r],
+                self.flips[r],
+            ),
+            self.streams[r].snapshot(),
+        )
+    }
+
+    /// Rebuilds a batch from per-lane snapshots **without recomputing the
+    /// books**: each lane installs its snapshot verbatim ([`Lane::restore`]),
+    /// so the restored batch continues every lane's trajectory
+    /// bit-identically. Snapshots are per-lane images, so this is a pure
+    /// scatter at the checkpoint boundary — the plane layout never leaks
+    /// into the format.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is empty or a snapshot's length does not match
+    /// `model.len()` (the checkpoint loader validates sizes first).
+    pub(crate) fn from_lane_snapshots(
+        model: &IsingModel,
+        lanes: &[(MachineSnapshot, NoiseSnapshot)],
+    ) -> Self {
+        let streams = lanes
+            .iter()
+            .map(|(_, noise)| NoiseSource::from_snapshot(noise))
+            .collect();
+        let mut batch = Self::with_streams(model, streams);
+        for (r, (machine, _)) in lanes.iter().enumerate() {
+            batch.lane(r).0.restore(machine);
+        }
+        batch
+    }
+
+    /// A batch with one lane per stream and zeroed books, for the lane init
+    /// or a snapshot scatter to fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `streams` is empty.
+    fn with_streams(model: &IsingModel, streams: Vec<NoiseSource>) -> Self {
+        assert!(
+            !streams.is_empty(),
+            "a batch needs at least one replica lane"
+        );
         let n = model.len();
-        let width = seeds.len();
-        let mut spins = vec![0.0; n * width];
-        let mut streams = Vec::with_capacity(width);
-        for (r, &seed) in seeds.iter().enumerate() {
-            let mut rng = new_rng(seed);
-            for s in &mut spins[r * n..(r + 1) * n] {
-                *s = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-            }
-            streams.push(NoiseSource::new(rng));
-        }
-
-        // the initial books must replay the serial machine bit-for-bit;
-        // each lane is already a contiguous spin vector, so it runs through
-        // the very same blocked row-dot kernel the serial resync uses
-        let mut fields = vec![0.0; n * width];
-        let mut energies = vec![0.0; width];
-        let couplings = model.couplings();
-        for (r, energy) in energies.iter_mut().enumerate() {
-            let lane_spins = &spins[r * n..(r + 1) * n];
-            let lane_fields = &mut fields[r * n..(r + 1) * n];
-            let mut acc = 0.0;
-            for (i, &h) in model.fields().iter().enumerate() {
-                let field = couplings.row_dot_f64(i, lane_spins) + h;
-                lane_fields[i] = field;
-                acc += lane_spins[i] * (field + h);
-            }
-            *energy = model.offset() - 0.5 * acc;
-        }
-
+        let width = streams.len();
         let drive_bounds = model.drive_bounds();
         let field_bound = drive_bounds.iter().fold(0.0_f64, |a, &b| a.max(b));
         ReplicaBatch {
             n,
             width,
-            spins,
-            fields,
-            energies,
+            spins: vec![0.0; n * width],
+            fields: vec![0.0; n * width],
+            energies: vec![0.0; width],
             flips: vec![0; width],
             streams,
             betas_uniform: vec![0.0; width],
@@ -332,100 +373,7 @@ impl ReplicaBatch {
             rebuild: vec![false; width],
             age: vec![0; width],
             cooldown: vec![0; width],
-            row_max_abs: (0..n).map(|i| couplings.row_max_abs(i)).collect(),
-            field_bound,
-            split_override: None,
-        }
-    }
-
-    /// Captures lane `r`'s complete trajectory state — spins, exact
-    /// incrementally-maintained fields and energy, flip counter, and the
-    /// lane's noise-stream state — for the checkpoint layer.
-    ///
-    /// The snapshot is a layout-independent *serial* machine image (the
-    /// lane-major plane slice gathered into per-lane vectors), so
-    /// checkpoints written by one plane layout restore under any other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub(crate) fn lane_snapshot(&self, r: usize) -> (MachineSnapshot, NoiseSnapshot) {
-        assert!(r < self.width, "lane index out of bounds");
-        let base = r * self.n;
-        let spins: Vec<i8> = self.spins[base..base + self.n]
-            .iter()
-            .map(|&s| if s > 0.0 { 1 } else { -1 })
-            .collect();
-        let fields = self.fields[base..base + self.n].to_vec();
-        (
-            MachineSnapshot {
-                spins,
-                fields,
-                energy: self.energies[r],
-                flips: self.flips[r],
-            },
-            self.streams[r].snapshot(),
-        )
-    }
-
-    /// Rebuilds a batch from per-lane snapshots **without recomputing the
-    /// books**: stored fields and energies are scattered into the lane
-    /// slices verbatim, so the restored batch continues every lane's
-    /// trajectory bit-identically (see [`crate::PbitMachine`]'s snapshot
-    /// docs for why a resync would fork it). Snapshots are per-lane serial
-    /// images, so this is a pure scatter at the checkpoint boundary — the
-    /// plane layout never leaks into the format.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is empty or a snapshot's length does not match
-    /// `model.len()` (the checkpoint loader validates sizes first).
-    pub(crate) fn from_lane_snapshots(
-        model: &IsingModel,
-        lanes: &[(MachineSnapshot, NoiseSnapshot)],
-    ) -> Self {
-        assert!(!lanes.is_empty(), "a batch needs at least one replica lane");
-        let n = model.len();
-        let width = lanes.len();
-        let mut spins = vec![0.0; n * width];
-        let mut fields = vec![0.0; n * width];
-        let mut energies = vec![0.0; width];
-        let mut flips = vec![0u64; width];
-        let mut streams = Vec::with_capacity(width);
-        for (r, (machine, noise)) in lanes.iter().enumerate() {
-            assert_eq!(machine.spins.len(), n, "snapshot length mismatch");
-            assert_eq!(machine.fields.len(), n, "snapshot field mismatch");
-            let base = r * n;
-            for (dst, &src) in spins[base..base + n].iter_mut().zip(&machine.spins) {
-                *dst = f64::from(src);
-            }
-            fields[base..base + n].copy_from_slice(&machine.fields);
-            energies[r] = machine.energy;
-            flips[r] = machine.flips;
-            streams.push(NoiseSource::from_snapshot(noise));
-        }
-        let drive_bounds = model.drive_bounds();
-        let field_bound = drive_bounds.iter().fold(0.0_f64, |a, &b| a.max(b));
-        let couplings = model.couplings();
-        ReplicaBatch {
-            n,
-            width,
-            spins,
-            fields,
-            energies,
-            flips,
-            streams,
-            betas_uniform: vec![0.0; width],
-            drive_bounds,
-            flip_log: Vec::new(),
-            active: vec![Vec::new(); width],
-            active_settle: vec![f64::NAN; width],
-            slack: vec![0.0; width],
-            last_settle: vec![f64::NAN; width],
-            rebuild: vec![false; width],
-            age: vec![0; width],
-            cooldown: vec![0; width],
-            row_max_abs: (0..n).map(|i| couplings.row_max_abs(i)).collect(),
+            row_max_abs: Vec::new(),
             field_bound,
             split_override: None,
         }
@@ -482,11 +430,7 @@ impl ReplicaBatch {
     /// Panics if `r` is out of bounds.
     pub fn state(&self, r: usize) -> SpinState {
         assert!(r < self.width, "lane index out of bounds");
-        let base = r * self.n;
-        self.spins[base..base + self.n]
-            .iter()
-            .map(|&s| Spin::from_sign(s))
-            .collect()
+        SpinState::from_signs(&self.spins[r * self.n..(r + 1) * self.n])
     }
 
     /// Gathers replica `r`'s spins into `out` without allocating — the
@@ -497,11 +441,7 @@ impl ReplicaBatch {
     /// Panics if `r` is out of bounds or `out.len() != self.len()`.
     pub fn copy_state_into(&self, r: usize, out: &mut SpinState) {
         assert!(r < self.width, "lane index out of bounds");
-        assert_eq!(out.len(), self.n, "state length mismatch");
-        let base = r * self.n;
-        for (i, &s) in self.spins[base..base + self.n].iter().enumerate() {
-            out.set(i, Spin::from_sign(s));
-        }
+        out.copy_from_signs(&self.spins[r * self.n..(r + 1) * self.n]);
     }
 
     /// Exchanges the full replica payload (spins, fields, energy, flips) of
@@ -562,10 +502,10 @@ impl ReplicaBatch {
     /// One batched Gibbs sweep with per-lane inverse temperatures (the
     /// parallel-tempering shape: lane `r` samples at `betas[r]`).
     ///
-    /// Every lane's decisions replay [`PbitMachine::sweep`] on that lane's
-    /// stream bit-for-bit; see the module docs. Width-1 groups of either
-    /// batched engine take the serial-shaped sweep with one-pass
-    /// propagation and no flip buffer.
+    /// Every lane runs the lane kernel's Gibbs scan on its own stream, so
+    /// each replays [`PbitMachine::sweep`](crate::PbitMachine::sweep)
+    /// bit-for-bit; see the module docs. Width-1 groups of either batched
+    /// engine propagate flips in one pass with no flip buffer.
     ///
     /// # Panics
     ///
@@ -591,7 +531,7 @@ impl ReplicaBatch {
         for r in 0..self.width {
             if self.rebuild[r] {
                 self.rebuild[r] = false;
-                self.rebuild_active(r, self.last_settle[r]);
+                self.rebuild_active(couplings, r, self.last_settle[r]);
             }
         }
     }
@@ -618,16 +558,11 @@ impl ReplicaBatch {
     /// ([`ReplicaBatch::masked_lane_gibbs`]); otherwise the serial-shaped
     /// full scan ([`Lane::scan_gibbs`]), which may request a
     /// rebuild of the list when the lane has quenched and β is stable.
-    /// Both visit exactly the unsettled spins in ascending order, so both
-    /// replay [`PbitMachine::sweep`] bit-for-bit.
+    /// Both visit exactly the unsettled spins in ascending order and decide
+    /// each with [`Lane::gibbs_update`], so both replay the full scan
+    /// bit-for-bit.
     fn sweep_lane_gibbs<const DEFER: bool>(&mut self, couplings: &Couplings, r: usize, beta: f64) {
-        // `field · spin ≥ settle` certifies saturated *and* aligned (see
-        // `SETTLE_PAD_UP`); β = 0 maps to +∞ (nothing settles)
-        let settle = if beta > 0.0 {
-            (SATURATION / beta) * SETTLE_PAD_UP
-        } else {
-            f64::INFINITY
-        };
+        let settle = settle_threshold(beta);
         let masked = self.n > 0
             && self.slack[r] > 0.0
             && self.active_settle[r].to_bits() == settle.to_bits();
@@ -640,7 +575,8 @@ impl ReplicaBatch {
             // moment it runs — kill the tag or a later sweep at that β
             // would resume the old certificate against a moved state
             self.active_settle[r] = f64::NAN;
-            let settled = self.lane(r).scan_gibbs::<DEFER>(couplings, beta, settle, 0);
+            let (mut lane, stream) = self.lane(r);
+            let settled = lane.scan_gibbs::<DEFER, _>(couplings, stream, beta, settle, 0);
             // quenched, β stable for two sweeps, and not cooling off after
             // a short-lived list: invest one predicate scan after the
             // drain to skip the full scan from next sweep on
@@ -657,19 +593,29 @@ impl ReplicaBatch {
         self.last_settle[r] = settle;
     }
 
-    /// Borrows lane `r`'s share of the batch for a sweep ([`Lane`]).
+    /// Borrows lane `r`'s share of the batch as a [`Lane`] of the lane
+    /// kernel — its plane slices, energy and flip count, with the shared
+    /// drive bounds and flip buffer — together with the lane's stream.
     #[inline(always)]
-    fn lane(&mut self, r: usize) -> Lane<'_> {
+    fn lane(&mut self, r: usize) -> (Lane<'_>, &mut NoiseSource) {
         let base = r * self.n;
-        Lane {
-            r,
-            spins: &mut self.spins[base..base + self.n],
-            fields: &mut self.fields[base..base + self.n],
-            energy: &mut self.energies[r],
-            flips: &mut self.flips[r],
-            stream: &mut self.streams[r],
-            drive_bounds: &self.drive_bounds,
-            flip_log: &mut self.flip_log,
+        (
+            Lane {
+                spins: &mut self.spins[base..base + self.n],
+                fields: &mut self.fields[base..base + self.n],
+                energy: &mut self.energies[r],
+                flips: &mut self.flips[r],
+                drive_bounds: &self.drive_bounds,
+                defer_to: Some((r as u32, &mut self.flip_log)),
+            },
+            &mut self.streams[r],
+        )
+    }
+
+    /// Builds the slack-charge table `max_j |J_ij|` on first use.
+    fn ensure_row_max_abs(&mut self, couplings: &Couplings) {
+        if self.row_max_abs.is_empty() {
+            self.row_max_abs = (0..self.n).map(|i| couplings.row_max_abs(i)).collect();
         }
     }
 
@@ -692,19 +638,16 @@ impl ReplicaBatch {
         beta: f64,
         settle: f64,
     ) {
-        let n = self.n;
-        let base = r * n;
+        // a list can arrive from another batch through a lane swap
+        self.ensure_row_max_abs(couplings);
         let mut fallback = None;
         for k in 0..self.active[r].len() {
             let i = self.active[r][k] as usize;
-            let f = self.fields[base + i];
-            if f * self.spins[base + i] >= settle {
+            let (mut lane, stream) = self.lane(r);
+            if lane.fields[i] * lane.spins[i] >= settle {
                 continue;
             }
-            let stream = &mut self.streams[r];
-            let new_up = gibbs_up(beta, f, self.drive_bounds[i], || stream.symmetric());
-            if new_up != (self.spins[base + i] > 0.0) {
-                self.lane(r).flip::<DEFER>(couplings, i);
+            if lane.gibbs_update::<DEFER, _>(couplings, stream, beta, i) {
                 self.slack[r] -=
                     2.0 * self.row_max_abs[i] * CHARGE_PAD + self.field_bound * CHARGE_ABS;
                 if self.slack[r] <= 0.0 {
@@ -718,8 +661,8 @@ impl ReplicaBatch {
             // drop the list and finish this sweep in serial shape (spins
             // before `from` were already visited or certified in time)
             self.active_settle[r] = f64::NAN;
-            self.lane(r)
-                .scan_gibbs::<DEFER>(couplings, beta, settle, from);
+            let (mut lane, stream) = self.lane(r);
+            lane.scan_gibbs::<DEFER, _>(couplings, stream, beta, settle, from);
             if self.age[r] >= MIN_LIST_AGE {
                 // the list paid for itself — rebuild right after the drain
                 // instead of wasting a plain-scan sweep first
@@ -746,7 +689,8 @@ impl ReplicaBatch {
     /// the band, so the budget starts at the first margin *beyond* it.
     /// Abandons the list if the unsettled spins alone overflow the cap or
     /// no budget survives the rounding pad.
-    fn rebuild_active(&mut self, r: usize, settle: f64) {
+    fn rebuild_active(&mut self, couplings: &Couplings, r: usize, settle: f64) {
+        self.ensure_row_max_abs(couplings);
         let n = self.n;
         let base = r * n;
         let cap = n / ACTIVE_DIV + 1;
@@ -851,35 +795,12 @@ impl ReplicaBatch {
         self.betas_uniform = betas;
     }
 
-    /// One lane's Metropolis sweep in serial shape, mirroring
-    /// [`PbitMachine::metropolis_sweep`]: propose every spin in order,
-    /// accept with probability `min(1, exp(-β ΔH))` (the accept test draws
-    /// from the lane's stream only when `ΔH > 0`, like the serial kernel).
-    /// Flip propagation is split or one-pass exactly as in the Gibbs
-    /// sweep ([`Lane::flip`]).
-    fn metropolis_lane_sweep<const DEFER: bool>(
-        &mut self,
-        couplings: &Couplings,
-        r: usize,
-        beta: f64,
-    ) {
-        let n = self.n;
-        let base = r * n;
-        for i in 0..n {
-            let f = self.fields[base + i];
-            let old = self.spins[base + i];
-            let delta_h = 2.0 * old * f;
-            let accept = delta_h <= 0.0 || self.streams[r].unit() < (-beta * delta_h).exp();
-            if accept {
-                self.lane(r).flip::<DEFER>(couplings, i);
-            }
-        }
-    }
-
     /// One batched Metropolis sweep with per-lane inverse temperatures.
     ///
-    /// Every lane replays [`PbitMachine::metropolis_sweep`] on that lane's
-    /// stream bit-for-bit.
+    /// Every lane runs the lane kernel's Metropolis sweep on its own
+    /// stream, so each replays
+    /// [`PbitMachine::metropolis_sweep`](crate::PbitMachine::metropolis_sweep)
+    /// bit-for-bit.
     ///
     /// # Panics
     ///
@@ -890,12 +811,14 @@ impl ReplicaBatch {
         let couplings = model.couplings();
         if self.split_propagation() {
             for (r, &beta) in betas.iter().enumerate() {
-                self.metropolis_lane_sweep::<true>(couplings, r, beta);
+                let (mut lane, stream) = self.lane(r);
+                lane.metropolis::<true, _>(couplings, stream, beta);
             }
             self.apply_deferred(couplings);
         } else {
             for (r, &beta) in betas.iter().enumerate() {
-                self.metropolis_lane_sweep::<false>(couplings, r, beta);
+                let (mut lane, stream) = self.lane(r);
+                lane.metropolis::<false, _>(couplings, stream, beta);
             }
         }
         // Metropolis flips are not slack-charged, so the settled-set caches
@@ -914,95 +837,6 @@ impl ReplicaBatch {
         let betas = std::mem::take(&mut self.betas_uniform);
         self.metropolis_sweep(model, &betas);
         self.betas_uniform = betas;
-    }
-}
-
-/// Lane `r`'s share of a [`ReplicaBatch`], borrowed out for one sweep: its
-/// contiguous spin and field slices, energy, flip count and noise stream,
-/// with the shared drive bounds and flip buffer. The serial-shaped scan
-/// runs on its plain slices, and [`Lane::flip`] is the one flip path of
-/// every lane sweep, Gibbs and Metropolis, masked or not.
-struct Lane<'a> {
-    r: usize,
-    spins: &'a mut [f64],
-    fields: &'a mut [f64],
-    energy: &'a mut f64,
-    flips: &'a mut u64,
-    stream: &'a mut NoiseSource,
-    drive_bounds: &'a [f64],
-    flip_log: &'a mut Vec<FlipRec>,
-}
-
-impl Lane<'_> {
-    /// The serial-shaped Gibbs scan over spins `start..n`: blocked settled
-    /// scan, three-tier decision per unsettled spin ([`gibbs_up`]), flip
-    /// propagation over the coupling row — exactly [`PbitMachine::sweep`]'s
-    /// loop on the lane's contiguous plane slices. Returns how many spins
-    /// passed the settled certificate.
-    ///
-    /// [`PbitMachine::sweep`]: crate::PbitMachine::sweep
-    fn scan_gibbs<const DEFER: bool>(
-        &mut self,
-        couplings: &Couplings,
-        beta: f64,
-        settle: f64,
-        start: usize,
-    ) -> usize {
-        let n = self.spins.len();
-        let mut settled = 0;
-        let mut i = start;
-        while i < n {
-            // settled scan + three-tier decisions, exactly like
-            // [`PbitMachine`]'s sweep (see its docs for the certificates)
-            let run = settled_run(&self.fields[i..n], &self.spins[i..n], settle);
-            settled += run;
-            i += run;
-            while i < n {
-                let f = self.fields[i];
-                if f * self.spins[i] >= settle {
-                    break;
-                }
-                let stream = &mut *self.stream;
-                let new_up = gibbs_up(beta, f, self.drive_bounds[i], || stream.symmetric());
-                if new_up != (self.spins[i] > 0.0) {
-                    self.flip::<DEFER>(couplings, i);
-                }
-                i += 1;
-            }
-        }
-        settled
-    }
-
-    /// Flips spin `i` and keeps the lane's books: the energy
-    /// (`ΔH = 2 s_i I_i`), the spin, the flip count, and the coupling-row
-    /// propagation into the lane's fields.
-    ///
-    /// `DEFER = true` splits the propagation: the suffix (`j ≥ i`) is
-    /// applied now, the prefix (`j < i`) is recorded in the flip buffer for
-    /// the end-of-sweep coalesced pass. `DEFER = false` propagates the full
-    /// row in one pass ([`Couplings::row_axpy`]) like the serial machine.
-    /// Both apply identical adds to every field in identical per-lane order
-    /// (module docs), so decisions, draws, and all books are bit-identical
-    /// either way.
-    #[inline(always)]
-    fn flip<const DEFER: bool>(&mut self, couplings: &Couplings, i: usize) {
-        let old = self.spins[i];
-        *self.energy += 2.0 * old * self.fields[i];
-        self.spins[i] = -old;
-        *self.flips += 1;
-        let delta = -2.0 * old; // new - old spin value
-        if DEFER {
-            couplings.row_axpy_suffix(i, delta, self.fields);
-            if i > 0 {
-                self.flip_log.push(FlipRec {
-                    spin: i as u32,
-                    lane: self.r as u32,
-                    delta,
-                });
-            }
-        } else {
-            couplings.row_axpy(i, delta, self.fields);
-        }
     }
 }
 
@@ -1070,7 +904,7 @@ impl LaneBests {
 mod tests {
     use super::*;
     use crate::pbit::PbitMachine;
-    use crate::rng::derive_seed;
+    use crate::rng::{derive_seed, new_rng};
     use saim_ising::{Couplings, QuboBuilder};
 
     fn frustrated_model() -> IsingModel {
@@ -1127,7 +961,7 @@ mod tests {
             })
             .collect();
         for (r, (machine, _)) in serial.iter().enumerate() {
-            assert_eq!(batch.state(r), *machine.state(), "initial state lane {r}");
+            assert_eq!(batch.state(r), machine.state(), "initial state lane {r}");
             assert_eq!(
                 batch.energy(r).to_bits(),
                 machine.energy().to_bits(),
@@ -1139,7 +973,7 @@ mod tests {
             batch.sweep_uniform(model, beta);
             for (r, (machine, noise)) in serial.iter_mut().enumerate() {
                 machine.sweep_buffered(model, beta, noise);
-                assert_eq!(batch.state(r), *machine.state(), "sweep {sweep} lane {r}");
+                assert_eq!(batch.state(r), machine.state(), "sweep {sweep} lane {r}");
                 assert_eq!(
                     batch.energy(r).to_bits(),
                     machine.energy().to_bits(),
@@ -1227,7 +1061,7 @@ mod tests {
                 batch.sweep_uniform(&model, beta);
                 for (r, (machine, noise)) in serial.iter_mut().enumerate() {
                     machine.sweep_buffered(&model, beta, noise);
-                    assert_eq!(batch.state(r), *machine.state(), "sweep {sweep} lane {r}");
+                    assert_eq!(batch.state(r), machine.state(), "sweep {sweep} lane {r}");
                     assert_eq!(batch.energy(r).to_bits(), machine.energy().to_bits());
                     assert_eq!(batch.flips(r), machine.flips());
                 }
@@ -1258,7 +1092,7 @@ mod tests {
             batch.sweep_uniform(&model, 2.0);
             for (r, (machine, noise)) in serial.iter_mut().enumerate() {
                 machine.sweep_buffered(&model, 2.0, noise);
-                assert_eq!(batch.state(r), *machine.state(), "sweep {sweep} lane {r}");
+                assert_eq!(batch.state(r), machine.state(), "sweep {sweep} lane {r}");
                 assert_eq!(batch.energy(r).to_bits(), machine.energy().to_bits());
                 assert_eq!(batch.flips(r), machine.flips());
             }
@@ -1336,7 +1170,7 @@ mod tests {
             batch.metropolis_sweep_uniform(&model, beta);
             for (r, (machine, noise)) in serial.iter_mut().enumerate() {
                 machine.metropolis_sweep_buffered(&model, beta, noise);
-                assert_eq!(batch.state(r), *machine.state(), "sweep {sweep} lane {r}");
+                assert_eq!(batch.state(r), machine.state(), "sweep {sweep} lane {r}");
                 assert_eq!(batch.energy(r).to_bits(), machine.energy().to_bits());
             }
         }

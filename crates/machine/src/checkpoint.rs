@@ -60,7 +60,7 @@
 //! unkillable. Stop requests take effect at deterministic trajectory
 //! boundaries, so a checkpointed run resumes on exactly the sweep it left.
 
-use crate::pbit::MachineSnapshot;
+use crate::lane::MachineSnapshot;
 use crate::rng::{NoiseSnapshot, NOISE_SNAPSHOT_WORDS};
 use crate::service::JobSpec;
 use crate::solver::SolveOutcome;
@@ -430,7 +430,7 @@ pub struct MachineState {
 impl MachineState {
     pub(crate) fn capture(snap: &MachineSnapshot) -> Self {
         MachineState {
-            spins: snap.spins.clone(),
+            spins: snap.spins.values().to_vec(),
             field_bits: snap.fields.iter().map(|f| f.to_bits()).collect(),
             energy_bits: snap.energy.to_bits(),
             flips: snap.flips,
@@ -447,7 +447,7 @@ impl MachineState {
         }
         check_spins(&self.spins)?;
         Ok(MachineSnapshot {
-            spins: self.spins.clone(),
+            spins: SpinState::from_values(&self.spins),
             fields: self.field_bits.iter().map(|&b| f64::from_bits(b)).collect(),
             energy: f64::from_bits(self.energy_bits),
             flips: self.flips,

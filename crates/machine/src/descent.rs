@@ -129,11 +129,12 @@ impl GreedyDescent {
             machine: MachineState::capture(&machine.snapshot()),
             rng: RngState::capture(&self.rng),
         });
+        let last = machine.state();
         Controlled {
             outcome: SolveOutcome {
-                last: machine.state().clone(),
+                best: last.clone(),
+                last,
                 last_energy: machine.energy(),
-                best: machine.state().clone(),
                 best_energy: machine.energy(),
                 mcs: sweeps,
             },

@@ -22,18 +22,24 @@
 //!
 //! This crate provides:
 //!
-//! - [`PbitMachine`] — the p-bit network with incremental local-field and
-//!   energy bookkeeping, updating through a three-tier decision kernel
-//!   (per-spin saturation classification, exact saturation short-circuit,
-//!   certified tanh bracket) that replays the exact-`tanh` rule
-//!   bit-for-bit at a fraction of its hot-regime cost,
+//! - the lane kernel (the private `lane` module) — the one copy of every
+//!   per-lane step both sweep engines run: the coin-flip init with its
+//!   field and energy computation, the Gibbs scan with its three-tier
+//!   decision (per-spin saturation classification, exact saturation
+//!   short-circuit, certified tanh bracket) that replays the exact-`tanh`
+//!   rule bit-for-bit at a fraction of its hot-regime cost, the Metropolis
+//!   sweep, the flip with its field propagation, and the checkpoint
+//!   gather/scatter,
+//! - [`PbitMachine`] — the p-bit network: one lane of the lane kernel,
+//!   swept serially, plus the greedy sweep and the exact-`tanh` oracle
+//!   every kernel is pinned against,
 //! - [`bracket`] — the certified rational `tanh` bounds behind tier 3 and
 //!   their flip-decision helper,
-//! - [`ReplicaBatch`] — R replicas of one model in structure-of-arrays spin
-//!   and field planes, advanced together so one coupling-row pass updates
-//!   every replica's field lane; per-lane trajectories are bit-identical to
-//!   serial machines for any batch width (the CPU shape of the future GPU
-//!   batch sweep),
+//! - [`ReplicaBatch`] — R lanes of one model in lane-major spin and field
+//!   planes, each swept by the lane kernel, with settled-set lists and a
+//!   coalesced flip buffer so one coupling-row pass can serve several
+//!   lanes; per-lane trajectories are bit-identical to serial machines for
+//!   any batch width (the CPU shape of the future GPU batch sweep),
 //! - [`NoiseSource`] — a block-buffered tap on a ChaCha8 stream for the
 //!   sweep noise, preserving the per-decision draw order exactly,
 //! - [`BetaSchedule`] — annealing schedules (the paper uses a linear sweep
@@ -122,6 +128,7 @@ pub mod cluster;
 mod descent;
 mod ensemble;
 pub mod frontend;
+mod lane;
 pub mod parallel;
 mod pbit;
 mod pt;

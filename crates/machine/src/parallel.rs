@@ -9,7 +9,7 @@
 //!   handed out dynamically through an atomic cursor (load balancing), but
 //!   every item's result lands in its own slot, so the reduction the caller
 //!   performs over the returned `Vec` is bit-identical to a serial run.
-//! - [`parallel_rounds`] — a repeated fork–join over one **persistent**
+//! - [`parallel_rounds_while`] — a repeated fork–join over one **persistent**
 //!   worker pool with a serial join phase between rounds (parallel
 //!   tempering's shape). Spawning once and synchronizing rounds on a
 //!   barrier keeps the per-round cost at two barrier crossings instead of a
@@ -39,7 +39,7 @@ pub fn available_threads() -> usize {
 
 std::thread_local! {
     /// Whether the current thread is a pool worker (a `parallel_map_indexed`
-    /// / `parallel_rounds` worker or a front-end worker). Auto-sized
+    /// / `parallel_rounds_while` worker or a front-end worker). Auto-sized
     /// (`threads == 0`) maps called from inside a worker run inline instead
     /// of spawning a nested all-cores pool — an outer instance grid over
     /// inner run ensembles would otherwise oversubscribe the machine with up
@@ -166,7 +166,7 @@ pub(crate) fn lane_group_width(count: usize, threads: usize) -> usize {
         .clamp(1, crate::EnsembleConfig::DEFAULT_BATCH_WIDTH)
 }
 
-/// Runs `rounds` fork–join rounds over one persistent worker pool.
+/// Runs up to `rounds` fork–join rounds over one persistent worker pool.
 ///
 /// Each round applies `work(round, item)` to every `item in 0..items`
 /// exactly once (items are handed out dynamically), then calls
@@ -175,40 +175,25 @@ pub(crate) fn lane_group_width(count: usize, threads: usize) -> usize {
 /// caller (e.g. a `Vec<Mutex<_>>` indexed by item), so results are
 /// deterministic whenever items don't share mutable state across indices.
 ///
+/// `join` returns `true` to continue into the next round, `false` to shut
+/// the pool down immediately (remaining rounds never run). This is the
+/// cooperative cancellation / checkpoint shape — the decision to stop is
+/// taken on the caller's thread with every worker parked, so per-item
+/// state is safe to snapshot right before returning `false`.
+///
 /// `threads` resolves like [`parallel_map_indexed`]: `0` means all cores
 /// (or 1 inside another auto-sized pool), the effective count is capped at
 /// `items`, and one effective thread runs everything inline on the caller's
 /// thread with no pool at all. None of this ever changes results, only
 /// wall-clock.
 ///
+/// Returns the number of rounds whose work phase completed.
+///
 /// # Panics
 ///
 /// Propagates the first panic observed in `work` (the round's workers all
 /// reach the barrier first, then the pool shuts down), and any panic from
 /// `join`.
-pub fn parallel_rounds<W, J>(items: usize, threads: usize, rounds: usize, work: W, mut join: J)
-where
-    W: Fn(usize, usize) + Sync,
-    J: FnMut(usize),
-{
-    parallel_rounds_while(items, threads, rounds, work, |round| {
-        join(round);
-        true
-    });
-}
-
-/// [`parallel_rounds`] whose join phase can stop the run early: `join`
-/// returns `true` to continue into the next round, `false` to shut the pool
-/// down immediately (remaining rounds never run). This is the cooperative
-/// cancellation / checkpoint shape — the decision to stop is taken on the
-/// caller's thread with every worker parked, so per-item state is safe to
-/// snapshot right before returning `false`.
-///
-/// Returns the number of rounds whose work phase completed.
-///
-/// # Panics
-///
-/// Propagates panics exactly like [`parallel_rounds`].
 pub fn parallel_rounds_while<W, J>(
     items: usize,
     threads: usize,
@@ -676,12 +661,15 @@ mod tests {
         for threads in [0usize, 1, 2, 3, 8] {
             let slots: Vec<Mutex<Vec<usize>>> = (0..5).map(|_| Mutex::new(Vec::new())).collect();
             let mut joined = Vec::new();
-            parallel_rounds(
+            parallel_rounds_while(
                 5,
                 threads,
                 4,
                 |round, item| slots[item].lock().unwrap().push(round),
-                |round| joined.push(round),
+                |round| {
+                    joined.push(round);
+                    true
+                },
             );
             assert_eq!(joined, vec![0, 1, 2, 3], "threads = {threads}");
             for (item, slot) in slots.iter().enumerate() {
@@ -699,7 +687,7 @@ mod tests {
         // every item increments its counter once per round; the join phase
         // must observe all of them at exactly round + 1
         let counters: Vec<Mutex<usize>> = (0..7).map(|_| Mutex::new(0)).collect();
-        parallel_rounds(
+        parallel_rounds_while(
             7,
             4,
             5,
@@ -708,22 +696,32 @@ mod tests {
                 for c in &counters {
                     assert_eq!(*c.lock().unwrap(), round + 1);
                 }
+                true
             },
         );
     }
 
     #[test]
     fn rounds_with_zero_rounds_or_items_are_noops() {
-        parallel_rounds(5, 2, 0, |_, _| panic!("no work"), |_| panic!("no join"));
+        parallel_rounds_while(5, 2, 0, |_, _| panic!("no work"), |_| panic!("no join"));
         let mut joins = 0;
-        parallel_rounds(0, 2, 3, |_, _| panic!("no items"), |_| joins += 1);
+        parallel_rounds_while(
+            0,
+            2,
+            3,
+            |_, _| panic!("no items"),
+            |_| {
+                joins += 1;
+                true
+            },
+        );
         assert_eq!(joins, 3);
     }
 
     #[test]
     #[should_panic(expected = "boom in a round worker")]
     fn rounds_propagate_worker_panics() {
-        parallel_rounds(
+        parallel_rounds_while(
             4,
             2,
             3,
@@ -732,7 +730,7 @@ mod tests {
                     panic!("boom in a round worker");
                 }
             },
-            |_| {},
+            |_| true,
         );
     }
 

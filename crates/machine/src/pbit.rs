@@ -1,59 +1,17 @@
-use crate::bracket::gibbs_decision;
+//! The serial p-bit machine: one lane of the lane kernel.
+//!
+//! [`PbitMachine`] owns exactly one lane's books — `±1.0` spins, local
+//! fields, energy, flip count, and the model's drive bounds — and sweeps
+//! them through the one per-lane kernel in [`crate::lane`], the same code
+//! every [`ReplicaBatch`](crate::ReplicaBatch) lane runs. What stays here
+//! is the serial sweep policy (every spin, every sweep, one-pass flip
+//! propagation), the greedy sweep, and the exact-`tanh` oracle that every
+//! kernel is pinned against.
+
+use crate::lane::{settle_threshold, Lane, MachineSnapshot, SATURATION};
 use crate::rng::{NoiseSource, SweepNoise};
-use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use saim_ising::{IsingModel, Spin, SpinState};
-
-/// Beyond this drive, `tanh(x)` rounds to exactly `±1.0` in `f64`
-/// (`2e^{-2x} < 2^{-53}` ulp), and `sign(±1 + u)` with `u ∈ [-1, 1)` is the
-/// sign of the saturated activation for every drawable `u` — the update is
-/// deterministic, so both the tanh and the noise draw are skipped. This is
-/// exact, not approximate: cold sweeps (large `β·I`) cost a compare instead
-/// of a transcendental plus an RNG advance. The batched sweep engine
-/// ([`crate::ReplicaBatch`]) shares this constant so its per-lane decisions
-/// replay the serial machine bit-for-bit.
-pub(crate) const SATURATION: f64 = 20.0;
-
-/// Relative pad (`1 + 2⁻¹⁶`) on the per-spin saturation classification: a
-/// spin counts as *never-saturating* at β only when `β · D_i · CLASS_PAD`
-/// stays below [`SATURATION`], where `D_i = |h_i| + Σ_j |J_ij|` bounds the
-/// true local field ([`IsingModel::drive_bounds`]).
-///
-/// The pad is what makes dropping the per-update saturation compares sound:
-/// the incrementally-maintained field can exceed the real bound only by
-/// accumulated rounding — about one part in 2⁵² per neighbour flip — so the
-/// classification would need on the order of 2³⁶ flips *of one spin's
-/// neighbours between resyncs* to be breached, far beyond any realizable
-/// run. The oracle replay proptests and the determinism suites pin the
-/// contract empirically. Shared by the serial and batched engines.
-pub(crate) const CLASS_PAD: f64 = 1.0 + 1.0 / (1u64 << 16) as f64;
-
-/// Upward pad on the settled-filter thresholds: `field · spin ≥
-/// (SATURATION / β) · SETTLE_PAD_UP` *certifies* `β · field · spin ≥
-/// SATURATION` despite the rounding of the division and the final multiply
-/// (the products themselves are exact — spin is ±1.0) — so a spin passing
-/// the settled test provably takes the old kernel's deterministic
-/// short-circuit with no flip and no draw, independent of any
-/// classification. Division rounding can only make the filter
-/// conservative: a settled spin that fails it merely pays the exact
-/// compares. Shared by the serial and batched engines.
-pub(crate) const SETTLE_PAD_UP: f64 = 1.0 + 16.0 * f64::EPSILON;
-
-/// Plain-data image of a [`PbitMachine`]'s books — exact field and energy
-/// values included — used by the checkpoint layer. The fields must be the
-/// *incrementally maintained* values, not a recompute (see
-/// [`PbitMachine::from_snapshot`]).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct MachineSnapshot {
-    /// Spin values (±1) in index order.
-    pub spins: Vec<i8>,
-    /// Incrementally-maintained local fields, exact.
-    pub fields: Vec<f64>,
-    /// Incrementally-maintained energy, exact.
-    pub energy: f64,
-    /// Lifetime flip counter.
-    pub flips: u64,
-}
+use saim_ising::{IsingModel, SpinState};
 
 /// A network of probabilistic bits emulating a p-computer in software.
 ///
@@ -65,7 +23,9 @@ pub(crate) struct MachineSnapshot {
 ///
 /// The machine keeps the local-field vector and the model energy current
 /// incrementally: a flip of spin `j` shifts every `I_i` by `2 J_ij m_j`,
-/// which costs one row scan instead of the full `O(n²)` recompute.
+/// which costs one row scan instead of the full `O(n²)` recompute. It is
+/// one lane of the crate's lane kernel: a [`ReplicaBatch`](crate::ReplicaBatch)
+/// lane on the same stream runs the same code and replays it bit-for-bit.
 ///
 /// # The three-tier decision kernel
 ///
@@ -122,64 +82,51 @@ pub(crate) struct MachineSnapshot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PbitMachine {
-    state: SpinState,
-    /// `±1.0` mirror of `state`: the sweep hot path works on floats so the
-    /// local-field updates and dot products never convert `i8 → f64`.
-    spins_f: Vec<f64>,
+    /// `±1.0` spins: the sweep works on floats so the local-field updates
+    /// and dot products never convert `i8 → f64`.
+    spins: Vec<f64>,
     local_fields: Vec<f64>,
     energy: f64,
     flips: u64,
-    /// Per-spin drive bounds `D_i` (tier 1 of the decision kernel),
-    /// refreshed lazily after a book recompute so solvers that never take a
-    /// Gibbs sweep (greedy descent, Metropolis) don't pay for them. Spin
-    /// `i`'s classification at any β is the pure test
-    /// `β · D_i · CLASS_PAD ≥ SATURATION`, evaluated on demand for the few
-    /// spins the settled scan leaves undecided — so a changing β (every
-    /// annealing schedule) costs no per-spin reclassification pass.
-    drive_bounds: Vec<f64>,
-    /// Whether `drive_bounds` must be recomputed from the model before the
-    /// next classification.
-    bounds_stale: bool,
+    /// Per-spin drive bounds `D_i` (tier 1 of the decision kernel), built
+    /// from the model on the first Gibbs sweep after a book recompute, so
+    /// solvers that never take a Gibbs sweep (greedy descent, Metropolis)
+    /// don't pay for them. `None` after every recompute: the recompute may
+    /// follow a model change (a SAIM λ update, or reuse on a different
+    /// model of the same size), and the bounds depend on `|h|` and `|J|`.
+    drive_bounds: Option<Vec<f64>>,
 }
 
 impl PbitMachine {
-    /// Creates a machine with a uniformly random initial state.
-    pub fn new(model: &IsingModel, rng: &mut ChaCha8Rng) -> Self {
-        let state: SpinState = (0..model.len())
-            .map(|_| {
-                if rng.gen::<bool>() {
-                    Spin::Up
-                } else {
-                    Spin::Down
-                }
-            })
-            .collect();
-        Self::with_state(model, state)
-    }
-
-    /// Creates a machine starting from a given spin configuration.
-    ///
-    /// Initialization performs exactly one field resync (O(n²) dense,
-    /// O(nnz) sparse); to re-anneal an existing machine without fresh
-    /// allocations use [`PbitMachine::randomize`] or
-    /// [`PbitMachine::reset_to`] instead of constructing a new one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len() != model.len()`.
-    pub fn with_state(model: &IsingModel, state: SpinState) -> Self {
-        assert_eq!(state.len(), model.len(), "state length mismatch");
-        let spins_f: Vec<f64> = state.values().iter().map(|&v| f64::from(v)).collect();
-        let mut machine = PbitMachine {
-            state,
-            spins_f,
-            local_fields: vec![0.0; model.len()],
+    /// A machine of `n` spins with zeroed books, for a lane init to fill.
+    fn zeroed(n: usize) -> Self {
+        PbitMachine {
+            spins: vec![0.0; n],
+            local_fields: vec![0.0; n],
             energy: 0.0,
             flips: 0,
-            drive_bounds: vec![0.0; model.len()],
-            bounds_stale: true,
-        };
-        machine.recompute_books(model);
+            drive_bounds: None,
+        }
+    }
+
+    /// The machine's books as a [`Lane`] of the lane kernel. A serial lane
+    /// always propagates flips in one pass, so it has no flip buffer.
+    #[inline(always)]
+    fn lane(&mut self) -> Lane<'_> {
+        Lane {
+            spins: &mut self.spins,
+            fields: &mut self.local_fields,
+            energy: &mut self.energy,
+            flips: &mut self.flips,
+            drive_bounds: self.drive_bounds.as_deref().unwrap_or_default(),
+            defer_to: None,
+        }
+    }
+
+    /// Creates a machine with a uniformly random initial state.
+    pub fn new(model: &IsingModel, rng: &mut ChaCha8Rng) -> Self {
+        let mut machine = Self::zeroed(model.len());
+        machine.lane().randomize(model, rng);
         machine
     }
 
@@ -198,7 +145,7 @@ impl PbitMachine {
         rng: &mut ChaCha8Rng,
     ) -> &'a mut PbitMachine {
         match slot {
-            Some(m) if m.state().len() == model.len() => m.randomize(model, rng),
+            Some(m) if m.spins.len() == model.len() => m.randomize(model, rng),
             _ => *slot = Some(PbitMachine::new(model, rng)),
         }
         slot.as_mut().expect("just set")
@@ -208,125 +155,37 @@ impl PbitMachine {
     /// maintained local fields and energy, and the flip counter — for the
     /// checkpoint layer.
     pub(crate) fn snapshot(&self) -> MachineSnapshot {
-        MachineSnapshot {
-            spins: self.state.values().to_vec(),
-            fields: self.local_fields.clone(),
-            energy: self.energy,
-            flips: self.flips,
-        }
+        MachineSnapshot::gather(&self.spins, &self.local_fields, self.energy, self.flips)
     }
 
     /// Rebuilds a machine from a [`PbitMachine::snapshot`] **without a field
-    /// resync**: the stored fields and energy are installed verbatim.
-    ///
-    /// This is deliberate. [`PbitMachine::with_state`] recomputes the books
-    /// from the model, but a recomputed field is summed in a different
-    /// association order than the incrementally-maintained one and so is not
-    /// bit-identical to it; resuming through a resync would fork the
-    /// trajectory from the uninterrupted run. Drive bounds are derived data
-    /// and are lazily recomputed on the first sweep.
+    /// resync**: the stored fields and energy are installed verbatim (see
+    /// [`MachineSnapshot`] for why). Drive bounds are derived data and are
+    /// rebuilt on the first Gibbs sweep.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot's length does not match `model.len()` (the
     /// checkpoint loader validates sizes before calling this).
     pub(crate) fn from_snapshot(model: &IsingModel, snap: &MachineSnapshot) -> Self {
-        assert_eq!(snap.spins.len(), model.len(), "snapshot length mismatch");
-        assert_eq!(snap.fields.len(), model.len(), "snapshot field mismatch");
-        let state = SpinState::from_values(&snap.spins);
-        let spins_f: Vec<f64> = state.values().iter().map(|&v| f64::from(v)).collect();
-        PbitMachine {
-            state,
-            spins_f,
-            local_fields: snap.fields.clone(),
-            energy: snap.energy,
-            flips: snap.flips,
-            drive_bounds: vec![0.0; model.len()],
-            bounds_stale: true,
-        }
+        let mut machine = Self::zeroed(model.len());
+        machine.lane().restore(snap);
+        machine
     }
 
-    /// Re-initializes the machine in place from `state`, reusing every
-    /// internal buffer — the re-anneal path: no allocation when the size is
-    /// unchanged, and exactly one field resync.
+    /// The current spin configuration, as a fresh [`SpinState`].
+    pub fn state(&self) -> SpinState {
+        SpinState::from_signs(&self.spins)
+    }
+
+    /// Writes the current spin configuration into `out` without
+    /// allocating — the best-state tracking path.
     ///
     /// # Panics
     ///
-    /// Panics if `state.len() != model.len()`.
-    pub fn reset_to(&mut self, model: &IsingModel, state: &SpinState) {
-        assert_eq!(state.len(), model.len(), "state length mismatch");
-        if self.state.len() == state.len() {
-            self.state.copy_from(state);
-        } else {
-            self.state = state.clone();
-            self.spins_f.resize(state.len(), 0.0);
-            self.local_fields.resize(state.len(), 0.0);
-            self.drive_bounds.resize(state.len(), 0.0);
-        }
-        for (s, &v) in self.spins_f.iter_mut().zip(state.values()) {
-            *s = f64::from(v);
-        }
-        self.recompute_books(model);
-    }
-
-    /// Rebuilds the local fields (O(N²) on dense models, O(nnz) on sparse
-    /// ones) and then the energy in O(N) via
-    /// [`PbitMachine::energy_from_fields`].
-    ///
-    /// Also invalidates the cached drive bounds and saturation
-    /// classification: every book recompute may follow a model change (a
-    /// SAIM λ-resync, or machine reuse on a different model of the same
-    /// size), and the bounds depend on `|h|` and `|J|`.
-    fn recompute_books(&mut self, model: &IsingModel) {
-        let couplings = model.couplings();
-        for (i, (field, &h)) in self.local_fields.iter_mut().zip(model.fields()).enumerate() {
-            *field = couplings.row_dot_f64(i, &self.spins_f) + h;
-        }
-        self.energy = self.energy_from_fields(model);
-        self.bounds_stale = true;
-    }
-
-    /// Refreshes the per-spin drive bounds (lazily, only after a book
-    /// recompute) — tier 1 of the decision kernel. One abs-sum row pass per
-    /// spin (O(N²) dense / O(nnz) sparse), the same cost as the field
-    /// resync that staled them.
-    fn ensure_drive_bounds(&mut self, model: &IsingModel) {
-        if self.bounds_stale {
-            let couplings = model.couplings();
-            for (i, (d, &h)) in self.drive_bounds.iter_mut().zip(model.fields()).enumerate() {
-                *d = h.abs() + couplings.row_abs_sum(i);
-            }
-            self.bounds_stale = false;
-        }
-    }
-
-    /// The model energy recomputed in O(N) from the incrementally-maintained
-    /// local fields:
-    ///
-    /// ```text
-    /// H = offset − ½ Σ_i s_i (I_i + h_i)
-    /// ```
-    ///
-    /// (since `I_i = Σ_j J_ij s_j + h_i`, the pair term is
-    /// `½ Σ_i s_i (I_i − h_i)`). This replaces the O(N²) `model.energy`
-    /// recompute everywhere the machine already holds current fields — the
-    /// SAIM λ-resync path in particular.
-    pub fn energy_from_fields(&self, model: &IsingModel) -> f64 {
-        let mut acc = 0.0;
-        for ((&s, &f), &h) in self
-            .spins_f
-            .iter()
-            .zip(&self.local_fields)
-            .zip(model.fields())
-        {
-            acc += s * (f + h);
-        }
-        model.offset() - 0.5 * acc
-    }
-
-    /// The current spin configuration.
-    pub fn state(&self) -> &SpinState {
-        &self.state
+    /// Panics if `out.len()` differs from the machine's spin count.
+    pub fn copy_state_into(&self, out: &mut SpinState) {
+        out.copy_from_signs(&self.spins);
     }
 
     /// The current model energy `H(m)`, maintained incrementally.
@@ -348,47 +207,19 @@ impl PbitMachine {
         self.local_fields[i]
     }
 
-    /// Re-reads fields and energy from the model.
-    ///
-    /// Call after the model's linear part changed (SAIM's λ update) while
-    /// keeping the spin state.
-    pub fn resync(&mut self, model: &IsingModel) {
-        assert_eq!(self.state.len(), model.len(), "state length mismatch");
-        self.recompute_books(model);
-    }
-
     /// Re-randomizes the spin state uniformly (the start of a fresh SA run).
     ///
     /// Reuses every internal buffer and performs exactly one field resync —
-    /// re-annealing allocates nothing.
+    /// re-annealing allocates nothing but the drive bounds its first Gibbs
+    /// sweep rebuilds.
     ///
     /// # Panics
     ///
     /// Panics if the machine was built for a different model size.
     pub fn randomize(&mut self, model: &IsingModel, rng: &mut ChaCha8Rng) {
-        assert_eq!(self.state.len(), model.len(), "state length mismatch");
-        for i in 0..self.state.len() {
-            let spin = if rng.gen::<bool>() {
-                Spin::Up
-            } else {
-                Spin::Down
-            };
-            self.state.set(i, spin);
-            self.spins_f[i] = f64::from(spin.value());
-        }
-        self.recompute_books(model);
-    }
-
-    #[inline]
-    fn apply_flip(&mut self, model: &IsingModel, i: usize) {
-        let old = self.spins_f[i];
-        // ΔH for flipping spin i is 2 s_i I_i
-        self.energy += 2.0 * old * self.local_fields[i];
-        self.state.flip(i);
-        self.spins_f[i] = -old;
-        let delta = -2.0 * old; // new - old spin value
-        model.couplings().row_axpy(i, delta, &mut self.local_fields);
-        self.flips += 1;
+        assert_eq!(self.spins.len(), model.len(), "state length mismatch");
+        self.lane().randomize(model, rng);
+        self.drive_bounds = None;
     }
 
     /// One Monte Carlo sweep: sequentially updates every p-bit at inverse
@@ -426,47 +257,14 @@ impl PbitMachine {
     }
 
     fn sweep_with<N: SweepNoise>(&mut self, model: &IsingModel, beta: f64, noise: &mut N) -> usize {
-        assert_eq!(self.state.len(), model.len(), "state length mismatch");
-        self.ensure_drive_bounds(model);
-        // `field · spin ≥ settle` certifies saturated *and* aligned (see
-        // `SETTLE_PAD_UP`) — independent of any per-spin bound, so one
-        // scalar threshold serves the whole scan; β = 0 maps to +∞
-        // (nothing settles).
-        let settle = if beta > 0.0 {
-            (SATURATION / beta) * SETTLE_PAD_UP
-        } else {
-            f64::INFINITY
-        };
-        let n = self.state.len();
-        let mut changed = 0;
-        let mut i = 0;
-        while i < n {
-            // Settled scan: a whole run of settled spins — for each of
-            // which the old kernel would decide "keep, no draw" — is
-            // skipped with one blocked multiply-compare per spin
-            // ([`settled_run`]). Never-saturating spins can never pass the
-            // test (their field bound sits below `SATURATION / β`), so
-            // they always stop the scan.
-            let run = settled_run(&self.local_fields[i..n], &self.spins_f[i..n], settle);
-            i += run;
-            // Then a run of *unsettled* spins — the hot knapsack slack bits
-            // sit on consecutive indices, so deciding them in one tight
-            // loop (one settled re-test per spin, fields re-read after any
-            // flip) avoids re-entering the scan per decision.
-            while i < n {
-                let f = self.local_fields[i];
-                if f * self.spins_f[i] >= settle {
-                    break;
-                }
-                let new_up = gibbs_up(beta, f, self.drive_bounds[i], || noise.noise_symmetric());
-                if new_up != (self.spins_f[i] > 0.0) {
-                    self.apply_flip(model, i);
-                    changed += 1;
-                }
-                i += 1;
-            }
-        }
-        changed
+        assert_eq!(self.spins.len(), model.len(), "state length mismatch");
+        self.drive_bounds
+            .get_or_insert_with(|| model.drive_bounds());
+        let before = self.flips;
+        let settle = settle_threshold(beta);
+        self.lane()
+            .scan_gibbs::<false, N>(model.couplings(), noise, beta, settle, 0);
+        (self.flips - before) as usize
     }
 
     /// The pre-bracket reference Gibbs sweep: exact `tanh` plus one noise
@@ -500,15 +298,17 @@ impl PbitMachine {
         self.sweep_exact_with(model, beta, noise)
     }
 
+    /// The oracle's own decision loop: independent of the lane kernel's
+    /// scan and decision tiers, which it is the reference for.
     fn sweep_exact_with<N: SweepNoise>(
         &mut self,
         model: &IsingModel,
         beta: f64,
         noise: &mut N,
     ) -> usize {
-        assert_eq!(self.state.len(), model.len(), "state length mismatch");
+        assert_eq!(self.spins.len(), model.len(), "state length mismatch");
         let mut changed = 0;
-        for i in 0..self.state.len() {
+        for i in 0..self.spins.len() {
             let drive = beta * self.local_fields[i];
             let new_up = if drive >= SATURATION {
                 true
@@ -519,8 +319,8 @@ impl PbitMachine {
                 let noise: f64 = noise.noise_symmetric();
                 activation + noise >= 0.0
             };
-            if new_up != (self.spins_f[i] > 0.0) {
-                self.apply_flip(model, i);
+            if new_up != (self.spins[i] > 0.0) {
+                self.lane().flip::<false>(model.couplings(), i);
                 changed += 1;
             }
         }
@@ -572,17 +372,11 @@ impl PbitMachine {
         beta: f64,
         noise: &mut N,
     ) -> usize {
-        assert_eq!(self.state.len(), model.len(), "state length mismatch");
-        let mut changed = 0;
-        for i in 0..self.state.len() {
-            let delta = 2.0 * self.spins_f[i] * self.local_fields[i];
-            let accept = delta <= 0.0 || noise.noise_unit() < (-beta * delta).exp();
-            if accept {
-                self.apply_flip(model, i);
-                changed += 1;
-            }
-        }
-        changed
+        assert_eq!(self.spins.len(), model.len(), "state length mismatch");
+        let before = self.flips;
+        self.lane()
+            .metropolis::<false, N>(model.couplings(), noise, beta);
+        (self.flips - before) as usize
     }
 
     /// One deterministic greedy sweep: flips each spin whose flip strictly
@@ -590,12 +384,13 @@ impl PbitMachine {
     ///
     /// Returns the number of spins that changed.
     pub fn greedy_sweep(&mut self, model: &IsingModel) -> usize {
-        assert_eq!(self.state.len(), model.len(), "state length mismatch");
+        assert_eq!(self.spins.len(), model.len(), "state length mismatch");
         let mut changed = 0;
-        for i in 0..self.state.len() {
-            let delta = 2.0 * self.spins_f[i] * self.local_fields[i];
+        let mut lane = self.lane();
+        for i in 0..lane.spins.len() {
+            let delta = 2.0 * lane.spins[i] * lane.fields[i];
             if delta < 0.0 {
-                self.apply_flip(model, i);
+                lane.flip::<false>(model.couplings(), i);
                 changed += 1;
             }
         }
@@ -603,72 +398,10 @@ impl PbitMachine {
     }
 }
 
-/// Length of the leading *settled run*: the largest `k` such that
-/// `fields[j] · spins[j] ≥ thresh` for every `j < k`.
-///
-/// The hot loop of the settled scan: whole blocks of 8 spins are tested
-/// with a branchless compare-count the compiler keeps in vector registers
-/// (the same shape as the batched engine's lane filter), and only the
-/// breaking block is refined element-wise. Purely a read-only count — the
-/// caller decides the first unsettled spin through the full kernel, so
-/// blocking can never change a decision or a draw.
-#[inline(always)]
-pub(crate) fn settled_run(fields: &[f64], spins: &[f64], thresh: f64) -> usize {
-    const BLOCK: usize = 8;
-    let n = fields.len();
-    let mut i = 0;
-    while i + BLOCK <= n {
-        let f: &[f64; BLOCK] = fields[i..i + BLOCK].try_into().expect("blocked slice");
-        let s: &[f64; BLOCK] = spins[i..i + BLOCK].try_into().expect("blocked slice");
-        let mut settled = 0u32;
-        for lane in 0..BLOCK {
-            settled += u32::from(f[lane] * s[lane] >= thresh);
-        }
-        if settled != BLOCK as u32 {
-            break;
-        }
-        i += BLOCK;
-    }
-    while i < n && fields[i] * spins[i] >= thresh {
-        i += 1;
-    }
-    i
-}
-
-/// The three-tier Gibbs decision for one spin the settled scan left
-/// undecided (tiers 1–3 in [`PbitMachine`]'s docs): whether the spin
-/// comes up, given its local `field`, its drive bound `D_i` and the
-/// inverse temperature.
-///
-/// A spin whose drive bound can reach saturation at this β runs the exact
-/// saturation compares, which decide without a draw past `±SATURATION`;
-/// never-saturating spins — the hot regime's majority — go straight to
-/// the drawn bracket decision ([`gibbs_decision`]). `noise` is called
-/// exactly once on the drawn path and never otherwise, which is the
-/// kernel's RNG-consumption contract, so every caller — the serial
-/// machine and every batch lane — replays the exact kernel bit-for-bit.
-#[inline(always)]
-pub(crate) fn gibbs_up(
-    beta: f64,
-    field: f64,
-    drive_bound: f64,
-    noise: impl FnOnce() -> f64,
-) -> bool {
-    let drive = beta * field;
-    if beta * drive_bound * CLASS_PAD >= SATURATION {
-        if drive >= SATURATION {
-            return true;
-        }
-        if drive <= -SATURATION {
-            return false;
-        }
-    }
-    gibbs_decision(drive, noise())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane::CLASS_PAD;
     use crate::rng::new_rng;
     use saim_ising::{Couplings, QuboBuilder};
 
@@ -689,7 +422,7 @@ mod tests {
         let mut machine = PbitMachine::new(&model, &mut rng);
         for sweep in 0..200 {
             machine.sweep(&model, 0.05 * sweep as f64, &mut rng);
-            let full = model.energy(machine.state());
+            let full = model.energy(&machine.state());
             assert!(
                 (machine.energy() - full).abs() < 1e-9,
                 "drift at sweep {sweep}: {} vs {full}",
@@ -707,7 +440,7 @@ mod tests {
             machine.sweep(&model, 1.0, &mut rng);
         }
         for i in 0..model.len() {
-            let expected = model.local_field(machine.state(), i);
+            let expected = model.local_field(&machine.state(), i);
             assert!((machine.local_field(i) - expected).abs() < 1e-9);
         }
     }
@@ -754,7 +487,7 @@ mod tests {
         }
         // fixed point: no single flip improves
         for i in 0..model.len() {
-            assert!(model.delta_energy(machine.state(), i) >= -1e-12);
+            assert!(model.delta_energy(&machine.state(), i) >= -1e-12);
         }
     }
 
@@ -782,11 +515,11 @@ mod tests {
             machine.sweep(&model, 0.1 * sweep as f64, &mut rng);
         }
         assert!(
-            (machine.energy() - model.energy(machine.state())).abs() < 1e-9,
+            (machine.energy() - model.energy(&machine.state())).abs() < 1e-9,
             "energy drifted on the CSR path"
         );
         for i in 0..model.len() {
-            let expected = model.local_field(machine.state(), i);
+            let expected = model.local_field(&machine.state(), i);
             assert!(
                 (machine.local_field(i) - expected).abs() < 1e-9,
                 "field {i}"
@@ -828,16 +561,16 @@ mod tests {
     }
 
     #[test]
-    fn reset_to_matches_fresh_construction() {
+    fn randomize_matches_fresh_construction() {
         let model = frustrated_model();
         let mut rng = new_rng(6);
         let mut machine = PbitMachine::new(&model, &mut rng);
         for _ in 0..20 {
             machine.sweep(&model, 1.0, &mut rng);
         }
-        let target = SpinState::from_values(&[1, -1, -1, 1]);
-        machine.reset_to(&model, &target);
-        let fresh = PbitMachine::with_state(&model, target.clone());
+        let mut fresh_rng = rng.clone();
+        machine.randomize(&model, &mut rng);
+        let fresh = PbitMachine::new(&model, &mut fresh_rng);
         assert_eq!(machine.state(), fresh.state());
         assert_eq!(machine.energy().to_bits(), fresh.energy().to_bits());
         for i in 0..model.len() {
@@ -846,21 +579,24 @@ mod tests {
                 fresh.local_field(i).to_bits()
             );
         }
-        // flips survive a reset (they count the machine's lifetime work)
+        // flips survive a re-randomization (they count the machine's
+        // lifetime work)
         assert!(machine.flips() > 0);
     }
 
     #[test]
-    fn resync_after_field_change() {
+    fn recompute_after_field_change() {
         let mut model = frustrated_model();
         let mut rng = new_rng(21);
         let mut machine = PbitMachine::new(&model, &mut rng);
         machine.sweep(&model, 1.0, &mut rng);
         model.fields_mut()[2] += 3.0;
-        machine.resync(&model);
-        assert!((machine.energy() - model.energy(machine.state())).abs() < 1e-12);
+        machine.lane().recompute_books(&model);
+        assert!((machine.energy() - model.energy(&machine.state())).abs() < 1e-12);
         for i in 0..model.len() {
-            assert!((machine.local_field(i) - model.local_field(machine.state(), i)).abs() < 1e-12);
+            assert!(
+                (machine.local_field(i) - model.local_field(&machine.state(), i)).abs() < 1e-12
+            );
         }
     }
 
@@ -870,7 +606,7 @@ mod tests {
         let mut rng = new_rng(2);
         let mut machine = PbitMachine::new(&model, &mut rng);
         machine.randomize(&model, &mut rng);
-        assert!((machine.energy() - model.energy(machine.state())).abs() < 1e-12);
+        assert!((machine.energy() - model.energy(&machine.state())).abs() < 1e-12);
     }
 
     #[test]
@@ -911,7 +647,7 @@ mod tests {
         for sweep in 0..100 {
             machine.metropolis_sweep(&model, 0.1 * sweep as f64, &mut rng);
             assert!(
-                (machine.energy() - model.energy(machine.state())).abs() < 1e-9,
+                (machine.energy() - model.energy(&machine.state())).abs() < 1e-9,
                 "drift at sweep {sweep}"
             );
         }
@@ -929,7 +665,7 @@ mod tests {
         assert!(machine.energy() <= start + 1e-9);
         // and the endpoint is a local minimum up to rare accepted uphill moves
         let uphill = (0..model.len())
-            .filter(|&i| model.delta_energy(machine.state(), i) < -1e-9)
+            .filter(|&i| model.delta_energy(&machine.state(), i) < -1e-9)
             .count();
         assert_eq!(uphill, 0, "still has strictly improving flips");
     }
@@ -966,8 +702,9 @@ mod tests {
         let mut rng = new_rng(1);
         let mut machine = PbitMachine::new(&model, &mut rng);
         machine.sweep(&model, 1.0, &mut rng);
-        assert_eq!(machine.drive_bounds, model.drive_bounds());
-        let class = |beta: f64, i: usize| beta * machine.drive_bounds[i] * CLASS_PAD >= SATURATION;
+        let bounds = machine.drive_bounds.clone().expect("built by the sweep");
+        assert_eq!(bounds, model.drive_bounds());
+        let class = |beta: f64, i: usize| beta * bounds[i] * CLASS_PAD >= SATURATION;
         assert!(class(1.0, 0), "strong spin must keep the sat tests");
         assert!(!class(1.0, 1), "weak spin can never saturate");
         // β = 0: nothing saturates
@@ -975,32 +712,16 @@ mod tests {
     }
 
     #[test]
-    fn resync_refreshes_drive_bounds() {
-        let mut model = frustrated_model();
+    fn reuse_on_a_changed_model_refreshes_drive_bounds() {
+        let model = frustrated_model();
         let mut rng = new_rng(2);
-        let mut machine = PbitMachine::new(&model, &mut rng);
-        machine.sweep(&model, 1.0, &mut rng);
-        model.fields_mut()[2] += 50.0;
-        machine.resync(&model);
-        machine.sweep(&model, 1.0, &mut rng);
-        assert_eq!(machine.drive_bounds, model.drive_bounds());
-    }
-
-    #[test]
-    fn settled_run_counts_leading_settled_prefix() {
-        // blocked and element-wise refinement must agree with the naive
-        // definition across block boundaries
-        let thresh = 2.0;
-        for break_at in [0usize, 1, 7, 8, 9, 15, 16, 20] {
-            let n = 21;
-            let fields: Vec<f64> = (0..n)
-                .map(|i| if i == break_at { 1.0 } else { 3.0 })
-                .collect();
-            let spins = vec![1.0; n];
-            assert_eq!(settled_run(&fields, &spins, thresh), break_at, "{break_at}");
-        }
-        assert_eq!(settled_run(&[], &[], 1.0), 0);
-        assert_eq!(settled_run(&[5.0; 19], &[1.0; 19], 2.0), 19);
+        let mut slot = None;
+        PbitMachine::obtain_randomized(&mut slot, &model, &mut rng).sweep(&model, 1.0, &mut rng);
+        let mut other = model.clone();
+        other.fields_mut()[2] += 50.0;
+        let machine = PbitMachine::obtain_randomized(&mut slot, &other, &mut rng);
+        machine.sweep(&other, 1.0, &mut rng);
+        assert_eq!(machine.drive_bounds, Some(other.drive_bounds()));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! [`ReplicaBatch`], so within a group every coupling-row pass of a sweep
 //! serves all member slots at once, and each round's group sweeps fan out
 //! over one **persistent per-solve worker pool**
-//! ([`parallel::parallel_rounds`]): the pool spawns once, rounds open and
+//! ([`parallel::parallel_rounds_while`]): the pool spawns once, rounds open and
 //! close on a barrier, and the serial exchange phase runs between rounds
 //! with every worker parked — a swap cadence of a few microseconds of work
 //! per slot would be swamped by per-round thread spawns otherwise. Results
@@ -663,7 +663,7 @@ mod tests {
                 }
             }
             for (k, (g, (machine, _))) in groups.iter().zip(&serial).enumerate() {
-                assert_eq!(g.batch.state(0), *machine.state(), "slot {k}");
+                assert_eq!(g.batch.state(0), machine.state(), "slot {k}");
                 assert_eq!(
                     g.batch.energy(0).to_bits(),
                     machine.energy().to_bits(),

@@ -55,9 +55,10 @@ pub struct SimulatedAnnealing {
     /// replay reference for a batch lane on the same seed.
     noise: NoiseSource,
     machine: Option<PbitMachine>,
-    /// Preallocated best-state buffer: improvements are `copy_from_slice`
-    /// overwrites instead of fresh clones (an improvement can happen on a
-    /// large fraction of sweeps early in a run).
+    /// Preallocated best-state buffer: improvements are in-place sign
+    /// exports ([`PbitMachine::copy_state_into`]) instead of fresh states
+    /// (an improvement can happen on a large fraction of sweeps early in a
+    /// run).
     best_buf: Option<SpinState>,
     dynamics: Dynamics,
 }
@@ -129,10 +130,9 @@ impl SimulatedAnnealing {
         let machine =
             PbitMachine::obtain_randomized(&mut self.machine, model, self.noise.rng_mut());
         let init_energy = machine.energy();
-        let init_state = machine.state();
         match &mut self.best_buf {
-            Some(b) if b.len() == model.len() => b.copy_from(init_state),
-            _ => self.best_buf = Some(init_state.clone()),
+            Some(b) if b.len() == model.len() => machine.copy_state_into(b),
+            _ => self.best_buf = Some(machine.state()),
         }
         self.run_from(model, 0, init_energy, ctrl)
     }
@@ -192,7 +192,7 @@ impl SimulatedAnnealing {
             };
             if machine.energy() < best_energy {
                 best_energy = machine.energy();
-                best.copy_from(machine.state());
+                machine.copy_state_into(best);
             }
             if step + 1 < self.mcs_per_run {
                 if let Some(stop) = ctrl.poll((step + 1) as u64) {
@@ -210,7 +210,7 @@ impl SimulatedAnnealing {
         });
         Controlled {
             outcome: SolveOutcome {
-                last: machine.state().clone(),
+                last: machine.state(),
                 last_energy: machine.energy(),
                 best: best.clone(),
                 best_energy,

@@ -211,7 +211,7 @@ proptest! {
             batch.sweep_uniform(&model, beta);
             for (r, (machine, noise)) in oracles.iter_mut().enumerate() {
                 machine.sweep_exact_oracle_buffered(&model, beta, noise);
-                prop_assert_eq!(batch.state(r), machine.state().clone(), "lane {}", r);
+                prop_assert_eq!(batch.state(r), machine.state(), "lane {}", r);
                 prop_assert_eq!(batch.energy(r).to_bits(), machine.energy().to_bits());
                 prop_assert_eq!(batch.flips(r), machine.flips());
             }

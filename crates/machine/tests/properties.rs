@@ -93,7 +93,7 @@ fn assert_batch_width_invariance(model: &saim_ising::IsingModel, seed: u64, swee
             solo.sweep_uniform(model, beta);
             machine.sweep_buffered(model, beta, noise);
             assert_eq!(wide.state(r), solo.state(0), "R=8 vs R=1, lane {r}");
-            assert_eq!(wide.state(r), *machine.state(), "R=8 vs serial, lane {r}");
+            assert_eq!(wide.state(r), machine.state(), "R=8 vs serial, lane {r}");
             assert_eq!(
                 wide.energy(r).to_bits(),
                 solo.energy(0).to_bits(),
@@ -129,7 +129,7 @@ fn assert_oracle_replay_at_width(model: &saim_ising::IsingModel, seed: u64, widt
         batch.sweep_uniform(model, beta);
         for (r, (machine, noise)) in serial.iter_mut().enumerate() {
             machine.sweep_buffered(model, beta, noise);
-            assert_eq!(batch.state(r), *machine.state(), "lane {r} of {width}");
+            assert_eq!(batch.state(r), machine.state(), "lane {r} of {width}");
             assert_eq!(
                 batch.energy(r).to_bits(),
                 machine.energy().to_bits(),
@@ -205,7 +205,7 @@ proptest! {
             batch.metropolis_sweep_uniform(&model, beta);
             for (r, (machine, noise)) in serial.iter_mut().enumerate() {
                 machine.metropolis_sweep_buffered(&model, beta, noise);
-                prop_assert_eq!(batch.state(r), machine.state().clone(), "lane {}", r);
+                prop_assert_eq!(batch.state(r), machine.state(), "lane {}", r);
                 prop_assert_eq!(batch.energy(r).to_bits(), machine.energy().to_bits());
             }
         }
@@ -225,10 +225,10 @@ proptest! {
             } else {
                 machine.metropolis_sweep(&model, beta, &mut rng);
             }
-            prop_assert!((machine.energy() - model.energy(machine.state())).abs() < 1e-9);
+            prop_assert!((machine.energy() - model.energy(&machine.state())).abs() < 1e-9);
         }
         for i in 0..model.len() {
-            let expected = model.local_field(machine.state(), i);
+            let expected = model.local_field(&machine.state(), i);
             prop_assert!((machine.local_field(i) - expected).abs() < 1e-9);
         }
     }
@@ -247,7 +247,7 @@ proptest! {
             prev = machine.energy();
         }
         for i in 0..model.len() {
-            prop_assert!(model.delta_energy(machine.state(), i) >= -1e-9);
+            prop_assert!(model.delta_energy(&machine.state(), i) >= -1e-9);
         }
     }
 

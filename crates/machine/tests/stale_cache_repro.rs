@@ -35,7 +35,7 @@ fn hot_excursion_then_requench_replays_serial_machines() {
             machine.sweep_buffered(&model, beta, noise);
             assert_eq!(
                 batch.state(r),
-                *machine.state(),
+                machine.state(),
                 "sweep {sweep} (beta {beta}) lane {r}"
             );
             assert_eq!(

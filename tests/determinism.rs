@@ -110,7 +110,7 @@ fn pt_parallel_engine_matches_serial_reference_replay() {
     for k in 0..r {
         let mut rng = new_rng(derive_seed(batch_seed, k as u64));
         let machine = PbitMachine::new(&model, &mut rng);
-        bests.push((machine.energy(), machine.state().clone()));
+        bests.push((machine.energy(), machine.state()));
         machines.push(machine);
         rngs.push(rng);
     }
@@ -124,7 +124,7 @@ fn pt_parallel_engine_matches_serial_reference_replay() {
             for _ in 0..len {
                 machines[k].sweep(&model, ladder[k], &mut rngs[k]);
                 if machines[k].energy() < bests[k].0 {
-                    bests[k] = (machines[k].energy(), machines[k].state().clone());
+                    bests[k] = (machines[k].energy(), machines[k].state());
                 }
             }
         }
@@ -153,7 +153,7 @@ fn pt_parallel_engine_matches_serial_reference_replay() {
     }
     assert_eq!(engine.best_energy, best_energy);
     assert_eq!(engine.best, best_state.expect("at least one slot"));
-    assert_eq!(engine.last, machines[r - 1].state().clone());
+    assert_eq!(engine.last, machines[r - 1].state());
     assert_eq!(engine.last_energy, machines[r - 1].energy());
     assert_eq!(engine.mcs, (cfg.sweeps * r) as u64);
 }
@@ -472,3 +472,258 @@ fn instance_io_roundtrips_preserve_experiment_inputs() {
         saim_core::ConstrainedProblem::objective(&enc2)
     );
 }
+
+/// One engine's pinned trajectory on one model: the bit patterns of a full
+/// run's best and last energies, FNV digests of its best and last states,
+/// its sweep count, and the lifetime flip count of a second run stopped by
+/// a checkpoint (at the last boundary before its end; after the first sweep
+/// for greedy descent, which converges early).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Golden {
+    best_bits: u64,
+    last_bits: u64,
+    best_digest: u64,
+    last_digest: u64,
+    mcs: u64,
+    flips: u64,
+}
+
+fn golden_of(outcome: &saim_machine::SolveOutcome, flips: u64) -> Golden {
+    let digest = |s: &saim_ising::SpinState| {
+        let bytes: Vec<u8> = s.values().iter().map(|&v| v as u8).collect();
+        saim_machine::checkpoint::digest64(&bytes)
+    };
+    Golden {
+        best_bits: outcome.best_energy.to_bits(),
+        last_bits: outcome.last_energy.to_bits(),
+        best_digest: digest(&outcome.best),
+        last_digest: digest(&outcome.last),
+        mcs: outcome.mcs,
+        flips,
+    }
+}
+
+/// A controller that checkpoints once `sweeps` sweeps are done.
+fn stop_at(sweeps: u64) -> saim_machine::RunController {
+    saim_machine::RunController::unlimited()
+        .with_poll_interval(1)
+        .with_stop_after(sweeps)
+}
+
+/// Every engine's trajectory on `model` under a linear schedule to
+/// `beta_max`: SA with Gibbs and with Metropolis dynamics and greedy
+/// descent (each pinned on its second solve, so the reused machine's
+/// re-randomization is covered), a 3-replica ensemble and a 4-slot PT.
+fn golden_rows(model: &saim_ising::IsingModel, beta_max: f64, threads: usize) -> [Golden; 5] {
+    use saim_machine::checkpoint::GroupState;
+    use saim_machine::GreedyDescent;
+    const MCS: usize = 200;
+    let schedule = BetaSchedule::linear(beta_max);
+    let sa = |dynamics: Dynamics| {
+        let fresh = || SimulatedAnnealing::new(schedule, MCS, 7).with_dynamics(dynamics);
+        let mut full = fresh();
+        full.solve(model);
+        let outcome = full.solve(model);
+        let mut stopped = fresh();
+        stopped.solve(model);
+        let state = stopped
+            .solve_controlled(model, &stop_at(MCS as u64 - 1))
+            .state
+            .expect("checkpointed");
+        golden_of(&outcome, state.machine.flips)
+    };
+    let descent = {
+        let mut full = GreedyDescent::new(11);
+        full.solve(model);
+        let outcome = full.solve(model);
+        let mut stopped = GreedyDescent::new(11);
+        stopped.solve(model);
+        let state = stopped
+            .solve_controlled(model, &stop_at(1))
+            .state
+            .expect("checkpointed");
+        golden_of(&outcome, state.machine.flips)
+    };
+    let ensemble = {
+        let config = EnsembleConfig {
+            replicas: 3,
+            threads,
+            batch_width: 0,
+            schedule,
+            mcs_per_run: MCS,
+            dynamics: Dynamics::Gibbs,
+        };
+        let outcome = EnsembleAnnealer::new(config, 13).solve(model);
+        let state = EnsembleAnnealer::new(config, 13)
+            .solve_controlled(model, &stop_at(MCS as u64 - 1))
+            .state
+            .expect("checkpointed");
+        let flips = state
+            .groups
+            .iter()
+            .map(|g| match g {
+                GroupState::Batch { lanes, .. } => {
+                    lanes.iter().map(|l| l.machine.flips).sum::<u64>()
+                }
+                other => panic!("unexpected group image {other:?}"),
+            })
+            .sum();
+        golden_of(&outcome, flips)
+    };
+    let pt = {
+        let config = PtConfig {
+            replicas: 4,
+            sweeps: MCS,
+            swap_interval: 10,
+            beta_min: 0.1,
+            beta_max,
+            threads,
+        };
+        let outcome = ParallelTempering::new(config, 17).solve(model);
+        let state = ParallelTempering::new(config, 17)
+            .solve_controlled(model, &stop_at((MCS - 10) as u64))
+            .state
+            .expect("checkpointed");
+        let flips = state.lanes.iter().map(|l| l.machine.flips).sum();
+        golden_of(&outcome, flips)
+    };
+    [
+        sa(Dynamics::Gibbs),
+        sa(Dynamics::Metropolis),
+        descent,
+        ensemble,
+        pt,
+    ]
+}
+
+#[test]
+fn golden_trajectories_match_recorded_constants() {
+    // Bit-level pins of every engine's trajectory, recorded once and never
+    // regenerated for a refactor: the batch-vs-serial replay tests compare
+    // two callers of one lane kernel, so a kernel change that moves both
+    // sides passes them; these constants (and bracket_cert's exact-tanh
+    // oracle proptests) catch it. Hot penalty-QKP (β 0→10: the bracket
+    // kernel decides most updates) and deep penalty-MKP (β 0→50: the
+    // settled scan skips most spins), at the matrix's thread count.
+    let threads: usize = std::env::var("SAIM_DETERMINISM_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(2);
+    let qkp = generate::qkp(40, 0.5, 2026).expect("valid");
+    let qkp_enc = qkp.encode().expect("encodes");
+    let hot = saim_core::penalty_qubo(&qkp_enc, qkp_enc.penalty_for_alpha(2.0))
+        .expect("valid penalty")
+        .to_ising();
+    let mkp = generate::mkp_with_max_weight(30, 5, 0.5, 100, 2026).expect("valid");
+    let mkp_enc = mkp.encode().expect("encodes");
+    let deep = saim_core::penalty_qubo(&mkp_enc, mkp_enc.penalty_for_alpha(5.0))
+        .expect("valid penalty")
+        .to_ising();
+    let got = [
+        golden_rows(&hot, 10.0, threads),
+        golden_rows(&deep, 50.0, threads),
+    ];
+    assert_eq!(got, GOLDEN, "recorded: {got:#x?}");
+}
+
+/// Recorded once, while the serial machine and the batch lanes still ran
+/// separate copies of the lane kernel; a change that moves any of them
+/// changes a trajectory and must not be absorbed by re-recording.
+const GOLDEN: [[Golden; 5]; 2] = [
+    // hot penalty-QKP, β 0→10
+    [
+        // SA Gibbs
+        Golden {
+            best_bits: 0xc068_f5b7_bfe3_ffcc,
+            last_bits: 0xc068_f534_7ef4_c084,
+            best_digest: 0x98c6_92e0_805f_a143,
+            last_digest: 0x3fc6_429c_eed3_7519,
+            mcs: 200,
+            flips: 1256,
+        },
+        // SA Metropolis
+        Golden {
+            best_bits: 0xc068_f5b7_bfe3_ffd1,
+            last_bits: 0xc068_f5b7_bfe3_ffd1,
+            best_digest: 0x98c6_92e0_805f_a143,
+            last_digest: 0x98c6_92e0_805f_a143,
+            mcs: 200,
+            flips: 2062,
+        },
+        // greedy descent
+        Golden {
+            best_bits: 0xc068_f5b7_bfe3_ffca,
+            last_bits: 0xc068_f5b7_bfe3_ffca,
+            best_digest: 0x98c6_92e0_805f_a143,
+            last_digest: 0x98c6_92e0_805f_a143,
+            mcs: 2,
+            flips: 50,
+        },
+        // 3-replica ensemble
+        Golden {
+            best_bits: 0xc068_f5b7_bfe3_ffd6,
+            last_bits: 0xc068_f5b7_bfe3_ffd6,
+            best_digest: 0x98c6_92e0_805f_a143,
+            last_digest: 0x98c6_92e0_805f_a143,
+            mcs: 600,
+            flips: 1892,
+        },
+        // 4-slot PT
+        Golden {
+            best_bits: 0xc068_f5b7_bfe3_ffd0,
+            last_bits: 0xc068_f5b7_bfe3_ffd0,
+            best_digest: 0x98c6_92e0_805f_a143,
+            last_digest: 0x98c6_92e0_805f_a143,
+            mcs: 800,
+            flips: 6204,
+        },
+    ],
+    // deep penalty-MKP, β 0→50
+    [
+        // SA Gibbs
+        Golden {
+            best_bits: 0xc028_0c05_b152_73b3,
+            last_bits: 0xc027_a0d3_c0df_fee9,
+            best_digest: 0xe681_bc65_a29f_352d,
+            last_digest: 0x3590_0eb8_cf45_4027,
+            mcs: 200,
+            flips: 6457,
+        },
+        // SA Metropolis
+        Golden {
+            best_bits: 0xc028_014d_f86f_bbd7,
+            last_bits: 0xc027_c9f8_e200_9bb5,
+            best_digest: 0x157d_b793_9bb0_ebab,
+            last_digest: 0xe22b_6802_5df9_fe75,
+            mcs: 200,
+            flips: 10997,
+        },
+        // greedy descent
+        Golden {
+            best_bits: 0xc01e_74af_ea9e_722e,
+            last_bits: 0xc01e_74af_ea9e_722e,
+            best_digest: 0x6157_ef6d_47f4_ffeb,
+            last_digest: 0x6157_ef6d_47f4_ffeb,
+            mcs: 11,
+            flips: 134,
+        },
+        // 3-replica ensemble
+        Golden {
+            best_bits: 0xc028_10d9_d4a9_001d,
+            last_bits: 0xc027_f49f_7e76_495f,
+            best_digest: 0x1079_171b_aeb9_8957,
+            last_digest: 0xc930_bf19_824f_fd51,
+            mcs: 600,
+            flips: 9872,
+        },
+        // 4-slot PT
+        Golden {
+            best_bits: 0xc028_0fd7_c28f_c6be,
+            last_bits: 0xc028_0496_a549_3310,
+            best_digest: 0x677b_11c5_e104_c229,
+            last_digest: 0xd62b_aaf7_288d_7e31,
+            mcs: 800,
+            flips: 21112,
+        },
+    ],
+];
