@@ -14,12 +14,12 @@
 //! ```
 
 use saim_bench::args::HarnessArgs;
-use saim_bench::experiments;
+use saim_bench::experiments::{result_from_saim, AblationCell, AblationGrid};
 use saim_bench::report::Table;
 use saim_core::presets;
 use saim_core::SaimRunner;
-use saim_knapsack::{generate, MkpInstance};
-use saim_machine::{derive_seed, parallel};
+use saim_knapsack::MkpInstance;
+use saim_machine::derive_seed;
 
 /// Copy of `instance` with every capacity scaled by `gamma`.
 fn shrink(instance: &MkpInstance, gamma: f64) -> MkpInstance {
@@ -40,72 +40,34 @@ fn main() {
     let (n, m) = if args.scale >= 1.0 { (100, 5) } else { (20, 5) };
     let preset = presets::mkp();
     let gammas = [1.0, 0.95, 0.9, 0.8, 0.7];
-    let instances = 2;
 
     println!("Ablation: capacity shrink B' = γ·B for MKP feasibility (N = {n}, M = {m})");
     println!("samples are drawn against B' but scored against the original B\n");
 
     let mut table = Table::new(&["gamma", "feasibility (%)", "best acc (%)", "avg acc (%)"]);
+    let grid = AblationGrid::mkp(n, m, 2, args.seed);
     for gamma in gammas {
-        let mut feas = Vec::new();
-        let mut best_acc = Vec::new();
-        let mut avg_acc = Vec::new();
-        // independent instances anneal across cores; fold in instance order
-        // (solver results and the node-budgeted B&B reference are both
-        // thread-count invariant)
-        let cells = parallel::parallel_map_indexed(instances, 0, |idx| {
-            let inst_seed = derive_seed(args.seed, idx as u64);
-            let original =
-                generate::mkp_with_max_weight(n, m, 0.5, 100, inst_seed).expect("valid parameters");
-            let shrunk = shrink(&original, gamma);
-            let enc = shrunk.encode().expect("encodes");
-            let config = preset.config_for(&enc, args.scale, inst_seed);
+        let row = grid.row(|inst| {
+            let enc = shrink(&inst.instance, gamma).encode().expect("encodes");
+            let config = preset.config_for(&enc, args.scale, inst.seed);
             let outcome =
-                SaimRunner::new(config).run(&enc, preset.solver(derive_seed(inst_seed, 1)));
-            // score each measured sample against the ORIGINAL capacities
-            let (reference, _, _) = experiments::mkp_reference(&original, 3.0);
-            let mut n_feas = 0usize;
-            let mut best: Option<u64> = None;
-            let mut sum = 0u64;
-            for r in &outcome.records {
-                // the recorded cost is against the shrunk instance's values
-                // (identical values), so re-check feasibility via profit sign:
-                // reconstruct from the stored best only for best; for the per
-                // -sample check we rely on the shrunk-feasible implying
-                // original-feasible (B' <= B), and also count shrunk-infeasible
-                // samples that happen to fit the original B. Conservatively we
-                // count shrunk-feasible samples only.
-                if r.feasible {
-                    n_feas += 1;
-                    let p = (-r.cost) as u64;
-                    sum += p;
-                    best = Some(best.map_or(p, |b| b.max(p)));
-                }
+                SaimRunner::new(config).run(&enc, preset.solver(derive_seed(inst.seed, 1)));
+            // counts the samples feasible under B', which are also feasible
+            // under B (B' ≤ B, same values), as count × 100 / samples:
+            // `row.feasibility`'s 100 × fraction rounds two of this table's
+            // x.x5 means the other way at the default scale
+            let result = result_from_saim("SAIM", &outcome);
+            let feasible = 100.0 * result.feasible_profits.len() as f64 / config.iterations as f64;
+            AblationCell {
+                methods: vec![result],
+                extras: vec![Some(feasible)],
             }
-            let reference = reference.max(best.unwrap_or(0));
-            (
-                100.0 * n_feas as f64 / outcome.records.len() as f64,
-                best.map(|b| 100.0 * b as f64 / reference as f64),
-                best.map(|_| 100.0 * (sum as f64 / n_feas as f64) / reference as f64),
-            )
         });
-        for (f, best, avg) in cells {
-            feas.push(f);
-            best_acc.extend(best);
-            avg_acc.extend(avg);
-        }
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                "-".to_string()
-            } else {
-                format!("{:.1}", v.iter().sum::<f64>() / v.len() as f64)
-            }
-        };
         table.row_owned(vec![
             format!("{gamma}"),
-            mean(&feas),
-            mean(&best_acc),
-            mean(&avg_acc),
+            row.extra(0),
+            row.best(0),
+            row.avg(0),
         ]);
     }
     print!("{}", table.render());

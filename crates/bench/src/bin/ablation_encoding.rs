@@ -15,17 +15,16 @@
 //! ```
 
 use saim_bench::args::HarnessArgs;
-use saim_bench::experiments;
+use saim_bench::experiments::{result_from_saim, AblationCell, AblationGrid};
 use saim_bench::report::Table;
-use saim_core::{presets, ConstrainedProblem, SaimConfig, SaimRunner};
-use saim_knapsack::{generate, QkpEncoded, SlackKind};
-use saim_machine::{derive_seed, parallel};
+use saim_core::{presets, SaimRunner};
+use saim_knapsack::{QkpEncoded, SlackKind};
+use saim_machine::derive_seed;
 
 fn main() {
     let args = HarnessArgs::parse(0.08, std::env::args().skip(1));
     let n = if args.scale >= 1.0 { 100 } else { 40 };
     let preset = presets::qkp();
-    let instances = 3;
     let kinds: [(&str, SlackKind); 3] = [
         ("binary (paper)", SlackKind::Binary),
         (
@@ -44,67 +43,30 @@ fn main() {
         "feasibility (%)",
     ]);
 
+    let grid = AblationGrid::qkp(n, 3, args.seed);
     for (name, kind) in kinds {
-        let mut bits = Vec::new();
-        let mut best_acc = Vec::new();
-        let mut avg_acc = Vec::new();
-        let mut feas = Vec::new();
-        // independent instances anneal across cores; fold in instance order
-        // (solver results and the node-budgeted B&B reference are both
-        // thread-count invariant)
-        let cells = parallel::parallel_map_indexed(instances, 0, |idx| {
-            let inst_seed = derive_seed(args.seed, idx as u64);
-            let instance = generate::qkp(n, 0.5, inst_seed).expect("valid parameters");
-            let enc = match QkpEncoded::with_slack_kind(instance.clone(), kind) {
+        let row = grid.row(|inst| {
+            let enc = match QkpEncoded::with_slack_kind(inst.instance.clone(), kind) {
                 Ok(e) => e,
                 Err(e) => {
-                    eprintln!("{name}: {e}; skipping instance {idx}");
-                    return None;
+                    eprintln!("{name}: {e}; skipping instance seed {}", inst.seed);
+                    return AblationCell::default();
                 }
             };
-            let slack_bits = enc.slack().num_bits() as f64;
-            let config = SaimConfig {
-                penalty: enc.penalty_for_alpha(preset.alpha),
-                eta: preset.eta,
-                iterations: ((preset.runs as f64 * args.scale) as usize).max(10),
-                seed: inst_seed,
-            };
+            let config = preset.config_for(&enc, args.scale, inst.seed);
             let outcome =
-                SaimRunner::new(config).run(&enc, preset.solver(derive_seed(inst_seed, 1)));
-            let (reference, _) = experiments::qkp_reference(&instance, 2.0);
-            let reference =
-                reference.max(outcome.best.as_ref().map(|b| (-b.cost) as u64).unwrap_or(0));
-            Some((
-                slack_bits,
-                outcome
-                    .best
-                    .as_ref()
-                    .map(|b| 100.0 * (-b.cost) / reference as f64),
-                outcome
-                    .mean_feasible_cost()
-                    .map(|mean| 100.0 * (-mean) / reference as f64),
-                100.0 * outcome.feasibility,
-            ))
-        });
-        for (b, best, avg, f) in cells.into_iter().flatten() {
-            bits.push(b);
-            best_acc.extend(best);
-            avg_acc.extend(avg);
-            feas.push(f);
-        }
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                "-".to_string()
-            } else {
-                format!("{:.1}", v.iter().sum::<f64>() / v.len() as f64)
+                SaimRunner::new(config).run(&enc, preset.solver(derive_seed(inst.seed, 1)));
+            AblationCell {
+                methods: vec![result_from_saim("SAIM", &outcome)],
+                extras: vec![Some(enc.slack().num_bits() as f64)],
             }
-        };
+        });
         table.row_owned(vec![
             name.to_string(),
-            mean(&bits),
-            mean(&best_acc),
-            mean(&avg_acc),
-            mean(&feas),
+            row.extra(0),
+            row.best(0),
+            row.avg(0),
+            row.feasibility(0),
         ]);
     }
     print!("{}", table.render());

@@ -11,19 +11,17 @@
 //! ```
 
 use saim_bench::args::HarnessArgs;
-use saim_bench::experiments;
+use saim_bench::experiments::{result_from_saim, AblationCell, AblationGrid};
 use saim_bench::report::Table;
 use saim_core::presets;
-use saim_core::{SaimConfig, SaimRunner};
-use saim_knapsack::generate;
-use saim_machine::{derive_seed, parallel};
+use saim_core::SaimRunner;
+use saim_machine::derive_seed;
 
 fn main() {
     let args = HarnessArgs::parse(0.08, std::env::args().skip(1));
     let n = if args.scale >= 1.0 { 100 } else { 40 };
     let preset = presets::qkp();
     let etas = [0.1, 1.0, 5.0, 20.0, 80.0, 320.0];
-    let instances = 3;
 
     println!("Ablation: SAIM accuracy vs Lagrange step size η (QKP N = {n}, d = 0.5)");
     println!("paper value: η = 20\n");
@@ -35,58 +33,26 @@ fn main() {
         "feasibility (%)",
         "first feasible iter",
     ]);
+    let grid = AblationGrid::qkp(n, 3, args.seed);
     for eta in etas {
-        let mut best_acc = Vec::new();
-        let mut avg_acc = Vec::new();
-        let mut feas = Vec::new();
-        let mut first_feas = Vec::new();
-        // instances are independent; anneal them across cores and fold in
-        // instance order (solver results and the node-budgeted B&B reference
-        // are both thread-count invariant)
-        let cells = parallel::parallel_map_indexed(instances, 0, |idx| {
-            let inst_seed = derive_seed(args.seed, idx as u64);
-            let instance = generate::qkp(n, 0.5, inst_seed).expect("valid parameters");
-            let enc = instance.encode().expect("encodes");
-            let mut config: SaimConfig = preset.config_for(&enc, args.scale, inst_seed);
+        let row = grid.row(|inst| {
+            let enc = inst.instance.encode().expect("encodes");
+            let mut config = preset.config_for(&enc, args.scale, inst.seed);
             config.eta = eta;
             let outcome =
-                SaimRunner::new(config).run(&enc, preset.solver(derive_seed(inst_seed, 1)));
-            let (reference, _) = experiments::qkp_reference(&instance, 2.0);
-            let reference =
-                reference.max(outcome.best.as_ref().map(|b| (-b.cost) as u64).unwrap_or(0));
-            let best = outcome
-                .best
-                .as_ref()
-                .map(|b| 100.0 * (-b.cost) / reference as f64);
-            let avg = outcome
-                .mean_feasible_cost()
-                .map(|mean| 100.0 * (-mean) / reference as f64);
-            let first = outcome
-                .records
-                .iter()
-                .position(|r| r.feasible)
-                .map(|k| k as f64);
-            (best, avg, 100.0 * outcome.feasibility, first)
-        });
-        for (best, avg, f, first) in cells {
-            best_acc.extend(best);
-            avg_acc.extend(avg);
-            feas.push(f);
-            first_feas.extend(first);
-        }
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                "-".to_string()
-            } else {
-                format!("{:.1}", v.iter().sum::<f64>() / v.len() as f64)
+                SaimRunner::new(config).run(&enc, preset.solver(derive_seed(inst.seed, 1)));
+            let first = outcome.records.iter().position(|r| r.feasible);
+            AblationCell {
+                methods: vec![result_from_saim("SAIM", &outcome)],
+                extras: vec![first.map(|k| k as f64)],
             }
-        };
+        });
         table.row_owned(vec![
             format!("{eta}"),
-            mean(&best_acc),
-            mean(&avg_acc),
-            mean(&feas),
-            mean(&first_feas),
+            row.best(0),
+            row.avg(0),
+            row.feasibility(0),
+            row.extra(0),
         ]);
     }
     print!("{}", table.render());

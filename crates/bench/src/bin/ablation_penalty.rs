@@ -13,19 +13,17 @@
 //! ```
 
 use saim_bench::args::HarnessArgs;
-use saim_bench::experiments;
+use saim_bench::experiments::{result_from_penalty, result_from_saim, AblationCell, AblationGrid};
 use saim_bench::report::Table;
 use saim_core::presets;
-use saim_core::{PenaltyMethod, SaimConfig, SaimRunner};
-use saim_knapsack::generate;
-use saim_machine::{derive_seed, parallel};
+use saim_core::{ConstrainedProblem, PenaltyMethod, SaimRunner};
+use saim_machine::derive_seed;
 
 fn main() {
     let args = HarnessArgs::parse(0.08, std::env::args().skip(1));
     let n = if args.scale >= 1.0 { 100 } else { 40 };
     let preset = presets::qkp();
     let alphas = [0.5, 2.0, 10.0, 40.0, 160.0, 640.0];
-    let instances = 3;
 
     println!("Ablation: accuracy vs penalty multiplier α (P = α·d·N), QKP N = {n}, d = 0.5");
     println!("paper: SAIM uses α = 2 everywhere; the tuned penalty method needs α in 40..500\n");
@@ -38,69 +36,33 @@ fn main() {
         "penalty feas (%)",
     ]);
 
+    let grid = AblationGrid::qkp(n, 3, args.seed);
     for alpha in alphas {
-        let mut saim_best = Vec::new();
-        let mut saim_feas = Vec::new();
-        let mut pen_best = Vec::new();
-        let mut pen_feas = Vec::new();
-        // independent instances anneal across cores; fold in instance order
-        // (solver results and the node-budgeted B&B reference are both
-        // thread-count invariant)
-        let cells = parallel::parallel_map_indexed(instances, 0, |idx| {
-            let inst_seed = derive_seed(args.seed, idx as u64);
-            let instance = generate::qkp(n, 0.5, inst_seed).expect("valid parameters");
-            let enc = instance.encode().expect("encodes");
-            let (reference, _) = experiments::qkp_reference(&instance, 2.0);
-
-            // SAIM at this α
-            use saim_core::ConstrainedProblem;
-            let config = SaimConfig {
-                penalty: enc.penalty_for_alpha(alpha),
-                eta: preset.eta,
-                iterations: ((preset.runs as f64 * args.scale) as usize).max(10),
-                seed: inst_seed,
-            };
-            let saim = SaimRunner::new(config).run(&enc, preset.solver(derive_seed(inst_seed, 1)));
-            let reference =
-                reference.max(saim.best.as_ref().map(|b| (-b.cost) as u64).unwrap_or(0));
-
+        let row = grid.row(|inst| {
+            let enc = inst.instance.encode().expect("encodes");
+            let mut config = preset.config_for(&enc, args.scale, inst.seed);
+            config.penalty = enc.penalty_for_alpha(alpha);
+            let saim = SaimRunner::new(config).run(&enc, preset.solver(derive_seed(inst.seed, 1)));
             // static penalty at this α, same run structure, parallel runs
-            let runs = ((preset.runs as f64 * args.scale) as usize).max(10);
-            let mut engine = preset.ensemble(runs, derive_seed(inst_seed, 2));
-            let pen = PenaltyMethod::new(enc.penalty_for_alpha(alpha), runs)
+            let mut engine = preset.ensemble(config.iterations, derive_seed(inst.seed, 2));
+            let pen = PenaltyMethod::new(config.penalty, config.iterations)
                 .expect("valid penalty")
                 .run_parallel(&enc, &mut engine)
                 .expect("consistent model");
-            (
-                saim.best
-                    .as_ref()
-                    .map(|b| 100.0 * (-b.cost) / reference as f64),
-                100.0 * saim.feasibility,
-                pen.best
-                    .as_ref()
-                    .map(|(_, c)| 100.0 * (-c) / reference as f64),
-                100.0 * pen.feasibility,
-            )
-        });
-        for (sb, sf, pb, pf) in cells {
-            saim_best.extend(sb);
-            saim_feas.push(sf);
-            pen_best.extend(pb);
-            pen_feas.push(pf);
-        }
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                "-".to_string()
-            } else {
-                format!("{:.1}", v.iter().sum::<f64>() / v.len() as f64)
+            AblationCell {
+                methods: vec![
+                    result_from_saim("SAIM", &saim),
+                    result_from_penalty("penalty", &pen),
+                ],
+                extras: Vec::new(),
             }
-        };
+        });
         table.row_owned(vec![
             format!("{alpha}"),
-            mean(&saim_best),
-            mean(&saim_feas),
-            mean(&pen_best),
-            mean(&pen_feas),
+            row.best(0),
+            row.feasibility(0),
+            row.best(1),
+            row.feasibility(1),
         ]);
     }
     print!("{}", table.render());

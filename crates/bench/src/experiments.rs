@@ -7,13 +7,25 @@
 //! Budgets follow the paper's Table I at `scale = 1.0` and shrink
 //! proportionally below; sweep counts per run stay at the paper's 1000 MCS
 //! so a "run" keeps its meaning.
+//!
+//! Every binary scores accuracy by one reference rule: the denominator is
+//! [`best_known`] over the instance's reference ([`qkp_reference`] /
+//! [`mkp_reference`]) and every method compared on that instance.
+//!
+//! The `ablation_*` binaries run on [`AblationGrid`]. It generates each
+//! instance and computes its reference once per bin run, however many rows
+//! the table has. A row is one cell closure that builds the row's solver or
+//! config for one instance and returns its [`MethodResult`]s; the grid
+//! runs it on every instance and folds the results, in instance order, into
+//! an [`AblationRow`] of formatted means.
 
 use saim_core::presets::ExperimentPreset;
-use saim_core::{ConstrainedProblem, PenaltyMethod, SaimOutcome, SaimRunner};
+use saim_core::{ConstrainedProblem, PenaltyMethod, PenaltyOutcome, SaimOutcome, SaimRunner};
 use saim_exact::bb::{self, BbLimits};
 use saim_heuristics::ga::{ChuBeasleyGa, GaConfig};
 use saim_heuristics::{greedy, local};
-use saim_knapsack::{MkpEncoded, MkpInstance, QkpEncoded, QkpInstance};
+use saim_knapsack::{generate, MkpEncoded, MkpInstance, QkpEncoded, QkpInstance};
+use saim_machine::parallel::parallel_map_indexed;
 use saim_machine::{derive_seed, IsingSolver, ParallelTempering, PtConfig};
 use std::time::Duration;
 
@@ -71,7 +83,8 @@ impl MethodResult {
     }
 }
 
-fn result_from_saim(method: &'static str, outcome: &SaimOutcome) -> MethodResult {
+/// Digests a SAIM run: its best and every feasible sample, in profit units.
+pub fn result_from_saim(method: &'static str, outcome: &SaimOutcome) -> MethodResult {
     MethodResult {
         method,
         best_profit: outcome.best.as_ref().map(|b| (-b.cost) as u64),
@@ -80,6 +93,22 @@ fn result_from_saim(method: &'static str, outcome: &SaimOutcome) -> MethodResult
             .iter()
             .filter(|r| r.feasible)
             .map(|r| (-r.cost) as u64)
+            .collect(),
+        feasibility: outcome.feasibility,
+        mcs: outcome.mcs_total,
+    }
+}
+
+/// Digests a penalty-method run: its best and every feasible sample, in
+/// profit units.
+pub fn result_from_penalty(method: &'static str, outcome: &PenaltyOutcome) -> MethodResult {
+    MethodResult {
+        method,
+        best_profit: outcome.best.as_ref().map(|(_, c)| (-c) as u64),
+        feasible_profits: outcome
+            .feasible_costs
+            .iter()
+            .map(|&c| (-c) as u64)
             .collect(),
         feasibility: outcome.feasibility,
         mcs: outcome.mcs_total,
@@ -113,22 +142,6 @@ pub fn saim_mkp(
     (result_from_saim("SAIM", &outcome), outcome)
 }
 
-/// SAIM with the replica-ensemble inner minimizer: every λ iteration anneals
-/// `replicas` independent runs in parallel and reads the best replica's
-/// sample. Same outer budget as [`saim_qkp`], `replicas`× the samples per
-/// iteration — thread-count invariant by construction.
-pub fn saim_qkp_ensemble(
-    enc: &QkpEncoded,
-    preset: ExperimentPreset,
-    scale: f64,
-    seed: u64,
-    replicas: usize,
-) -> (MethodResult, SaimOutcome) {
-    let config = preset.config_for(enc, scale, derive_seed(seed, 1));
-    let outcome = SaimRunner::new(config).run_ensemble(enc, preset.ensemble_config(replicas));
-    (result_from_saim("SAIM (ensemble)", &outcome), outcome)
-}
-
 /// The fixed-penalty baseline at the same run structure and total budget as
 /// SAIM (paper Table II, "2000 SA runs of 10³ MCS" column), run at
 /// `P = alpha·d·N`. Pass the α found by [`penalty_tuned`]: with the paper's
@@ -151,13 +164,7 @@ pub fn penalty_same_budget<P: ConstrainedProblem>(
         .expect("preset penalties are valid")
         .run_parallel(problem, &mut engine)
         .expect("encoded problems are consistent");
-    MethodResult {
-        method: "penalty (same budget)",
-        best_profit: out.best.as_ref().map(|(_, c)| (-c) as u64),
-        feasible_profits: out.feasible_costs.iter().map(|&c| (-c) as u64).collect(),
-        feasibility: out.feasibility,
-        mcs: out.mcs_total,
-    }
+    result_from_penalty("penalty (same budget)", &out)
 }
 
 /// The α grid the tuned baseline sweeps, mirroring the paper's coarse
@@ -193,16 +200,7 @@ pub fn penalty_tuned<P: ConstrainedProblem>(
         .last()
         .map(|t| t.alpha)
         .unwrap_or(preset.alpha);
-    (
-        MethodResult {
-            method: "penalty (tuned P)",
-            best_profit: out.best.as_ref().map(|(_, c)| (-c) as u64),
-            feasible_profits: out.feasible_costs.iter().map(|&c| (-c) as u64).collect(),
-            feasibility: out.feasibility,
-            mcs: out.mcs_total,
-        },
-        alpha,
-    )
+    (result_from_penalty("penalty (tuned P)", &out), alpha)
 }
 
 /// Parallel tempering at the paper's tuned penalty, standing in for PT-DA
@@ -356,6 +354,164 @@ pub fn best_known(reference: u64, results: &[&MethodResult]) -> u64 {
         .fold(reference, u64::max)
 }
 
+/// One instance of an ablation grid, with its seed and reference profit.
+#[derive(Debug, Clone)]
+pub struct AblationInstance<I> {
+    /// `derive_seed(master seed, instance index)`.
+    pub seed: u64,
+    /// The generated instance.
+    pub instance: I,
+    /// Its [`qkp_reference`] / [`mkp_reference`] profit.
+    pub reference: u64,
+}
+
+/// What a row's cell closure reports for one instance.
+#[derive(Debug, Clone, Default)]
+pub struct AblationCell {
+    /// One result per method the row compares, in column order. A cell
+    /// with no results (an instance the row cannot encode) adds nothing to
+    /// the row.
+    pub methods: Vec<MethodResult>,
+    /// The row's extra per-instance figures (slack bits, first feasible
+    /// iteration), each averaged over the instances that report it.
+    pub extras: Vec<Option<f64>>,
+}
+
+impl From<MethodResult> for AblationCell {
+    fn from(result: MethodResult) -> Self {
+        AblationCell {
+            methods: vec![result],
+            extras: Vec::new(),
+        }
+    }
+}
+
+/// One method's per-instance figures in a row, in instance order.
+#[derive(Debug, Clone, Default)]
+struct MethodColumns {
+    best: Vec<f64>,
+    avg: Vec<f64>,
+    feasibility: Vec<f64>,
+}
+
+/// One ablation table row: its cells folded in instance order. Each
+/// accessor formats a column's mean over the instances that have a value,
+/// or `-` when none has.
+#[derive(Debug, Clone, Default)]
+pub struct AblationRow {
+    methods: Vec<MethodColumns>,
+    extras: Vec<Vec<f64>>,
+}
+
+impl AblationRow {
+    fn push(&mut self, cell: AblationCell, reference: u64) {
+        let reference = best_known(reference, &cell.methods.iter().collect::<Vec<_>>());
+        let width = self.methods.len().max(cell.methods.len());
+        self.methods.resize_with(width, Default::default);
+        for (columns, result) in self.methods.iter_mut().zip(&cell.methods) {
+            columns.best.extend(result.best_accuracy(reference));
+            columns.avg.extend(result.mean_accuracy(reference));
+            columns.feasibility.push(100.0 * result.feasibility);
+        }
+        let width = self.extras.len().max(cell.extras.len());
+        self.extras.resize_with(width, Vec::new);
+        for (column, value) in self.extras.iter_mut().zip(cell.extras) {
+            column.extend(value);
+        }
+    }
+
+    fn column(&self, method: usize, pick: fn(&MethodColumns) -> &[f64]) -> String {
+        format_mean(self.methods.get(method).map_or(&[], pick))
+    }
+
+    /// Mean best accuracy (%) of the cell's `method`-th result.
+    pub fn best(&self, method: usize) -> String {
+        self.column(method, |c| &c.best)
+    }
+
+    /// Mean average accuracy (%) of the cell's `method`-th result.
+    pub fn avg(&self, method: usize) -> String {
+        self.column(method, |c| &c.avg)
+    }
+
+    /// Mean feasibility (%) of the cell's `method`-th result.
+    pub fn feasibility(&self, method: usize) -> String {
+        self.column(method, |c| &c.feasibility)
+    }
+
+    /// Mean of the cell's `k`-th extra figure.
+    pub fn extra(&self, k: usize) -> String {
+        format_mean(self.extras.get(k).map_or(&[], Vec::as_slice))
+    }
+}
+
+fn format_mean(values: &[f64]) -> String {
+    if values.is_empty() {
+        "-".to_string()
+    } else {
+        format!("{:.1}", values.iter().sum::<f64>() / values.len() as f64)
+    }
+}
+
+/// The instances of an ablation table. Each is generated, and its
+/// reference computed, once per grid, however many rows run on it.
+#[derive(Debug, Clone)]
+pub struct AblationGrid<I> {
+    instances: Vec<AblationInstance<I>>,
+}
+
+impl AblationGrid<QkpInstance> {
+    /// `count` QKP instances of `n` items at density 0.5, each with its
+    /// [`qkp_reference`] at 2 core-seconds.
+    pub fn qkp(n: usize, count: usize, seed: u64) -> Self {
+        Self::generate(count, seed, |seed| {
+            let instance = generate::qkp(n, 0.5, seed).expect("valid parameters");
+            let (reference, _) = qkp_reference(&instance, 2.0);
+            (instance, reference)
+        })
+    }
+}
+
+impl AblationGrid<MkpInstance> {
+    /// `count` MKP instances of `n` items and `m` constraints at tightness
+    /// 0.5 and weights up to 100, each with its [`mkp_reference`] at 3
+    /// core-seconds.
+    pub fn mkp(n: usize, m: usize, count: usize, seed: u64) -> Self {
+        Self::generate(count, seed, |seed| {
+            let instance =
+                generate::mkp_with_max_weight(n, m, 0.5, 100, seed).expect("valid parameters");
+            let (reference, _, _) = mkp_reference(&instance, 3.0);
+            (instance, reference)
+        })
+    }
+}
+
+impl<I: Send + Sync> AblationGrid<I> {
+    fn generate(count: usize, seed: u64, make: impl Fn(u64) -> (I, u64) + Sync) -> Self {
+        let instances = parallel_map_indexed(count, 0, |idx| {
+            let seed = derive_seed(seed, idx as u64);
+            let (instance, reference) = make(seed);
+            AblationInstance {
+                seed,
+                instance,
+                reference,
+            }
+        });
+        AblationGrid { instances }
+    }
+
+    /// Runs one table row: `cell` on every instance, across cores, folded
+    /// in instance order (solver results are thread-count invariant).
+    pub fn row(&self, cell: impl Fn(&AblationInstance<I>) -> AblationCell + Sync) -> AblationRow {
+        let cells = parallel_map_indexed(self.instances.len(), 0, |idx| cell(&self.instances[idx]));
+        let mut row = AblationRow::default();
+        for (cell, instance) in cells.into_iter().zip(&self.instances) {
+            row.push(cell, instance.reference);
+        }
+        row
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,20 +530,6 @@ mod tests {
             assert!(best <= opt);
             assert!(res.best_accuracy(opt).unwrap() <= 100.0);
         }
-    }
-
-    #[test]
-    fn saim_ensemble_driver_matches_budget_and_threads() {
-        let inst = generate::qkp(12, 0.5, 1).unwrap();
-        let enc = inst.encode().unwrap();
-        let (res, outcome) = saim_qkp_ensemble(&enc, presets::qkp(), 0.01, 1, 4);
-        assert_eq!(outcome.records.len(), 20);
-        // every iteration consumed 4 replicas x 1000 MCS
-        assert_eq!(res.mcs, 20 * 4 * 1000);
-        // thread-count invariance carries through the whole SAIM loop
-        let (res1, outcome1) = saim_qkp_ensemble(&enc, presets::qkp(), 0.01, 1, 4);
-        assert_eq!(res, res1);
-        assert_eq!(outcome, outcome1);
     }
 
     #[test]
@@ -431,6 +573,61 @@ mod tests {
         assert_eq!(r.optimality(10), 0.5);
         assert_eq!(r.mean_profit(), Some(9.25));
         assert!(r.best_accuracy(10).unwrap() >= 99.9);
+    }
+
+    #[test]
+    fn ablation_rows_clamp_each_cell_and_skip_empty_cells() {
+        let result = |best, feasible_profits, feasibility| MethodResult {
+            method: "m",
+            best_profit: best,
+            feasible_profits,
+            feasibility,
+            mcs: 0,
+        };
+        let mut row = AblationRow::default();
+        // the second method beats the reference: 120 is the cell's denominator
+        row.push(
+            AblationCell {
+                methods: vec![
+                    result(Some(90), vec![90, 80], 0.5),
+                    result(Some(120), vec![120], 0.25),
+                ],
+                extras: vec![Some(3.0)],
+            },
+            100,
+        );
+        row.push(AblationCell::default(), 100);
+        row.push(
+            AblationCell {
+                methods: vec![result(None, vec![], 0.0), result(Some(50), vec![50], 1.0)],
+                extras: vec![None],
+            },
+            100,
+        );
+        assert_eq!(row.best(0), "75.0");
+        assert_eq!(row.avg(0), "70.8");
+        assert_eq!(row.feasibility(0), "25.0");
+        assert_eq!(row.best(1), "75.0");
+        assert_eq!(row.feasibility(1), "62.5");
+        assert_eq!(row.extra(0), "3.0");
+        assert_eq!(row.extra(1), "-");
+        assert_eq!(row.best(2), "-");
+    }
+
+    #[test]
+    fn ablation_grid_seeds_and_references_each_instance_once() {
+        let grid = AblationGrid::qkp(10, 2, 7);
+        let row = grid.row(|inst| AblationCell {
+            methods: Vec::new(),
+            extras: vec![Some(inst.reference as f64)],
+        });
+        let references: Vec<f64> = (0..2)
+            .map(|idx| {
+                let instance = generate::qkp(10, 0.5, derive_seed(7, idx)).unwrap();
+                qkp_reference(&instance, 2.0).0 as f64
+            })
+            .collect();
+        assert_eq!(row.extra(0), format_mean(&references));
     }
 
     #[test]

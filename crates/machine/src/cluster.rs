@@ -1025,10 +1025,7 @@ impl RouterCore {
             Self::send_to(
                 state,
                 client,
-                Response::Rejected {
-                    code: FrameError::UnknownJob(job).code().to_string(),
-                    error: FrameError::UnknownJob(job).to_string(),
-                },
+                Response::rejected(&FrameError::UnknownJob(job)),
             );
             return;
         };
@@ -1061,10 +1058,7 @@ impl RouterCore {
         Self::send_to(
             state,
             client,
-            Response::Rejected {
-                code: FrameError::UnknownJob(job).code().to_string(),
-                error: FrameError::UnknownJob(job).to_string(),
-            },
+            Response::rejected(&FrameError::UnknownJob(job)),
         );
     }
 
@@ -1770,14 +1764,7 @@ impl SessionCore for RouterCore {
 
     fn reject(&self, client: u64, error: &FrameError) {
         let state = self.state.lock().expect("router lock is never poisoned");
-        Self::send_to(
-            &state,
-            client,
-            Response::Rejected {
-                code: error.code().to_string(),
-                error: error.to_string(),
-            },
-        );
+        Self::send_to(&state, client, Response::rejected(error));
     }
 
     /// Disconnect semantics: the slot (and its delivery channel) goes away;

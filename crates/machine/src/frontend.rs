@@ -115,7 +115,7 @@ use crate::session::{Listeners, SessionCore};
 use crate::telemetry::ClientStats;
 use serde::{Serialize, Value};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -356,6 +356,14 @@ pub enum Response {
 }
 
 impl Response {
+    /// The typed rejection of a refused request.
+    pub fn rejected(error: &FrameError) -> Self {
+        Response::Rejected {
+            code: error.code().to_string(),
+            error: error.to_string(),
+        }
+    }
+
     /// Serializes to one NDJSON line (no trailing newline).
     pub fn to_line(&self) -> String {
         let mut fields: Vec<(String, Value)> = vec![("schema".into(), SCHEMA_VERSION.to_value())];
@@ -828,10 +836,7 @@ impl Hub {
             Self::send_to(
                 &state,
                 client,
-                Response::Rejected {
-                    code: FrameError::UnknownJob(job).code().to_string(),
-                    error: FrameError::UnknownJob(job).to_string(),
-                },
+                Response::rejected(&FrameError::UnknownJob(job)),
             );
             return;
         };
@@ -853,10 +858,7 @@ impl Hub {
             Self::send_to(
                 &state,
                 client,
-                Response::Rejected {
-                    code: FrameError::UnknownJob(job).code().to_string(),
-                    error: FrameError::UnknownJob(job).to_string(),
-                },
+                Response::rejected(&FrameError::UnknownJob(job)),
             );
         }
     }
@@ -946,10 +948,7 @@ impl SessionCore for Hub {
     fn reject(&self, client: u64, error: &FrameError) {
         let state = self.state.lock().expect("hub lock is never poisoned");
         if let Some(slot) = state.clients.get(&client) {
-            let _ = slot.tx.send(Response::Rejected {
-                code: error.code().to_string(),
-                error: error.to_string(),
-            });
+            let _ = slot.tx.send(Response::rejected(error));
         }
     }
 
@@ -1353,19 +1352,34 @@ impl NdjsonClient {
     ///
     /// [`std::io::ErrorKind::UnexpectedEof`] when the server hung up, other
     /// kinds for transport failures, and `InvalidData` when the server sent
-    /// a line this client's schema cannot parse.
+    /// a line this client's schema cannot parse or a line longer than
+    /// [`MAX_FRAME_BYTES`].
     pub fn recv(&mut self) -> std::io::Result<Response> {
-        // on a timeout `read_until` leaves the bytes it consumed in
-        // `partial`, so a frame split across calls is never lost
-        self.reader.read_until(b'\n', &mut self.partial)?;
-        if self.partial.last() != Some(&b'\n') {
-            self.partial.clear();
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
         let invalid = std::io::ErrorKind::InvalidData;
+        // on a timeout `read_until` leaves the bytes it consumed in
+        // `partial`, so a frame split across calls is never lost; the
+        // `take` lets the line grow to a full frame plus its newline
+        let room = (MAX_FRAME_BYTES + 1).saturating_sub(self.partial.len());
+        (&mut self.reader)
+            .take(room as u64)
+            .read_until(b'\n', &mut self.partial)?;
+        if self.partial.last() != Some(&b'\n') {
+            let oversized = self.partial.len() > MAX_FRAME_BYTES;
+            self.partial.clear();
+            return Err(if oversized {
+                std::io::Error::new(
+                    invalid,
+                    FrameError::Oversized {
+                        limit: MAX_FRAME_BYTES,
+                    },
+                )
+            } else {
+                std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection",
+                )
+            });
+        }
         let line = String::from_utf8(std::mem::take(&mut self.partial))
             .map_err(|e| std::io::Error::new(invalid, e))?;
         Response::from_line(line.trim_end()).map_err(|e| std::io::Error::new(invalid, e))

@@ -658,6 +658,26 @@ fn recv_keeps_a_frame_split_across_a_read_timeout() {
     server.join().expect("server thread");
 }
 
+#[test]
+fn recv_refuses_a_line_past_the_frame_cap() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+    let addr = listener.local_addr().expect("bound").to_string();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("client connects");
+        // a peer that never ends its line
+        let _ = stream.write_all(&vec![b'x'; MAX_FRAME_BYTES + 2]);
+        let _ = std::io::copy(&mut stream, &mut std::io::sink());
+    });
+    let mut client = NdjsonClient::connect(&addr).expect("connect");
+    client
+        .set_read_timeout(Duration::from_secs(5))
+        .expect("timeout");
+    let err = client.recv().expect_err("the line is over the cap");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "got {err}");
+    drop(client);
+    server.join().expect("server thread");
+}
+
 /// Whether `thread` finishes within `limit`.
 fn joins_within(thread: &JoinHandle<()>, limit: Duration) -> bool {
     let deadline = Instant::now() + limit;
