@@ -13,7 +13,7 @@
 //! ```
 
 use saim_bench::args::HarnessArgs;
-use saim_bench::experiments;
+use saim_bench::experiments::{self, format_mean_of};
 use saim_bench::report::Table;
 use saim_core::presets;
 use saim_knapsack::generate;
@@ -113,13 +113,13 @@ fn main() {
     }
 
     print!("{}", table.render());
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    let instances = grid.len();
     println!(
-        "\nAverages: SAIM best {:.1}%, SAIM avg {:.1}% (feasibility {:.1}%), GA {:.1}%",
-        avg(&saim_best),
-        avg(&saim_avg),
-        avg(&saim_feas),
-        avg(&ga_acc)
+        "\nAverages % (of the instances with a value): SAIM best {}, SAIM avg {}, SAIM feasibility {}, GA {}",
+        format_mean_of(&saim_best, instances),
+        format_mean_of(&saim_avg, instances),
+        format_mean_of(&saim_feas, instances),
+        format_mean_of(&ga_acc, instances)
     );
     println!("Note: SAIM feasibility on MKP is expected to be far below the ~50% QKP level —");
     println!("multiple simultaneous constraints are harder to satisfy (paper section IV-B).");

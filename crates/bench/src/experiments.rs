@@ -445,12 +445,20 @@ impl AblationRow {
     }
 }
 
-fn format_mean(values: &[f64]) -> String {
+/// A column's mean to one decimal, or `-` when no instance has a value:
+/// the one mean format of the ablation rows and the tables' summaries.
+pub fn format_mean(values: &[f64]) -> String {
     if values.is_empty() {
         "-".to_string()
     } else {
         format!("{:.1}", values.iter().sum::<f64>() / values.len() as f64)
     }
+}
+
+/// [`format_mean`] followed by how many of the table's `instances` it
+/// averages: `97.1 (4 of 8)`, or `- (0 of 6)`.
+pub fn format_mean_of(values: &[f64], instances: usize) -> String {
+    format!("{} ({} of {instances})", format_mean(values), values.len())
 }
 
 /// The instances of an ablation table. Each is generated, and its
@@ -628,6 +636,12 @@ mod tests {
             })
             .collect();
         assert_eq!(row.extra(0), format_mean(&references));
+    }
+
+    #[test]
+    fn summary_means_state_their_instance_count() {
+        assert_eq!(format_mean_of(&[96.7, 97.5], 8), "97.1 (2 of 8)");
+        assert_eq!(format_mean_of(&[], 6), "- (0 of 6)");
     }
 
     #[test]

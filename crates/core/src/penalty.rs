@@ -242,9 +242,15 @@ impl PenaltyMethod {
         Ok(self.fold_outcomes(problem, outcomes))
     }
 
-    /// The tuning protocol of [`PenaltyMethod::run_tuned`] on the parallel
-    /// run engine: every α attempt anneals its `runs` measurements across
-    /// threads via `make_ensemble(attempt)`.
+    /// The paper's tuning protocol: sweep `alpha` over `alphas` (multiples of
+    /// `d·N`), run the baseline at each, and keep the first penalty whose
+    /// feasibility reaches `min_feasibility`; if none does, keep the most
+    /// feasible one. The full trace is returned for the Table II "Tuned P"
+    /// column, with the sweep budget summed over every attempt.
+    ///
+    /// Every α attempt anneals its `runs` measurements across threads on
+    /// the ensemble `make_ensemble(attempt)` builds, so each penalty gets an
+    /// identical budget.
     ///
     /// # Errors
     ///
@@ -261,32 +267,6 @@ impl PenaltyMethod {
         P: ConstrainedProblem + ?Sized,
         F: FnMut(usize) -> EnsembleAnnealer,
     {
-        Self::tune(
-            problem,
-            alphas,
-            min_feasibility,
-            |attempt, method| method.run_parallel(problem, &mut make_ensemble(attempt)),
-            runs,
-        )
-    }
-
-    /// The single copy of the tuning control flow: sweep the α grid, keep
-    /// the first outcome reaching `min_feasibility` (else the most feasible
-    /// one), and attach the full trace plus the summed sweep budget. Both
-    /// [`PenaltyMethod::run_tuned`] and [`PenaltyMethod::run_tuned_parallel`]
-    /// drive it with their own per-attempt runner so the serial and parallel
-    /// baselines can never diverge in structure.
-    fn tune<P, R>(
-        problem: &P,
-        alphas: &[f64],
-        min_feasibility: f64,
-        mut run_attempt: R,
-        runs: usize,
-    ) -> Result<PenaltyOutcome, CoreError>
-    where
-        P: ConstrainedProblem + ?Sized,
-        R: FnMut(usize, PenaltyMethod) -> Result<PenaltyOutcome, CoreError>,
-    {
         if alphas.is_empty() {
             return Err(CoreError::InvalidParameter {
                 name: "alphas",
@@ -298,7 +278,8 @@ impl PenaltyMethod {
         let mut mcs_total = 0u64;
         for (attempt, &alpha) in alphas.iter().enumerate() {
             let penalty = problem.penalty_for_alpha(alpha);
-            let outcome = run_attempt(attempt, PenaltyMethod::new(penalty, runs)?)?;
+            let outcome = PenaltyMethod::new(penalty, runs)?
+                .run_parallel(problem, &mut make_ensemble(attempt))?;
             mcs_total += outcome.mcs_total;
             trace.push(TunedPenalty {
                 alpha,
@@ -321,47 +302,15 @@ impl PenaltyMethod {
         out.mcs_total = mcs_total;
         Ok(out)
     }
-
-    /// The paper's tuning protocol: sweep `alpha` over `alphas` (multiples of
-    /// `d·N`), run the baseline at each, and keep the first penalty whose
-    /// feasibility reaches `min_feasibility`; if none does, keep the most
-    /// feasible one. The full trace is returned for the Table II "Tuned P"
-    /// column.
-    ///
-    /// `make_solver` builds a fresh solver per attempt so each penalty gets
-    /// an identical budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if `alphas` is empty, plus any
-    /// model-construction failure.
-    pub fn run_tuned<P, S, F>(
-        problem: &P,
-        runs: usize,
-        alphas: &[f64],
-        min_feasibility: f64,
-        mut make_solver: F,
-    ) -> Result<PenaltyOutcome, CoreError>
-    where
-        P: ConstrainedProblem + ?Sized,
-        S: IsingSolver,
-        F: FnMut(usize) -> S,
-    {
-        Self::tune(
-            problem,
-            alphas,
-            min_feasibility,
-            |attempt, method| method.run(problem, make_solver(attempt)),
-            runs,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::{BinaryProblem, LinearConstraint};
-    use saim_machine::{BetaSchedule, ParallelTempering, PtConfig, SimulatedAnnealing};
+    use saim_machine::{
+        BetaSchedule, EnsembleConfig, ParallelTempering, PtConfig, SimulatedAnnealing,
+    };
 
     /// minimize -(2 x0 + x1 + 3 x2) s.t. x0 + x1 + x2 = 2
     fn small_problem() -> BinaryProblem {
@@ -446,13 +395,25 @@ mod tests {
         .unwrap()
     }
 
+    /// A fresh ensemble per tuning attempt, built as the bench's tuned
+    /// baseline builds them.
+    fn tuning_ensemble(beta_max: f64, mcs_per_run: usize, seed: u64) -> EnsembleAnnealer {
+        let config = EnsembleConfig {
+            schedule: BetaSchedule::linear(beta_max),
+            mcs_per_run,
+            ..EnsembleConfig::default()
+        };
+        EnsembleAnnealer::new(config, seed)
+    }
+
     #[test]
     fn tuning_stops_at_feasibility_threshold() {
         let p = quadratic_problem();
-        let out = PenaltyMethod::run_tuned(&p, 20, &[0.1, 1.0, 10.0, 100.0], 0.2, |attempt| {
-            SimulatedAnnealing::new(BetaSchedule::linear(8.0), 60, 100 + attempt as u64)
-        })
-        .unwrap();
+        let out =
+            PenaltyMethod::run_tuned_parallel(&p, 20, &[0.1, 1.0, 10.0, 100.0], 0.2, |attempt| {
+                tuning_ensemble(8.0, 60, 100 + attempt as u64)
+            })
+            .unwrap();
         assert!(!out.tuning_trace.is_empty());
         assert!(out.feasibility >= 0.2 || out.tuning_trace.len() == 4);
         assert!(out.best.is_some());
@@ -488,9 +449,8 @@ mod tests {
         let p = small_problem();
         assert!(penalty_qubo(&p, -2.0).is_err());
         let empty: &[f64] = &[];
-        let r = PenaltyMethod::run_tuned(&p, 1, empty, 0.2, |_| {
-            SimulatedAnnealing::new(BetaSchedule::linear(1.0), 1, 0)
-        });
+        let r =
+            PenaltyMethod::run_tuned_parallel(&p, 1, empty, 0.2, |_| tuning_ensemble(1.0, 1, 0));
         assert!(r.is_err());
     }
 

@@ -3,7 +3,7 @@ use crate::lagrangian::LagrangianSystem;
 use crate::problem::{ConstrainedProblem, Evaluation};
 use crate::trace::IterationRecord;
 use saim_ising::BinaryState;
-use saim_machine::{EnsembleAnnealer, EnsembleConfig, IsingSolver, SampleCounter};
+use saim_machine::{IsingSolver, SampleCounter};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the SAIM outer loop (paper Algorithm 1 and Table I).
@@ -21,10 +21,11 @@ pub struct SaimConfig {
     pub eta: f64,
     /// Number of outer iterations `K` (annealing runs / λ updates).
     pub iterations: usize,
-    /// Root seed of the replica-ensemble path ([`SaimRunner::run_ensemble`]
-    /// derives one RNG stream per replica per iteration from it) and
-    /// recorded in outcomes so experiments are self-describing. The serial
-    /// [`SaimRunner::run`] path takes an already-seeded solver instead.
+    /// Recorded in outcomes so experiments are self-describing.
+    /// [`SaimRunner::run`] takes an already-seeded solver, so this seeds
+    /// nothing by itself; pass it to the solver's constructor (for example
+    /// as an [`EnsembleAnnealer`](saim_machine::EnsembleAnnealer)'s root
+    /// seed) to tie the two together.
     pub seed: u64,
 }
 
@@ -233,25 +234,6 @@ impl SaimRunner {
             mcs_total: counter.total(),
             config: self.config,
         }
-    }
-
-    /// Runs Algorithm 1 with a **replica ensemble** as the inner minimizer:
-    /// every iteration anneals `ensemble.replicas` independent replicas in
-    /// parallel and reads the best replica's sample for the λ update.
-    ///
-    /// [`SaimConfig::seed`] is the ensemble's root seed; per-replica streams
-    /// are derived from it, so the outcome is bit-identical for any thread
-    /// count (including `threads: 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ensemble configuration is invalid, plus the conditions
-    /// of [`SaimRunner::run`].
-    pub fn run_ensemble<P>(&self, problem: &P, ensemble: EnsembleConfig) -> SaimOutcome
-    where
-        P: ConstrainedProblem + ?Sized,
-    {
-        self.run(problem, EnsembleAnnealer::new(ensemble, self.config.seed))
     }
 }
 

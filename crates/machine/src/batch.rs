@@ -76,10 +76,11 @@
 //!    by the deferral.
 //!
 //! Single-lane batches and cache-resident models skip the buffer entirely
-//! (see `SPLIT_MIN_LEN`): every one-lane group of both batched engines — a
-//! width-1 ensemble group (`batch_width: 1`, or the adaptive width on a
-//! pool with as many workers as replicas) and a narrow parallel-tempering
-//! ladder group alike — propagates each flip in one full-row pass
+//! (see `SPLIT_MIN_LEN`): every one-lane group — a
+//! [`SimulatedAnnealing`](crate::SimulatedAnnealing) run, a width-1
+//! ensemble group (`batch_width: 1`, or the adaptive width on a pool with
+//! as many workers as replicas) and a narrow parallel-tempering ladder
+//! group alike — propagates each flip in one full-row pass
 //! ([`Couplings::row_axpy`]).
 //!
 //! # Decision kernel
@@ -286,6 +287,24 @@ impl ReplicaBatch {
             lane.randomize(model, stream.rng_mut());
         }
         batch
+    }
+
+    /// A one-lane batch on a lent stream: the lane init draws its coin flips
+    /// from `stream`'s generator (reset it first) and its flip counter
+    /// continues from `flips`; [`ReplicaBatch::return_lane`] hands both back.
+    pub(crate) fn lend_lane(model: &IsingModel, stream: NoiseSource, flips: u64) -> Self {
+        let mut batch = Self::with_streams(model, vec![stream]);
+        batch.flips[0] = flips;
+        let (mut lane, stream) = batch.lane(0);
+        lane.randomize(model, stream.rng_mut());
+        batch
+    }
+
+    /// Ends a [`ReplicaBatch::lend_lane`]: lane 0's stream and flip count.
+    pub(crate) fn return_lane(self) -> (NoiseSource, u64) {
+        let flips = self.flips[0];
+        let stream = self.streams.into_iter().next().expect("a batch has a lane");
+        (stream, flips)
     }
 
     /// Captures lane `r`'s complete trajectory state — spins, exact

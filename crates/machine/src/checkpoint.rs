@@ -511,6 +511,45 @@ pub struct SaState {
     pub best: BestState,
 }
 
+impl SaState {
+    /// The run as the one-lane [`GroupState::Batch`] image it is: an
+    /// annealer run is a one-lane group on the annealer's stream, so its
+    /// books, stream and best are that lane's. `seed` labels the lane.
+    pub(crate) fn one_lane_group(&self, seed: u64) -> GroupState {
+        GroupState::Batch {
+            seeds: vec![seed],
+            next_step: self.next_step,
+            lanes: vec![LaneState {
+                machine: self.machine.clone(),
+                noise: self.noise.clone(),
+            }],
+            bests: vec![self.best.clone()],
+        }
+    }
+
+    /// The inverse of [`SaState::one_lane_group`]; `None` for any image
+    /// that is not a one-lane batch group.
+    pub(crate) fn from_one_lane_group(group: GroupState) -> Option<SaState> {
+        let GroupState::Batch {
+            next_step,
+            lanes,
+            bests,
+            ..
+        } = group
+        else {
+            return None;
+        };
+        let [lane] = <[LaneState; 1]>::try_from(lanes).ok()?;
+        let [best] = <[BestState; 1]>::try_from(bests).ok()?;
+        Some(SaState {
+            next_step,
+            machine: lane.machine,
+            noise: lane.noise,
+            best,
+        })
+    }
+}
+
 /// A mid-run [`crate::GreedyDescent`] image, captured at a sweep boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DescentState {

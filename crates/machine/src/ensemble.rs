@@ -11,10 +11,16 @@
 //! each sweep together so one coupling-row pass serves every lane — and
 //! reduces with an **ordered** best-of-ensemble rule (lowest best energy,
 //! ties broken by lowest replica index). Lane trajectories are
-//! batch-width-invariant and each replays a serial
+//! batch-width-invariant and each replays a
 //! [`SimulatedAnnealing`](crate::SimulatedAnnealing) of its derived seed, so
 //! the outcome is bit-identical for 1, 2 or N threads and for any
 //! [`EnsembleConfig::batch_width`] — asserted by `tests/determinism.rs`.
+//!
+//! The group loop here (`run_group_steps`) is the crate's one annealing
+//! loop: a [`SimulatedAnnealing`](crate::SimulatedAnnealing) run is a
+//! one-lane group of it on the annealer's own stream, so SAIM's inner
+//! anneal, the ensemble, served jobs and checkpoint/resume all sweep
+//! through the same code.
 //!
 //! ```
 //! use saim_ising::QuboBuilder;
@@ -106,6 +112,26 @@ impl EnsembleConfig {
         assert!(self.replicas > 0, "an ensemble needs at least one replica");
         assert!(self.mcs_per_run > 0, "a run needs at least one sweep");
     }
+
+    /// What each replica's run sweeps.
+    fn plan(&self) -> AnnealPlan {
+        AnnealPlan {
+            schedule: self.schedule,
+            mcs_per_run: self.mcs_per_run,
+            dynamics: self.dynamics,
+        }
+    }
+}
+
+/// What one annealed run sweeps: the β schedule, its length and the update
+/// rule. The group loop ([`run_group_steps`]) reads only this, so an
+/// ensemble's replicas and a
+/// [`SimulatedAnnealing`](crate::SimulatedAnnealing) run go through it alike.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AnnealPlan {
+    pub(crate) schedule: BetaSchedule,
+    pub(crate) mcs_per_run: usize,
+    pub(crate) dynamics: Dynamics,
 }
 
 /// One replica's run, tagged with its index and derived seed.
@@ -206,8 +232,8 @@ impl EnsembleAnnealer {
     /// where the fan-out runs inline), capped at
     /// [`EnsembleConfig::DEFAULT_BATCH_WIDTH`]; an explicit width is used
     /// as-is. Each run's trajectory is in every case bit-identical to a
-    /// serial [`SimulatedAnnealing`](crate::SimulatedAnnealing) of the same
-    /// derived seed — the batch-width-invariance contract, asserted by
+    /// single-run [`SimulatedAnnealing`](crate::SimulatedAnnealing) of the
+    /// same derived seed — the batch-width-invariance contract, asserted by
     /// `tests/determinism.rs` — so the grouping affects wall-clock only.
     ///
     /// This is the run-level engine behind both the ensemble reduction and
@@ -251,19 +277,19 @@ impl EnsembleAnnealer {
     ) -> (u64, Vec<GroupRun>) {
         let batch = self.batches;
         self.batches += 1;
-        let config = self.config;
-        let width = match config.batch_width {
-            0 => parallel::lane_group_width(count, config.threads),
+        let (threads, plan) = (self.config.threads, self.config.plan());
+        let width = match self.config.batch_width {
+            0 => parallel::lane_group_width(count, threads),
             fixed => fixed,
         };
         let groups = count.div_ceil(width);
-        let runs = parallel::parallel_map_indexed(groups, config.threads, |g| {
+        let runs = parallel::parallel_map_indexed(groups, threads, |g| {
             let lo = g * width;
             let hi = count.min(lo + width);
             let seeds: Vec<u64> = (lo..hi)
                 .map(|i| self.replica_seed(batch, i as u64))
                 .collect();
-            run_group_fresh(model, &config, &seeds, ctrl)
+            run_group_fresh(model, &plan, &seeds, ctrl)
         });
         (batch, runs)
     }
@@ -308,9 +334,9 @@ impl EnsembleAnnealer {
                 self.config.replicas
             )));
         }
-        let config = self.config;
-        let runs = parallel::parallel_map_indexed(state.groups.len(), config.threads, |g| {
-            run_group_resumed(model, &config, &state.groups[g], ctrl)
+        let plan = self.config.plan();
+        let runs = parallel::parallel_map_indexed(state.groups.len(), self.config.threads, |g| {
+            run_group_resumed(model, &plan, &state.groups[g], ctrl)
         });
         let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(assemble(model, state.batch_index, runs))
@@ -319,14 +345,14 @@ impl EnsembleAnnealer {
 
 /// One group's controlled run: its stop status, its resumable image (when
 /// one exists), and the per-lane outcomes produced so far.
-struct GroupRun {
-    status: OutcomeKind,
+pub(crate) struct GroupRun {
+    pub(crate) status: OutcomeKind,
     /// `Some` for a group that stopped with a resumable image (a checkpoint,
     /// or a stop before its first sweep). A completed group carries none:
     /// its outcomes are its image, captured by [`assemble`] only when the
     /// run checkpoints.
-    state: Option<GroupState>,
-    outcomes: Vec<SolveOutcome>,
+    pub(crate) state: Option<GroupState>,
+    pub(crate) outcomes: Vec<SolveOutcome>,
 }
 
 /// Replicas a recorded group accounts for.
@@ -347,7 +373,7 @@ fn group_len(group: &GroupState) -> usize {
 /// every sweep boundary after.
 fn run_group_fresh(
     model: &IsingModel,
-    config: &EnsembleConfig,
+    plan: &AnnealPlan,
     seeds: &[u64],
     ctrl: &RunController,
 ) -> GroupRun {
@@ -360,34 +386,38 @@ fn run_group_fresh(
             outcomes: Vec::new(),
         };
     }
-    let batch = ReplicaBatch::new(model, seeds);
+    let mut batch = ReplicaBatch::new(model, seeds);
     let bests = LaneBests::new(&batch);
-    run_group_steps(model, config, seeds, batch, bests, 0, ctrl)
+    run_group_steps(model, plan, seeds, &mut batch, bests, 0, ctrl)
 }
 
-/// The ensemble's one group loop: advances a group of any width from
+/// The crate's one annealing loop: advances a lane group of any width from
 /// schedule step `start` under the controller, for fresh and resumed runs
-/// alike. The final sweep never checkpoints: a group caught there
-/// completes instead.
-fn run_group_steps(
+/// alike — every ensemble group, and every
+/// [`SimulatedAnnealing`](crate::SimulatedAnnealing) run as a one-lane
+/// group on the annealer's lent stream. Polls after each sweep's
+/// best-update, never before the first sweep; the final sweep never
+/// checkpoints: a group caught there completes instead. `seeds` label the
+/// lanes in the checkpoint image.
+pub(crate) fn run_group_steps(
     model: &IsingModel,
-    config: &EnsembleConfig,
+    plan: &AnnealPlan,
     seeds: &[u64],
-    mut batch: ReplicaBatch,
+    batch: &mut ReplicaBatch,
     mut bests: LaneBests,
     start: usize,
     ctrl: &RunController,
 ) -> GroupRun {
     let mut status = OutcomeKind::Completed;
-    let mut next_step = config.mcs_per_run;
-    for step in start..config.mcs_per_run {
-        let beta = config.schedule.beta_at(step, config.mcs_per_run);
-        match config.dynamics {
+    let mut next_step = plan.mcs_per_run;
+    for step in start..plan.mcs_per_run {
+        let beta = plan.schedule.beta_at(step, plan.mcs_per_run);
+        match plan.dynamics {
             Dynamics::Gibbs => batch.sweep_uniform(model, beta),
             Dynamics::Metropolis => batch.metropolis_sweep_uniform(model, beta),
         }
-        bests.update(&batch);
-        if step + 1 < config.mcs_per_run {
+        bests.update(batch);
+        if step + 1 < plan.mcs_per_run {
             if let Some(stop) = ctrl.poll((step + 1) as u64) {
                 status = stop;
                 next_step = step + 1;
@@ -431,7 +461,7 @@ fn run_group_steps(
 /// boundary.
 fn run_group_resumed(
     model: &IsingModel,
-    config: &EnsembleConfig,
+    plan: &AnnealPlan,
     group: &GroupState,
     ctrl: &RunController,
 ) -> Result<GroupRun, CheckpointError> {
@@ -454,65 +484,70 @@ fn run_group_resumed(
                     "a pending group holds no seeds".into(),
                 ));
             }
-            Ok(run_group_fresh(model, config, seeds, ctrl))
+            Ok(run_group_fresh(model, plan, seeds, ctrl))
         }
         // a serial-annealer image from an older build is a one-lane batch
-        // image: the annealer and a batch lane keep the same books, stream
-        // and best, so the group resumes as that batch
-        GroupState::Serial { seed, sa } => run_group_resumed(
-            model,
-            config,
-            &GroupState::Batch {
-                seeds: vec![*seed],
-                next_step: sa.next_step,
-                lanes: vec![LaneState {
-                    machine: sa.machine.clone(),
-                    noise: sa.noise.clone(),
-                }],
-                bests: vec![sa.best.clone()],
-            },
-            ctrl,
-        ),
-        GroupState::Batch {
-            seeds,
-            next_step,
-            lanes,
-            bests,
-        } => {
-            if seeds.is_empty() || seeds.len() != lanes.len() || seeds.len() != bests.len() {
-                return Err(CheckpointError::Malformed(format!(
-                    "batch group holds {} seeds, {} lanes, {} bests",
-                    seeds.len(),
-                    lanes.len(),
-                    bests.len()
-                )));
-            }
-            let start = usize::try_from(*next_step)
-                .ok()
-                .filter(|&s| s <= config.mcs_per_run)
-                .ok_or_else(|| {
-                    CheckpointError::Malformed(format!(
-                        "resume step {next_step} is beyond the {}-sweep schedule",
-                        config.mcs_per_run
-                    ))
-                })?;
-            let snaps = lanes
-                .iter()
-                .map(|l| l.rebuild(n))
-                .collect::<Result<Vec<_>, _>>()?;
-            let batch = ReplicaBatch::from_lane_snapshots(model, &snaps);
-            let (energies, states): (Vec<f64>, Vec<SpinState>) = bests
-                .iter()
-                .map(|b| b.rebuild(n))
-                .collect::<Result<Vec<_>, _>>()?
-                .into_iter()
-                .unzip();
-            let bests = LaneBests::from_parts(energies, states);
+        // image, so the group resumes as that batch
+        GroupState::Serial { seed, sa } => {
+            run_group_resumed(model, plan, &sa.one_lane_group(*seed), ctrl)
+        }
+        GroupState::Batch { seeds, .. } => {
+            let (mut batch, bests, start) = restore_batch(model, plan, group)?;
             Ok(run_group_steps(
-                model, config, seeds, batch, bests, start, ctrl,
+                model, plan, seeds, &mut batch, bests, start, ctrl,
             ))
         }
     }
+}
+
+/// Rebuilds a recorded [`GroupState::Batch`] image for [`run_group_steps`]:
+/// the batch with every lane's books and stream installed verbatim, the
+/// lanes' bests, and the step it resumes from. An image that does not fit
+/// the model or the schedule is [`CheckpointError::Malformed`].
+pub(crate) fn restore_batch(
+    model: &IsingModel,
+    plan: &AnnealPlan,
+    group: &GroupState,
+) -> Result<(ReplicaBatch, LaneBests, usize), CheckpointError> {
+    let GroupState::Batch {
+        seeds,
+        next_step,
+        lanes,
+        bests,
+    } = group
+    else {
+        return Err(CheckpointError::Malformed("not a lane-group image".into()));
+    };
+    if seeds.is_empty() || seeds.len() != lanes.len() || seeds.len() != bests.len() {
+        return Err(CheckpointError::Malformed(format!(
+            "batch group holds {} seeds, {} lanes, {} bests",
+            seeds.len(),
+            lanes.len(),
+            bests.len()
+        )));
+    }
+    let start = usize::try_from(*next_step)
+        .ok()
+        .filter(|&s| s <= plan.mcs_per_run)
+        .ok_or_else(|| {
+            CheckpointError::Malformed(format!(
+                "resume step {next_step} is beyond the {}-sweep schedule",
+                plan.mcs_per_run
+            ))
+        })?;
+    let n = model.len();
+    let snaps = lanes
+        .iter()
+        .map(|l| l.rebuild(n))
+        .collect::<Result<Vec<_>, _>>()?;
+    let batch = ReplicaBatch::from_lane_snapshots(model, &snaps);
+    let (energies, states): (Vec<f64>, Vec<SpinState>) = bests
+        .iter()
+        .map(|b| b.rebuild(n))
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
+    Ok((batch, LaneBests::from_parts(energies, states), start))
 }
 
 /// Folds per-group runs into one controlled ensemble result: the ordered

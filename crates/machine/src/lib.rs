@@ -32,7 +32,8 @@
 //!   gather/scatter,
 //! - [`PbitMachine`] — the p-bit network: one lane of the lane kernel,
 //!   swept serially, plus the greedy sweep and the exact-`tanh` oracle
-//!   every kernel is pinned against,
+//!   every kernel is pinned against; no annealer sweeps it, it is the
+//!   serial replay reference for the batch lanes they all run on,
 //! - [`bracket`] — the certified rational `tanh` bounds behind tier 3 and
 //!   their flip-decision helper,
 //! - [`ReplicaBatch`] — R lanes of one model in lane-major spin and field
@@ -45,12 +46,14 @@
 //! - [`BetaSchedule`] — annealing schedules (the paper uses a linear sweep
 //!   from 0 to `β_max` per run),
 //! - [`SimulatedAnnealing`] — one annealed run reading the last sample, as
-//!   SAIM's inner minimizer,
+//!   SAIM's inner minimizer: a one-lane group of the ensemble's lane-group
+//!   loop on the annealer's own stream,
 //! - [`EnsembleAnnealer`] — R independent replicas of a model annealed
 //!   across threads in batched lane groups, with deterministic per-replica
 //!   RNG streams and an ordered best-of-ensemble reduction (bit-identical
 //!   for any thread count and batch width); the run-level engine behind the
-//!   bench harness's repetition loops,
+//!   bench harness's repetition loops. Its lane-group loop is the crate's
+//!   one annealing loop,
 //! - [`parallel`] — the deterministic fork–join primitives the ensemble
 //!   (and the bench harness's instance grids, via
 //!   [`parallel::parallel_map_indexed`]) run on, plus the multi-tenant

@@ -7,6 +7,12 @@
 //! is the serial sweep policy (every spin, every sweep, one-pass flip
 //! propagation), the greedy sweep, and the exact-`tanh` oracle that every
 //! kernel is pinned against.
+//!
+//! No annealer sweeps it: every annealed run, a
+//! [`SimulatedAnnealing`](crate::SimulatedAnnealing) run included, is a
+//! batch lane. The machine is the serial replay reference those lanes are
+//! tested against, [`GreedyDescent`](crate::GreedyDescent)'s machine, and
+//! the home of the exact-`tanh` oracle.
 
 use crate::lane::{settle_threshold, Lane, MachineSnapshot, SATURATION};
 use crate::rng::{NoiseSource, SweepNoise};
@@ -134,11 +140,11 @@ impl PbitMachine {
     /// `model` — re-randomizing in place when the size matches (no
     /// allocation), constructing anew otherwise — and returns it.
     ///
-    /// This is the shared re-anneal entry point of the restart-based
-    /// solvers ([`SimulatedAnnealing`](crate::SimulatedAnnealing),
-    /// [`GreedyDescent`](crate::GreedyDescent)), so the reuse rule lives in
-    /// one place. Either path draws exactly `model.len()` coin flips from
-    /// `rng` and performs exactly one field resync.
+    /// This is [`GreedyDescent`](crate::GreedyDescent)'s restart entry
+    /// point; the annealers start every run on a fresh
+    /// [`ReplicaBatch`](crate::ReplicaBatch) lane instead. Either path draws
+    /// exactly `model.len()` coin flips from `rng` and performs exactly one
+    /// field resync.
     pub fn obtain_randomized<'a>(
         slot: &'a mut Option<PbitMachine>,
         model: &IsingModel,
@@ -178,16 +184,6 @@ impl PbitMachine {
         SpinState::from_signs(&self.spins)
     }
 
-    /// Writes the current spin configuration into `out` without
-    /// allocating — the best-state tracking path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the machine's spin count.
-    pub fn copy_state_into(&self, out: &mut SpinState) {
-        out.copy_from_signs(&self.spins);
-    }
-
     /// The current model energy `H(m)`, maintained incrementally.
     pub fn energy(&self) -> f64 {
         self.energy
@@ -225,9 +221,9 @@ impl PbitMachine {
     /// One Monte Carlo sweep: sequentially updates every p-bit at inverse
     /// temperature `beta` with the stochastic rule of paper eq. 10.
     ///
-    /// Noise is drawn per decision from `rng`; the annealers' hot paths use
-    /// [`PbitMachine::sweep_buffered`], which consumes the same stream in
-    /// blocks and replays this method bit-for-bit (see
+    /// Noise is drawn per decision from `rng`; the serial replay references
+    /// use [`PbitMachine::sweep_buffered`], which consumes the same stream
+    /// in blocks and replays this method bit-for-bit (see
     /// [`NoiseSource`](crate::NoiseSource) for the draw-order contract).
     ///
     /// Returns the number of spins that changed.

@@ -1,12 +1,10 @@
-use crate::checkpoint::{
-    BestState, CheckpointError, Controlled, MachineState, NoiseState, OutcomeKind, RunController,
-    SaState,
-};
-use crate::pbit::PbitMachine;
+use crate::batch::{LaneBests, ReplicaBatch};
+use crate::checkpoint::{CheckpointError, Controlled, RunController, SaState};
+use crate::ensemble::{self, AnnealPlan};
 use crate::rng::NoiseSource;
 use crate::schedule::BetaSchedule;
 use crate::solver::{IsingSolver, SolveOutcome};
-use saim_ising::{IsingModel, SpinState};
+use saim_ising::IsingModel;
 
 /// Simulated annealing on the p-bit machine (paper section III-B).
 ///
@@ -19,15 +17,20 @@ use saim_ising::{IsingModel, SpinState};
 /// stochastic runs of one reproducible stream — exactly the "2000 SA runs of
 /// 10³ MCS" structure of the paper's Table I.
 ///
+/// A run is a one-lane group of the crate's one annealing loop, the loop
+/// every [`EnsembleAnnealer`](crate::EnsembleAnnealer) group runs: each
+/// solve lends the annealer's stream to a fresh one-lane
+/// [`ReplicaBatch`], sweeps it there and takes the stream back, so the next
+/// solve continues it. A fresh single-run annealer therefore replays a
+/// batch lane on the same seed, and a serial
+/// [`PbitMachine`](crate::PbitMachine) fed the stream the same way. The
+/// batch is built per run from the model it anneals, so the drive bounds
+/// behind the sweep's decision kernel always match the model's current h
+/// (SAIM shifts h between solves).
+///
 /// `solve` delegates to [`SimulatedAnnealing::solve_controlled`] under
 /// [`RunController::unlimited`]: SAIM's inner anneal, served jobs and
-/// checkpoint/resume all run the annealer's one sweep loop.
-///
-/// The machine is reused across runs, so the per-spin drive bounds behind
-/// the sweep's three-tier decision kernel (see [`PbitMachine`]) are
-/// computed once per model and survive every re-anneal; the per-sweep β of
-/// the schedule costs no reclassification (the kernel classifies undecided
-/// spins on demand from the cached bounds).
+/// checkpoint/resume all run that one loop.
 ///
 /// ```
 /// use saim_ising::QuboBuilder;
@@ -46,21 +49,17 @@ use saim_ising::{IsingModel, SpinState};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimulatedAnnealing {
-    schedule: BetaSchedule,
-    mcs_per_run: usize,
-    /// The solver's stream, tapped in blocks for the sweep noise. Each run
-    /// resets the buffer, draws the initial state from the raw stream, then
-    /// consumes block-buffered noise — exactly the per-lane discipline of
-    /// [`crate::ReplicaBatch`], so a fresh single-run annealer is the serial
-    /// replay reference for a batch lane on the same seed.
+    plan: AnnealPlan,
+    /// The seed the stream started from; it labels the lane in checkpoint
+    /// images.
+    seed: u64,
+    /// The solver's stream. Each run resets the buffer, draws the initial
+    /// state from the raw stream, then consumes block-buffered noise — the
+    /// per-lane discipline of [`ReplicaBatch`].
     noise: NoiseSource,
-    machine: Option<PbitMachine>,
-    /// Preallocated best-state buffer: improvements are in-place sign
-    /// exports ([`PbitMachine::copy_state_into`]) instead of fresh states
-    /// (an improvement can happen on a large fraction of sweeps early in a
-    /// run).
-    best_buf: Option<SpinState>,
-    dynamics: Dynamics,
+    /// Spin flips over every run so far: the lane's flip counter carries
+    /// on from run to run, as a reused machine's would.
+    flips: u64,
 }
 
 /// The single-flip Monte Carlo update rule used inside a sweep.
@@ -86,34 +85,36 @@ impl SimulatedAnnealing {
     pub fn new(schedule: BetaSchedule, mcs_per_run: usize, seed: u64) -> Self {
         assert!(mcs_per_run > 0, "a run needs at least one sweep");
         SimulatedAnnealing {
-            schedule,
-            mcs_per_run,
+            plan: AnnealPlan {
+                schedule,
+                mcs_per_run,
+                dynamics: Dynamics::Gibbs,
+            },
+            seed,
             noise: NoiseSource::from_seed(seed),
-            machine: None,
-            best_buf: None,
-            dynamics: Dynamics::Gibbs,
+            flips: 0,
         }
     }
 
     /// Switches the update rule (default: the paper's p-bit Gibbs rule).
     pub fn with_dynamics(mut self, dynamics: Dynamics) -> Self {
-        self.dynamics = dynamics;
+        self.plan.dynamics = dynamics;
         self
     }
 
     /// The annealing schedule.
     pub fn schedule(&self) -> BetaSchedule {
-        self.schedule
+        self.plan.schedule
     }
 
     /// Sweeps per run.
     pub fn mcs_per_run(&self) -> usize {
-        self.mcs_per_run
+        self.plan.mcs_per_run
     }
 
     /// The update rule in use.
     pub fn dynamics(&self) -> Dynamics {
-        self.dynamics
+        self.plan.dynamics
     }
 
     /// Like [`IsingSolver::solve`] (which delegates here), but polling
@@ -127,17 +128,12 @@ impl SimulatedAnnealing {
         // run boundary: discard buffered noise so the initial-state coin
         // flips read the raw stream, then sweeps consume fresh blocks
         self.noise.reset();
-        let machine =
-            PbitMachine::obtain_randomized(&mut self.machine, model, self.noise.rng_mut());
-        let init_energy = machine.energy();
-        match &mut self.best_buf {
-            Some(b) if b.len() == model.len() => machine.copy_state_into(b),
-            _ => self.best_buf = Some(machine.state()),
-        }
-        self.run_from(model, 0, init_energy, ctrl)
+        let batch = ReplicaBatch::lend_lane(model, self.noise.clone(), self.flips);
+        let bests = LaneBests::new(&batch);
+        self.run(model, batch, bests, 0, ctrl)
     }
 
-    /// Continues a checkpointed run from its [`SaState`]. The machine books,
+    /// Continues a checkpointed run from its [`SaState`]. The lane's books,
     /// noise stream (buffer included), and best-so-far are installed
     /// verbatim, so the completed run is bit-identical to one that was never
     /// interrupted.
@@ -152,72 +148,35 @@ impl SimulatedAnnealing {
         state: &SaState,
         ctrl: &RunController,
     ) -> Result<Controlled<SaState>, CheckpointError> {
-        let next_step = usize::try_from(state.next_step)
-            .map_err(|_| CheckpointError::Malformed("resume step overflows usize".into()))?;
-        if next_step > self.mcs_per_run {
-            return Err(CheckpointError::Malformed(format!(
-                "resume step {next_step} is beyond the {}-sweep schedule",
-                self.mcs_per_run
-            )));
-        }
-        let snap = state.machine.rebuild(model.len())?;
-        let (best_energy, best) = state.best.rebuild(model.len())?;
-        self.noise = NoiseSource::from_snapshot(&state.noise.rebuild()?);
-        self.machine = Some(PbitMachine::from_snapshot(model, &snap));
-        self.best_buf = Some(best);
-        Ok(self.run_from(model, next_step, best_energy, ctrl))
+        let (batch, bests, start) =
+            ensemble::restore_batch(model, &self.plan, &state.one_lane_group(self.seed))?;
+        Ok(self.run(model, batch, bests, start, ctrl))
     }
 
-    /// The annealer's one sweep loop, from `start_step`, for fresh and
-    /// resumed runs alike. Polls after each sweep's best-update; the final
-    /// sweep never checkpoints (a run that finished is `Completed`).
-    fn run_from(
+    /// Runs the one-lane group from `start` through the ensemble's group
+    /// loop, then takes the lane's stream and flip count back.
+    fn run(
         &mut self,
         model: &IsingModel,
-        start_step: usize,
-        mut best_energy: f64,
+        mut batch: ReplicaBatch,
+        bests: LaneBests,
+        start: usize,
         ctrl: &RunController,
     ) -> Controlled<SaState> {
-        let machine = self.machine.as_mut().expect("machine installed by caller");
-        let best = self.best_buf.as_mut().expect("best installed by caller");
-        let mut status = OutcomeKind::Completed;
-        let mut next_step = self.mcs_per_run;
-        for step in start_step..self.mcs_per_run {
-            let beta = self.schedule.beta_at(step, self.mcs_per_run);
-            match self.dynamics {
-                Dynamics::Gibbs => machine.sweep_buffered(model, beta, &mut self.noise),
-                Dynamics::Metropolis => {
-                    machine.metropolis_sweep_buffered(model, beta, &mut self.noise)
-                }
-            };
-            if machine.energy() < best_energy {
-                best_energy = machine.energy();
-                machine.copy_state_into(best);
-            }
-            if step + 1 < self.mcs_per_run {
-                if let Some(stop) = ctrl.poll((step + 1) as u64) {
-                    status = stop;
-                    next_step = step + 1;
-                    break;
-                }
-            }
-        }
-        let state = (status == OutcomeKind::Checkpointed).then(|| SaState {
-            next_step: next_step as u64,
-            machine: MachineState::capture(&machine.snapshot()),
-            noise: NoiseState::capture(&self.noise.snapshot()),
-            best: BestState::capture(best_energy, best),
-        });
+        let mut run = ensemble::run_group_steps(
+            model,
+            &self.plan,
+            &[self.seed],
+            &mut batch,
+            bests,
+            start,
+            ctrl,
+        );
+        (self.noise, self.flips) = batch.return_lane();
         Controlled {
-            outcome: SolveOutcome {
-                last: machine.state(),
-                last_energy: machine.energy(),
-                best: best.clone(),
-                best_energy,
-                mcs: next_step as u64,
-            },
-            status,
-            state,
+            outcome: run.outcomes.pop().expect("one lane, one outcome"),
+            status: run.status,
+            state: run.state.and_then(SaState::from_one_lane_group),
         }
     }
 }
@@ -229,7 +188,7 @@ impl IsingSolver for SimulatedAnnealing {
     }
 
     fn mcs_per_solve(&self, _n: usize) -> u64 {
-        self.mcs_per_run as u64
+        self.plan.mcs_per_run as u64
     }
 
     fn name(&self) -> &'static str {
@@ -240,6 +199,7 @@ impl IsingSolver for SimulatedAnnealing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::OutcomeKind;
     use saim_ising::{BinaryState, QuboBuilder};
 
     /// A 6-variable model with a unique planted ground state.

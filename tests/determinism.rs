@@ -430,12 +430,91 @@ fn saim_ensemble_path_is_invariant_in_thread_count() {
             mcs_per_run: 100,
             dynamics: Dynamics::Gibbs,
         };
-        SaimRunner::new(config).run_ensemble(&enc, ensemble)
+        SaimRunner::new(config).run(&enc, EnsembleAnnealer::new(ensemble, config.seed))
     };
     let serial = run(1);
     assert_eq!(run(2), serial);
     assert_eq!(run(0), serial);
     assert_eq!(serial.mcs_total, 15 * 4 * 100);
+}
+
+/// SAIM's call pattern: one annealer makes consecutive solves while the
+/// λ ascent shifts the model's h between them. Each solve must replay a
+/// fresh serial machine on the annealer's continued stream: the buffer
+/// reset, `n` coin flips from the raw stream, buffered sweeps, and the
+/// strict-`<` best rule. The h shift moves the drive bounds, so a cache
+/// kept across solves would show here.
+#[test]
+fn sa_consecutive_solves_under_lambda_steps_replay_a_serial_machine() {
+    use saim_core::LagrangianSystem;
+    use saim_machine::{NoiseSource, PbitMachine, SolveOutcome};
+    const MCS: usize = 120;
+    let qkp = generate::qkp(30, 0.5, 77)
+        .expect("valid")
+        .encode()
+        .expect("encodes");
+    let mkp = generate::mkp_with_max_weight(20, 5, 0.5, 100, 77)
+        .expect("valid")
+        .encode()
+        .expect("encodes");
+    let qkp_sys = LagrangianSystem::new(&qkp, qkp.penalty_for_alpha(2.0)).expect("valid");
+    let mkp_sys = LagrangianSystem::new(&mkp, mkp.penalty_for_alpha(5.0)).expect("valid");
+    // most items strongly wanted, a few barely, and one loose count
+    // constraint: at a held β a lane quenches but for the weak items, so
+    // the batch sweeps it through a settled-set list of those items
+    let biased = {
+        let n = 24;
+        let mut f = saim_ising::QuboBuilder::new(n);
+        for i in 0..n {
+            let wanted = if i % 10 == 5 { -1.0 } else { -60.0 - i as f64 };
+            f.add_linear(i, wanted).expect("in range");
+        }
+        let count = saim_core::LinearConstraint::new(vec![1.0; n], -20.0).expect("valid");
+        saim_core::BinaryProblem::new(f.build(), vec![count]).expect("valid")
+    };
+    let biased_sys = LagrangianSystem::new(&biased, 0.05).expect("valid");
+    let cases = [
+        (&qkp_sys, BetaSchedule::linear(10.0), Dynamics::Gibbs),
+        (&qkp_sys, BetaSchedule::linear(10.0), Dynamics::Metropolis),
+        (&mkp_sys, BetaSchedule::linear(50.0), Dynamics::Gibbs),
+        (&biased_sys, BetaSchedule::constant(2.0), Dynamics::Gibbs),
+    ];
+    for (sys, schedule, dynamics) in cases {
+        let mut sys = sys.clone();
+        let mut sa = SimulatedAnnealing::new(schedule, MCS, 5).with_dynamics(dynamics);
+        let mut noise = NoiseSource::from_seed(5);
+        for step in [0.0, 8.0, 8.0, 1.0] {
+            let lambda = vec![step; sys.num_constraints()];
+            sys.set_lambda(&lambda).expect("finite");
+            let model = sys.model();
+            let got = sa.solve(model);
+
+            noise.reset();
+            let mut machine = PbitMachine::new(model, noise.rng_mut());
+            let (mut best_energy, mut best) = (machine.energy(), machine.state());
+            for step in 0..MCS {
+                let beta = schedule.beta_at(step, MCS);
+                match dynamics {
+                    Dynamics::Gibbs => machine.sweep_buffered(model, beta, &mut noise),
+                    Dynamics::Metropolis => {
+                        machine.metropolis_sweep_buffered(model, beta, &mut noise)
+                    }
+                };
+                if machine.energy() < best_energy {
+                    best_energy = machine.energy();
+                    best = machine.state();
+                }
+            }
+            let want = SolveOutcome {
+                last: machine.state(),
+                last_energy: machine.energy(),
+                best,
+                best_energy,
+                mcs: MCS as u64,
+            };
+            assert_eq!(got, want, "{schedule:?} {dynamics:?} at λ = {lambda:?}");
+        }
+    }
 }
 
 #[test]
