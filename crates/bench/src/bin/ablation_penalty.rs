@@ -13,7 +13,7 @@
 //! ```
 
 use saim_bench::args::HarnessArgs;
-use saim_bench::experiments::{result_from_penalty, result_from_saim, AblationCell, AblationGrid};
+use saim_bench::experiments::{result_from_saim, AblationCell, AblationGrid};
 use saim_bench::report::Table;
 use saim_core::presets;
 use saim_core::{ConstrainedProblem, PenaltyMethod, SaimRunner};
@@ -52,7 +52,7 @@ fn main() {
             AblationCell {
                 methods: vec![
                     result_from_saim("SAIM", &saim),
-                    result_from_penalty("penalty", &pen),
+                    result_from_saim("penalty", &pen),
                 ],
                 extras: Vec::new(),
             }

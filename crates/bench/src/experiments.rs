@@ -20,7 +20,7 @@
 //! an [`AblationRow`] of formatted means.
 
 use saim_core::presets::ExperimentPreset;
-use saim_core::{ConstrainedProblem, PenaltyMethod, PenaltyOutcome, SaimOutcome, SaimRunner};
+use saim_core::{ConstrainedProblem, PenaltyMethod, SaimOutcome, SaimRunner, SampleFold};
 use saim_exact::bb::{self, BbLimits};
 use saim_heuristics::ga::{ChuBeasleyGa, GaConfig};
 use saim_heuristics::{greedy, local};
@@ -83,7 +83,9 @@ impl MethodResult {
     }
 }
 
-/// Digests a SAIM run: its best and every feasible sample, in profit units.
+/// Digests an annealed method's outcome: its best and every feasible
+/// sample, in profit units. SAIM, the penalty baselines and parallel
+/// tempering all end in a [`SaimOutcome`], so this is their one digest.
 pub fn result_from_saim(method: &'static str, outcome: &SaimOutcome) -> MethodResult {
     MethodResult {
         method,
@@ -93,22 +95,6 @@ pub fn result_from_saim(method: &'static str, outcome: &SaimOutcome) -> MethodRe
             .iter()
             .filter(|r| r.feasible)
             .map(|r| (-r.cost) as u64)
-            .collect(),
-        feasibility: outcome.feasibility,
-        mcs: outcome.mcs_total,
-    }
-}
-
-/// Digests a penalty-method run: its best and every feasible sample, in
-/// profit units.
-pub fn result_from_penalty(method: &'static str, outcome: &PenaltyOutcome) -> MethodResult {
-    MethodResult {
-        method,
-        best_profit: outcome.best.as_ref().map(|(_, c)| (-c) as u64),
-        feasible_profits: outcome
-            .feasible_costs
-            .iter()
-            .map(|&c| (-c) as u64)
             .collect(),
         feasibility: outcome.feasibility,
         mcs: outcome.mcs_total,
@@ -164,7 +150,7 @@ pub fn penalty_same_budget<P: ConstrainedProblem>(
         .expect("preset penalties are valid")
         .run_parallel(problem, &mut engine)
         .expect("encoded problems are consistent");
-    result_from_penalty("penalty (same budget)", &out)
+    result_from_saim("penalty (same budget)", &out)
 }
 
 /// The α grid the tuned baseline sweeps, mirroring the paper's coarse
@@ -185,22 +171,24 @@ pub fn penalty_tuned<P: ConstrainedProblem>(
     let total = (preset.total_mcs() as f64 * scale) as usize;
     let runs = 10usize;
     let mcs_per_run = (total / runs).max(100);
-    let out = PenaltyMethod::run_tuned_parallel(problem, runs, &TUNING_ALPHAS, 0.2, |attempt| {
-        let config = saim_machine::EnsembleConfig {
-            replicas: runs,
-            mcs_per_run,
-            schedule: saim_machine::BetaSchedule::linear(preset.beta_max),
-            ..saim_machine::EnsembleConfig::default()
-        };
-        saim_machine::EnsembleAnnealer::new(config, derive_seed(seed, 100 + attempt as u64))
-    })
-    .expect("tuning grid is non-empty");
-    let alpha = out
-        .tuning_trace
-        .last()
-        .map(|t| t.alpha)
-        .unwrap_or(preset.alpha);
-    (result_from_penalty("penalty (tuned P)", &out), alpha)
+    let (out, trace) =
+        PenaltyMethod::run_tuned_parallel(problem, runs, &TUNING_ALPHAS, 0.2, |attempt| {
+            let config = saim_machine::EnsembleConfig {
+                replicas: runs,
+                mcs_per_run,
+                schedule: saim_machine::BetaSchedule::linear(preset.beta_max),
+                ..saim_machine::EnsembleConfig::default()
+            };
+            saim_machine::EnsembleAnnealer::new(config, derive_seed(seed, 100 + attempt as u64))
+        })
+        .expect("tuning grid is non-empty");
+    let alpha = trace.last().map(|t| t.alpha).unwrap_or(preset.alpha);
+    let result = MethodResult {
+        // the whole sweep's budget, not just the chosen attempt's
+        mcs: trace.iter().map(|t| t.mcs).sum(),
+        ..result_from_saim("penalty (tuned P)", &out)
+    };
+    (result, alpha)
 }
 
 /// Parallel tempering at the paper's tuned penalty, standing in for PT-DA
@@ -242,29 +230,15 @@ pub fn pt_baseline<P: ConstrainedProblem>(
         ..cfg
     };
     let mut pt_chunk = ParallelTempering::new(chunk, derive_seed(seed, 6));
-    let mut feasible_profits = Vec::new();
-    let mut best: Option<u64> = None;
-    let mut mcs = 0u64;
-    let mut feasible = 0usize;
+    // each chunk's best is one measurement, scored like a penalty-baseline
+    // run: SAIM's fold with λ held at 0
+    let zero = vec![0.0; problem.constraints().len()];
+    let mut fold = SampleFold::new(problem, trials);
     for _ in 0..trials {
         let out = pt_chunk.solve(&model);
-        mcs += out.mcs;
-        let x = out.best.to_binary();
-        let eval = problem.evaluate(&x);
-        if eval.feasible {
-            feasible += 1;
-            let p = (-eval.cost) as u64;
-            feasible_profits.push(p);
-            best = Some(best.map_or(p, |b| b.max(p)));
-        }
+        fold.push(&out.best, out.best_energy, out.mcs, &zero);
     }
-    MethodResult {
-        method: "parallel tempering",
-        best_profit: best,
-        feasible_profits,
-        feasibility: feasible as f64 / trials as f64,
-        mcs,
-    }
+    result_from_saim("parallel tempering", &fold.finish(zero))
 }
 
 /// The Chu–Beasley GA baseline for MKP (paper Table V, \[28\]).

@@ -52,7 +52,7 @@ pub fn qkp_comparison(
         let (saim, _) = experiments::saim_qkp(&enc, preset, args.scale, inst_seed);
         let (best_sa, alpha) = experiments::penalty_tuned(&enc, preset, args.scale, inst_seed);
         // PT runs at the tuned penalty and gets 2x SAIM's budget here
-        // (PT-DA had 7500x; see EXPERIMENTS.md)
+        // (PT-DA had 7500x; see Table III's doc comment, bin/table3_qkp200.rs)
         let pt = experiments::pt_baseline(&enc, preset, args.scale, inst_seed, 2.0, alpha);
 
         let (reference, certified) = experiments::qkp_reference(&instance, 3.0);

@@ -36,10 +36,14 @@
 //!
 //! - [`LinearConstraint`], [`ConstrainedProblem`], [`BinaryProblem`] — the
 //!   problem abstraction (implemented for knapsacks in `saim-knapsack`),
-//! - [`penalty_qubo`] / [`PenaltyMethod`] — the baseline (eq. 3–4) with the
-//!   paper's coarse P-tuning protocol,
 //! - [`LagrangianSystem`] — `L = E + λᵀg` with in-place field updates,
 //! - [`SaimRunner`] / [`SaimConfig`] — Algorithm 1,
+//! - [`SampleFold`] — Algorithm 1's per-sample step: one measured sample
+//!   becomes an [`IterationRecord`], a feasibility count and a best; every
+//!   method ends in its [`SaimOutcome`],
+//! - [`penalty_qubo`] / [`PenaltyMethod`] — the baseline (eq. 3–4), which is
+//!   Algorithm 1 with λ held at 0 (the same model and the same fold, no
+//!   ascent step), with the paper's coarse P-tuning protocol,
 //! - [`presets`] — the paper's Table I parameter sets,
 //! - [`dual`] — exact dual-bound utilities for small models (Fig. 2's toy gap).
 //!
@@ -82,7 +86,7 @@ mod trace;
 
 pub use error::CoreError;
 pub use lagrangian::LagrangianSystem;
-pub use penalty::{penalty_qubo, PenaltyMethod, PenaltyOutcome, TunedPenalty};
+pub use penalty::{penalty_qubo, PenaltyMethod, TunedPenalty};
 pub use problem::{BinaryProblem, ConstrainedProblem, Evaluation, LinearConstraint};
-pub use saim::{FeasibleSample, SaimConfig, SaimOutcome, SaimRunner};
+pub use saim::{FeasibleSample, SaimConfig, SaimOutcome, SaimRunner, SampleFold};
 pub use trace::IterationRecord;

@@ -1,7 +1,8 @@
 use crate::error::CoreError;
-use crate::problem::{ConstrainedProblem, Evaluation};
-use saim_ising::{BinaryState, Qubo, QuboBuilder};
-use saim_machine::{EnsembleAnnealer, IsingSolver, SampleCounter, SolveOutcome};
+use crate::problem::ConstrainedProblem;
+use crate::saim::{SaimOutcome, SampleFold};
+use saim_ising::{Qubo, QuboBuilder};
+use saim_machine::{EnsembleAnnealer, IsingSolver, SolveOutcome};
 use serde::{Deserialize, Serialize};
 
 /// Builds the penalty-method energy (paper eq. 3):
@@ -76,31 +77,22 @@ pub struct TunedPenalty {
     pub penalty: f64,
     /// Fraction of measured samples that were feasible at this penalty.
     pub feasibility: f64,
-}
-
-/// Result of a penalty-method run (possibly after tuning).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PenaltyOutcome {
-    /// Best feasible sample found, if any, with its native cost.
-    pub best: Option<(BinaryState, f64)>,
-    /// Native cost of every feasible sample, in measurement order.
-    pub feasible_costs: Vec<f64>,
-    /// Fraction of measured samples that were feasible.
-    pub feasibility: f64,
-    /// The penalty value that produced this outcome.
-    pub penalty: f64,
-    /// Penalties tried during tuning (empty when run at a fixed P).
-    pub tuning_trace: Vec<TunedPenalty>,
-    /// Total Monte Carlo sweeps consumed, including tuning.
-    pub mcs_total: u64,
+    /// Monte Carlo sweeps this attempt consumed.
+    pub mcs: u64,
 }
 
 /// The classical penalty-method baseline (paper section II-A and Table II).
 ///
 /// Runs an [`IsingSolver`] `runs` times on `E = f + P‖g‖²` at a fixed `P`,
-/// reading the best sample of each run, or first *tunes* `P` with the paper's
-/// protocol: start from a small `P = α₀·d·N` and coarsely increase it until
-/// the feasibility ratio reaches a threshold (the paper uses ≥ 20%).
+/// or first *tunes* `P` with the paper's protocol: start from a small
+/// `P = α₀·d·N` and coarsely increase it until the feasibility ratio
+/// reaches a threshold (the paper uses ≥ 20%).
+///
+/// The baseline is Algorithm 1 with the λ step switched off: `E` is the
+/// model [`LagrangianSystem::new`](crate::LagrangianSystem::new) builds at
+/// λ = 0, and each run's last sample goes through the same
+/// [`SampleFold`] as a SAIM iteration, with λ held at 0. The outcome is a
+/// [`SaimOutcome`] whose `final_lambda` is all zeros.
 ///
 /// ```
 /// use saim_core::{BinaryProblem, LinearConstraint, PenaltyMethod};
@@ -117,7 +109,7 @@ pub struct PenaltyOutcome {
 /// )?;
 /// let solver = SimulatedAnnealing::new(BetaSchedule::linear(6.0), 60, 3);
 /// let out = PenaltyMethod::new(5.0, 40)?.run(&p, solver)?;
-/// assert_eq!(out.best.expect("feasible").1, -2.0);
+/// assert_eq!(out.best.expect("feasible").cost, -2.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -173,58 +165,23 @@ impl PenaltyMethod {
     /// # Errors
     ///
     /// Propagates model-construction failures from [`penalty_qubo`].
-    pub fn run<P, S>(&self, problem: &P, mut solver: S) -> Result<PenaltyOutcome, CoreError>
+    pub fn run<P, S>(&self, problem: &P, mut solver: S) -> Result<SaimOutcome, CoreError>
     where
         P: ConstrainedProblem + ?Sized,
         S: IsingSolver,
     {
         let model = penalty_qubo(problem, self.penalty)?.to_ising();
-        let outcomes: Vec<SolveOutcome> = (0..self.runs).map(|_| solver.solve(&model)).collect();
-        Ok(self.fold_outcomes(problem, outcomes))
-    }
-
-    /// The single fold from run outcomes (in run order) to a
-    /// [`PenaltyOutcome`], shared by [`PenaltyMethod::run`] and
-    /// [`PenaltyMethod::run_parallel`] so the two paths cannot diverge.
-    fn fold_outcomes<P: ConstrainedProblem + ?Sized>(
-        &self,
-        problem: &P,
-        outcomes: Vec<SolveOutcome>,
-    ) -> PenaltyOutcome {
-        let mut counter = SampleCounter::new();
-        let mut best: Option<(BinaryState, f64)> = None;
-        let mut feasible_costs = Vec::new();
-        let mut feasible = 0usize;
-        for outcome in &outcomes {
-            counter.add(outcome.mcs);
-            let x = outcome.last.to_binary();
-            let Evaluation { cost, feasible: ok } = problem.evaluate(&x);
-            if ok {
-                feasible += 1;
-                feasible_costs.push(cost);
-                if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                    best = Some((x, cost));
-                }
-            }
-        }
-        PenaltyOutcome {
-            best,
-            feasible_costs,
-            feasibility: feasible as f64 / outcomes.len().max(1) as f64,
-            penalty: self.penalty,
-            tuning_trace: Vec::new(),
-            mcs_total: counter.total(),
-        }
+        Ok(self.score(problem, (0..self.runs).map(|_| solver.solve(&model))))
     }
 
     /// Runs the baseline's `runs` independent annealed runs **in parallel**
     /// on a replica-ensemble engine.
     ///
     /// Each run gets its own derived RNG stream and the measurements are
-    /// folded in run order, so the outcome is identical for any thread count
+    /// scored in run order, so the outcome is identical for any thread count
     /// — the serial [`PenaltyMethod::run`] and this path differ only in the
     /// solver streams they draw (a sequential stream vs. per-run derived
-    /// streams), never in structure.
+    /// streams), never in how the samples are scored.
     ///
     /// # Errors
     ///
@@ -233,20 +190,35 @@ impl PenaltyMethod {
         &self,
         problem: &P,
         ensemble: &mut EnsembleAnnealer,
-    ) -> Result<PenaltyOutcome, CoreError>
+    ) -> Result<SaimOutcome, CoreError>
     where
         P: ConstrainedProblem + ?Sized,
     {
         let model = penalty_qubo(problem, self.penalty)?.to_ising();
-        let outcomes = ensemble.solve_runs(&model, self.runs);
-        Ok(self.fold_outcomes(problem, outcomes))
+        Ok(self.score(problem, ensemble.solve_runs(&model, self.runs)))
+    }
+
+    /// Feeds each run's last sample, in run order, to SAIM's fold with λ
+    /// held at 0 and no ascent step.
+    fn score<P: ConstrainedProblem + ?Sized>(
+        &self,
+        problem: &P,
+        runs: impl IntoIterator<Item = SolveOutcome>,
+    ) -> SaimOutcome {
+        let zero = vec![0.0; problem.constraints().len()];
+        let mut fold = SampleFold::new(problem, self.runs);
+        for run in runs {
+            fold.push(&run.last, run.last_energy, run.mcs, &zero);
+        }
+        fold.finish(zero)
     }
 
     /// The paper's tuning protocol: sweep `alpha` over `alphas` (multiples of
     /// `d·N`), run the baseline at each, and keep the first penalty whose
     /// feasibility reaches `min_feasibility`; if none does, keep the most
-    /// feasible one. The full trace is returned for the Table II "Tuned P"
-    /// column, with the sweep budget summed over every attempt.
+    /// feasible one. Returns that attempt's outcome beside the trace of
+    /// every attempt (the Table II "Tuned P" column), whose
+    /// [`TunedPenalty::mcs`] sum to the sweep's whole budget.
     ///
     /// Every α attempt anneals its `runs` measurements across threads on
     /// the ensemble `make_ensemble(attempt)` builds, so each penalty gets an
@@ -262,7 +234,7 @@ impl PenaltyMethod {
         alphas: &[f64],
         min_feasibility: f64,
         mut make_ensemble: F,
-    ) -> Result<PenaltyOutcome, CoreError>
+    ) -> Result<(SaimOutcome, Vec<TunedPenalty>), CoreError>
     where
         P: ConstrainedProblem + ?Sized,
         F: FnMut(usize) -> EnsembleAnnealer,
@@ -274,33 +246,29 @@ impl PenaltyMethod {
             });
         }
         let mut trace = Vec::with_capacity(alphas.len());
-        let mut best_outcome: Option<PenaltyOutcome> = None;
-        let mut mcs_total = 0u64;
+        let mut chosen: Option<SaimOutcome> = None;
         for (attempt, &alpha) in alphas.iter().enumerate() {
             let penalty = problem.penalty_for_alpha(alpha);
             let outcome = PenaltyMethod::new(penalty, runs)?
                 .run_parallel(problem, &mut make_ensemble(attempt))?;
-            mcs_total += outcome.mcs_total;
             trace.push(TunedPenalty {
                 alpha,
                 penalty,
                 feasibility: outcome.feasibility,
+                mcs: outcome.mcs_total,
             });
             let reached = outcome.feasibility >= min_feasibility;
-            let better = best_outcome
+            let better = chosen
                 .as_ref()
                 .is_none_or(|b| outcome.feasibility > b.feasibility);
             if reached || better {
-                best_outcome = Some(outcome);
+                chosen = Some(outcome);
             }
             if reached {
                 break;
             }
         }
-        let mut out = best_outcome.expect("alphas is non-empty");
-        out.tuning_trace = trace;
-        out.mcs_total = mcs_total;
-        Ok(out)
+        Ok((chosen.expect("alphas is non-empty"), trace))
     }
 }
 
@@ -373,9 +341,9 @@ mod tests {
             .unwrap()
             .run(&p, solver)
             .unwrap();
-        let (x, cost) = out.best.expect("feasible sample");
-        assert_eq!(cost, -5.0);
-        assert_eq!(x.bits(), &[1, 0, 1]);
+        let best = out.best.expect("feasible sample");
+        assert_eq!(best.cost, -5.0);
+        assert_eq!(best.state.bits(), &[1, 0, 1]);
         assert!(out.feasibility > 0.0);
         assert_eq!(out.mcs_total, 30 * 80);
     }
@@ -409,14 +377,15 @@ mod tests {
     #[test]
     fn tuning_stops_at_feasibility_threshold() {
         let p = quadratic_problem();
-        let out =
+        let (out, trace) =
             PenaltyMethod::run_tuned_parallel(&p, 20, &[0.1, 1.0, 10.0, 100.0], 0.2, |attempt| {
                 tuning_ensemble(8.0, 60, 100 + attempt as u64)
             })
             .unwrap();
-        assert!(!out.tuning_trace.is_empty());
-        assert!(out.feasibility >= 0.2 || out.tuning_trace.len() == 4);
+        assert!(!trace.is_empty());
+        assert!(out.feasibility >= 0.2 || trace.len() == 4);
         assert!(out.best.is_some());
+        assert!(trace.iter().all(|t| t.mcs == 20 * 60));
     }
 
     #[test]
@@ -454,5 +423,5 @@ mod tests {
         assert!(r.is_err());
     }
 
-    use saim_ising::QuboBuilder;
+    use saim_ising::{BinaryState, QuboBuilder};
 }

@@ -2,7 +2,7 @@ use crate::error::CoreError;
 use crate::lagrangian::LagrangianSystem;
 use crate::problem::{ConstrainedProblem, Evaluation};
 use crate::trace::IterationRecord;
-use saim_ising::BinaryState;
+use saim_ising::{BinaryState, SpinState};
 use saim_machine::{IsingSolver, SampleCounter};
 use serde::{Deserialize, Serialize};
 
@@ -21,11 +21,11 @@ pub struct SaimConfig {
     pub eta: f64,
     /// Number of outer iterations `K` (annealing runs / λ updates).
     pub iterations: usize,
-    /// Recorded in outcomes so experiments are self-describing.
-    /// [`SaimRunner::run`] takes an already-seeded solver, so this seeds
-    /// nothing by itself; pass it to the solver's constructor (for example
-    /// as an [`EnsembleAnnealer`](saim_machine::EnsembleAnnealer)'s root
-    /// seed) to tie the two together.
+    /// The experiment's root seed, so that one config (as a preset's
+    /// [`config_for`](crate::presets::ExperimentPreset::config_for) builds
+    /// it) names a whole run. [`SaimRunner::run`] takes an already-seeded
+    /// solver, so this seeds nothing by itself; pass it (or a seed derived
+    /// from it) to the solver's constructor to tie the two together.
     pub seed: u64,
 }
 
@@ -70,22 +70,21 @@ pub struct FeasibleSample {
     pub iteration: usize,
 }
 
-/// Everything a SAIM run produces.
+/// Everything a run of measured samples produces: a SAIM run, or a
+/// penalty-method or parallel-tempering baseline scored with λ held at 0.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SaimOutcome {
     /// The best feasible sample (`x̄ = argmin_k f(x̂_k)`), if any run produced one.
     pub best: Option<FeasibleSample>,
-    /// Per-iteration telemetry (Fig. 3 / Fig. 5 traces).
+    /// Per-sample telemetry (Fig. 3 / Fig. 5 traces).
     pub records: Vec<IterationRecord>,
-    /// The final Lagrange multipliers λ*.
+    /// The final Lagrange multipliers λ* (all zero for a baseline).
     pub final_lambda: Vec<f64>,
-    /// Fraction of iterations whose sample was feasible (the parenthesised
+    /// Fraction of samples that were feasible (the parenthesised
     /// percentages in the paper's tables).
     pub feasibility: f64,
     /// Total Monte Carlo sweeps consumed.
     pub mcs_total: u64,
-    /// The configuration that produced this outcome.
-    pub config: SaimConfig,
 }
 
 impl SaimOutcome {
@@ -109,6 +108,88 @@ impl SaimOutcome {
     }
 }
 
+/// The per-sample fold of Algorithm 1 ("store feasible x̂_k"): the one
+/// place a measured sample becomes an [`IterationRecord`], a feasibility
+/// count and a best.
+///
+/// [`SaimRunner::run`] feeds it each run's last sample and then steps λ;
+/// [`PenaltyMethod`](crate::PenaltyMethod) feeds it each run's last sample
+/// with λ held at 0 and takes no step, which is the paper's penalty
+/// baseline. Any other sampler (the bench's parallel-tempering baseline
+/// feeds PT's per-chunk best) is scored the same way.
+#[derive(Debug)]
+pub struct SampleFold<'a, P: ?Sized> {
+    problem: &'a P,
+    counter: SampleCounter,
+    records: Vec<IterationRecord>,
+    best: Option<FeasibleSample>,
+}
+
+impl<'a, P: ConstrainedProblem + ?Sized> SampleFold<'a, P> {
+    /// An empty fold over `problem` with room for `samples` records.
+    pub fn new(problem: &'a P, samples: usize) -> Self {
+        SampleFold {
+            problem,
+            counter: SampleCounter::new(),
+            records: Vec::with_capacity(samples),
+            best: None,
+        }
+    }
+
+    /// Scores one measured sample: `state`, with model energy `energy`, read
+    /// out of a run that consumed `mcs` sweeps while `lambda` was in force.
+    /// Pushes its record and keeps it as the best if it is feasible and
+    /// strictly cheaper than every earlier feasible sample. Returns the
+    /// sample's violations `g(x)`, the subgradient of the next λ step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the problem's constraints are dimensionally inconsistent
+    /// with `state`.
+    pub fn push(&mut self, state: &SpinState, energy: f64, mcs: u64, lambda: &[f64]) -> &[f64] {
+        self.counter.add(mcs);
+        let x = state.to_binary();
+        let Evaluation { cost, feasible } = self.problem.evaluate(&x);
+        let violations = self
+            .problem
+            .constraints()
+            .iter()
+            .map(|c| c.violation(&x))
+            .collect();
+        let iteration = self.records.len();
+        if feasible && self.best.as_ref().is_none_or(|b| cost < b.cost) {
+            self.best = Some(FeasibleSample {
+                state: x,
+                cost,
+                iteration,
+            });
+        }
+        self.records.push(IterationRecord {
+            iteration,
+            cost,
+            feasible,
+            lagrangian_energy: energy,
+            lambda: lambda.to_vec(),
+            violations,
+            mcs_cumulative: self.counter.total(),
+        });
+        &self.records[iteration].violations
+    }
+
+    /// The outcome of every sample pushed so far, with `final_lambda` the
+    /// multipliers in force after the last one.
+    pub fn finish(self, final_lambda: Vec<f64>) -> SaimOutcome {
+        let feasible = self.records.iter().filter(|r| r.feasible).count();
+        SaimOutcome {
+            best: self.best,
+            feasibility: feasible as f64 / self.records.len().max(1) as f64,
+            records: self.records,
+            final_lambda,
+            mcs_total: self.counter.total(),
+        }
+    }
+}
+
 /// The Self-Adaptive Ising Machine driver (paper Algorithm 1).
 ///
 /// ```text
@@ -123,6 +204,8 @@ impl SaimOutcome {
 /// The runner is generic over the inner [`IsingSolver`]; the paper's setup is
 /// [`SimulatedAnnealing`](saim_machine::SimulatedAnnealing) with a linear β
 /// schedule, reading the run's **last** sample (`x_k` is `outcome.last`).
+/// The "store" line is [`SampleFold`], the same fold that scores the
+/// penalty baseline; only the λ step is SAIM's own.
 ///
 /// ```
 /// use saim_core::{BinaryProblem, LinearConstraint, SaimConfig, SaimRunner};
@@ -182,58 +265,22 @@ impl SaimRunner {
     {
         let mut system = LagrangianSystem::new(problem, self.config.penalty)
             .expect("problem produced an inconsistent model");
-        let mut counter = SampleCounter::new();
-        let mut records = Vec::with_capacity(self.config.iterations);
-        let mut best: Option<FeasibleSample> = None;
-        let mut feasible_count = 0usize;
-
-        for k in 0..self.config.iterations {
-            // 1. minimize L_k on the Ising machine; x_k is the run's last sample
+        let mut fold = SampleFold::new(problem, self.config.iterations);
+        for _ in 0..self.config.iterations {
+            // minimize L_k on the Ising machine; x_k is the run's last sample
             let outcome = solver.solve(system.model());
-            counter.add(outcome.mcs);
-            let x = outcome.last.to_binary();
-
-            // 2. score the sample in native units and store it if feasible
-            let Evaluation { cost, feasible } = problem.evaluate(&x);
-            if feasible {
-                feasible_count += 1;
-                if best.as_ref().is_none_or(|b| cost < b.cost) {
-                    best = Some(FeasibleSample {
-                        state: x.clone(),
-                        cost,
-                        iteration: k,
-                    });
-                }
-            }
-
-            // 3. subgradient step λ ← λ + η g(x_k)
-            let violations: Vec<f64> = problem
-                .constraints()
-                .iter()
-                .map(|c| c.violation(&x))
-                .collect();
-            records.push(IterationRecord {
-                iteration: k,
-                cost,
-                feasible,
-                lagrangian_energy: outcome.last_energy,
-                lambda: system.lambda().to_vec(),
-                violations: violations.clone(),
-                mcs_cumulative: counter.total(),
-            });
+            let violations = fold.push(
+                &outcome.last,
+                outcome.last_energy,
+                outcome.mcs,
+                system.lambda(),
+            );
+            // subgradient step λ ← λ + η g(x_k)
             system
-                .ascend(&violations, self.config.eta)
+                .ascend(violations, self.config.eta)
                 .expect("violations are finite and well-sized");
         }
-
-        SaimOutcome {
-            best,
-            records,
-            final_lambda: system.lambda().to_vec(),
-            feasibility: feasible_count as f64 / self.config.iterations as f64,
-            mcs_total: counter.total(),
-            config: self.config,
-        }
+        fold.finish(system.lambda().to_vec())
     }
 }
 

@@ -2,7 +2,7 @@
 //! knapsack in disguise, solved three ways (SAIM, exact, greedy).
 //!
 //! ```text
-//! cargo run -p saim-core --release --example job_batching
+//! cargo run --release --example job_batching
 //! ```
 //!
 //! Each job has a standalone speedup value and a memory footprint; pairs of

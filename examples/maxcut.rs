@@ -3,7 +3,7 @@
 //! equivalent to maximizing a graph cut with `W_ij = −J_ij`).
 //!
 //! ```text
-//! cargo run -p saim-core --release --example maxcut
+//! cargo run --release --example maxcut
 //! ```
 //!
 //! No penalties, no Lagrange multipliers: just the graph → Ising mapping and

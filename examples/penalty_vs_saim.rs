@@ -2,7 +2,7 @@
 //! the paper's Fig. 1/2 story in runnable form.
 //!
 //! ```text
-//! cargo run -p saim-core --release --example penalty_vs_saim
+//! cargo run --release --example penalty_vs_saim
 //! ```
 //!
 //! Both methods get the same machine and total sweep budget. The penalty
@@ -40,9 +40,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
         let out = PenaltyMethod::new(p, runs)?.run(&encoded, solver)?;
         match &out.best {
-            Some((_, cost)) => println!(
+            Some(best) => println!(
                 "  P = {alpha:>5}dN: best profit {:>6}, feasibility {:>5.1}%",
-                -cost,
+                -best.cost,
                 100.0 * out.feasibility
             ),
             None => println!(

@@ -4,7 +4,7 @@
 //! capital budgeting, portfolio optimization, or production planning").
 //!
 //! ```text
-//! cargo run -p saim-core --release --example portfolio
+//! cargo run --release --example portfolio
 //! ```
 //!
 //! We pick a subset of candidate projects maximizing expected return under

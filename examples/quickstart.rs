@@ -2,7 +2,7 @@
 //! Self-Adaptive Ising Machine.
 //!
 //! ```text
-//! cargo run -p saim-core --release --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 //!
 //! The flow is the one every SAIM application follows:

@@ -1,6 +1,7 @@
 //! Determinism guarantees across the whole stack: identical seeds must give
-//! bit-identical experiments (the property every table in EXPERIMENTS.md
-//! relies on), and different seeds must actually diversify.
+//! bit-identical experiments (the property every golden table and figure in
+//! `crates/bench/tests/golden/` relies on), and different seeds must
+//! actually diversify.
 
 use saim_core::{ConstrainedProblem, SaimConfig, SaimRunner};
 use saim_heuristics::ga::{ChuBeasleyGa, GaConfig};
@@ -43,7 +44,7 @@ fn saim_outcome_is_bit_identical_under_fixed_seed() {
     let a = run(5);
     let b = run(5);
     assert_eq!(a, b);
-    // serialized forms are identical too (what EXPERIMENTS.md records)
+    // serialized forms are identical too (what a saved trace records)
     assert_eq!(
         serde_json::to_string(&a).expect("serializes"),
         serde_json::to_string(&b).expect("serializes")
