@@ -2,18 +2,18 @@
 //!
 //! Measures aggregate spin updates of one [`saim_machine::ReplicaBatch`]
 //! sweep as the lane count R grows, against R independent serial
-//! [`saim_machine::PbitMachine`] sweeps over the same streams. The batch
-//! amortizes every coupling-row load over all R lanes, so aggregate
-//! throughput should grow superlinearly in R until the spin/field planes
-//! outgrow the cache — the per-width series quantifies exactly where.
+//! [`saim_machine::PbitMachine`] sweeps over the same streams. Every lane
+//! runs the serial machine's own scan and lanes share no coupling pass, so
+//! the two series should track each other until the lane-major planes
+//! outgrow the cache — the per-width series shows where that happens.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use saim_core::{penalty_qubo, ConstrainedProblem};
 use saim_knapsack::generate;
 use saim_machine::{derive_seed, new_rng, NoiseSource, PbitMachine, ReplicaBatch};
 
-// the cold regime: most lanes saturated, sweep cost = row/plane traffic —
-// what the batch amortizes (hot sweeps are tanh/noise-bound in both engines)
+// the cold regime: most spins saturated, sweep cost = the settled scan plus
+// row traffic of the few flips (hot sweeps are tanh/noise-bound)
 const BETA: f64 = 20.0;
 const WARMUP_SWEEPS: usize = 50;
 

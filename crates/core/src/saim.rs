@@ -96,16 +96,6 @@ impl SaimOutcome {
             .map(|r| r.cost)
             .collect()
     }
-
-    /// Mean cost over feasible samples (`None` if none were feasible).
-    pub fn mean_feasible_cost(&self) -> Option<f64> {
-        let costs = self.feasible_costs();
-        if costs.is_empty() {
-            None
-        } else {
-            Some(costs.iter().sum::<f64>() / costs.len() as f64)
-        }
-    }
 }
 
 /// The per-sample fold of Algorithm 1 ("store feasible x̂_k"): the one
@@ -380,24 +370,6 @@ mod tests {
         let count = out.records.iter().filter(|r| r.feasible).count();
         assert!((out.feasibility - count as f64 / 50.0).abs() < 1e-12);
         assert_eq!(out.feasible_costs().len(), count);
-    }
-
-    #[test]
-    fn mean_feasible_cost() {
-        let config = SaimConfig {
-            penalty: 0.5,
-            eta: 0.5,
-            iterations: 60,
-            seed: 6,
-        };
-        let out = SaimRunner::new(config).run(&cardinality_problem(), default_solver(6));
-        if let Some(mean) = out.mean_feasible_cost() {
-            let costs = out.feasible_costs();
-            let expect = costs.iter().sum::<f64>() / costs.len() as f64;
-            assert!((mean - expect).abs() < 1e-12);
-            // mean can't beat the best
-            assert!(mean >= out.best.as_ref().unwrap().cost - 1e-12);
-        }
     }
 
     #[test]

@@ -111,8 +111,6 @@ impl Couplings {
     /// dense loop is a plain zip the compiler auto-vectorizes (an A/B
     /// against a manually 8-blocked version measured no slower: the pass
     /// is memory-bound); the sparse loop walks only the actual neighbours.
-    /// Elementwise, so it is bit-identical to [`Couplings::row_axpy_suffix`]
-    /// plus [`Couplings::row_axpy_prefix`] in either order.
     ///
     /// # Panics
     ///
@@ -134,43 +132,6 @@ impl Couplings {
         }
     }
 
-    /// Suffix axpy over row `i`: `fields[j] += M_ij * delta` for every
-    /// column `j ≥ i` (dense) or stored neighbour `j ≥ i` (sparse), where
-    /// `fields` is one replica lane's contiguous length-`n` field vector.
-    ///
-    /// The immediate half of the batched sweep's split flip propagation:
-    /// the scan still reads fields at `j ≥ i` this sweep, so they update at
-    /// flip time; the `j < i` half defers to the end-of-sweep coalesced
-    /// pass ([`Couplings::row_axpy_prefix`]). See
-    /// [`SymmetricMatrix::row_axpy_suffix`] and
-    /// [`CsrMatrix::row_axpy_suffix`] for the bit-exactness argument.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fields.len() != self.len()` or `i` is out of bounds.
-    pub fn row_axpy_suffix(&self, i: usize, delta: f64, fields: &mut [f64]) {
-        match self {
-            Couplings::Dense(m) => m.row_axpy_suffix(i, delta, fields),
-            Couplings::Sparse(m) => m.row_axpy_suffix(i, delta, fields),
-        }
-    }
-
-    /// Prefix axpy over row `i`: `fields[j] += M_ij * delta` for every
-    /// column `j < i` (dense) or stored neighbour `j < i` (sparse) — the
-    /// deferred half of the split flip propagation
-    /// ([`Couplings::row_axpy_suffix`]), applied by the batched sweep's
-    /// end-of-sweep pass with the row cache-hot across lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fields.len() != self.len()` or `i` is out of bounds.
-    pub fn row_axpy_prefix(&self, i: usize, delta: f64, fields: &mut [f64]) {
-        match self {
-            Couplings::Dense(m) => m.row_axpy_prefix(i, delta, fields),
-            Couplings::Sparse(m) => m.row_axpy_prefix(i, delta, fields),
-        }
-    }
-
     /// `Σ_j |M_ij|` of row `i` — the tightest bound on `|Σ_j M_ij s_j|` over
     /// all ±1 spin vectors, used to build per-spin drive bounds
     /// ([`IsingModel::drive_bounds`](crate::IsingModel::drive_bounds)).
@@ -182,21 +143,6 @@ impl Couplings {
         match self {
             Couplings::Dense(m) => m.row_abs_sum(i),
             Couplings::Sparse(m) => m.row_abs_sum(i),
-        }
-    }
-
-    /// Largest `|M_ij|` over row `i` — a bound on how much one ±2 spin
-    /// flip of `i` can move any other spin's local field, used by the
-    /// batched sweep's settled-set slack budget
-    /// ([`ReplicaBatch`](../../saim_machine/struct.ReplicaBatch.html)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn row_max_abs(&self, i: usize) -> f64 {
-        match self {
-            Couplings::Dense(m) => m.row_max_abs(i),
-            Couplings::Sparse(m) => m.row_max_abs(i),
         }
     }
 
@@ -300,21 +246,19 @@ mod tests {
     }
 
     #[test]
-    fn full_row_axpy_matches_the_split_halves_on_both_representations() {
+    fn full_row_axpy_adds_the_row_on_both_representations() {
         let d = sample_dense();
         for c in [
             Couplings::Dense(d.clone()),
             Couplings::Sparse(CsrMatrix::from_dense(&d)),
         ] {
             for i in 0..3 {
-                let mut full = vec![0.5, -1.25, 3.0];
-                let mut split = full.clone();
+                let start = [0.5, -1.25, 3.0];
+                let mut full = start.to_vec();
                 c.row_axpy(i, -2.0, &mut full);
-                c.row_axpy_suffix(i, -2.0, &mut split);
-                c.row_axpy_prefix(i, -2.0, &mut split);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&full), bits(&split), "row {i}");
-                assert_eq!(full[0], 0.5 - 2.0 * d.get(i, 0), "row {i}");
+                for (j, (&f, &s)) in full.iter().zip(&start).enumerate() {
+                    assert_eq!(f, s - 2.0 * d.get(i, j), "row {i} col {j}");
+                }
             }
         }
     }

@@ -196,57 +196,6 @@ impl SymmetricMatrix {
         ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail
     }
 
-    /// Largest `|M_ij|` over row `i` — a bound on how much one ±2 spin
-    /// flip of `i` can move any other spin's local field, used by the
-    /// batched sweep's settled-set slack budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn row_max_abs(&self, i: usize) -> f64 {
-        self.row(i).iter().fold(0.0_f64, |acc, &m| acc.max(m.abs()))
-    }
-
-    /// Suffix axpy over row `i`: `fields[j] += M_ij * delta` for every
-    /// `j ≥ i`, where `fields` is one replica lane's contiguous length-`n`
-    /// field vector.
-    ///
-    /// One half of the batched sweep's split flip propagation: the suffix
-    /// is applied immediately at flip time (the scan still reads those
-    /// fields this sweep), the prefix ([`SymmetricMatrix::row_axpy_prefix`])
-    /// is deferred to the end-of-sweep coalesced pass. The per-element
-    /// arithmetic is the plain `f += J_ij · delta` of the serial machine's
-    /// full-row pass, so splitting at `i` cannot change any value — the two
-    /// halves together are bitwise the full-row axpy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fields.len() != self.len()` or `i` is out of bounds.
-    pub fn row_axpy_suffix(&self, i: usize, delta: f64, fields: &mut [f64]) {
-        assert_eq!(fields.len(), self.n, "field vector length mismatch");
-        let row = self.row(i);
-        for (f, &jij) in fields[i..].iter_mut().zip(&row[i..]) {
-            *f += jij * delta;
-        }
-    }
-
-    /// Prefix axpy over row `i`: `fields[j] += M_ij * delta` for every
-    /// `j < i` — the deferred half of the split flip propagation (see
-    /// [`SymmetricMatrix::row_axpy_suffix`]). The end-of-sweep pass calls
-    /// this once per `(flipped spin, lane)` pair, spins ascending, so the
-    /// row stays cache-hot across every lane that flipped it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fields.len() != self.len()` or `i` is out of bounds.
-    pub fn row_axpy_prefix(&self, i: usize, delta: f64, fields: &mut [f64]) {
-        assert_eq!(fields.len(), self.n, "field vector length mismatch");
-        let row = self.row(i);
-        for (f, &jij) in fields[..i].iter_mut().zip(&row[..i]) {
-            *f += jij * delta;
-        }
-    }
-
     /// Number of structurally nonzero off-diagonal entries, counting each
     /// unordered pair once.
     pub fn pair_count(&self) -> usize {
@@ -432,44 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_and_suffix_axpy_compose_to_the_full_row_pass() {
-        let mut m = SymmetricMatrix::zeros(5);
-        m.set(0, 1, 2.0).unwrap();
-        m.set(0, 3, -1.5).unwrap();
-        m.set(1, 2, 0.5).unwrap();
-        m.set(2, 4, -0.25).unwrap();
-        let delta = -2.0;
-        for i in 0..5 {
-            let mut split: Vec<f64> = (0..5).map(|k| k as f64 * 0.25 - 0.5).collect();
-            let mut full = split.clone();
-            // the serial machine's one-pass reference
-            for (f, &jij) in full.iter_mut().zip(m.row(i)) {
-                *f += jij * delta;
-            }
-            m.row_axpy_suffix(i, delta, &mut split);
-            m.row_axpy_prefix(i, delta, &mut split);
-            for (a, b) in split.iter().zip(&full) {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn suffix_axpy_leaves_the_prefix_untouched() {
-        let mut m = SymmetricMatrix::zeros(4);
-        m.set(0, 2, 1.0).unwrap();
-        m.set(2, 3, -1.0).unwrap();
-        let mut fields = vec![1.0, 2.0, 3.0, 4.0];
-        m.row_axpy_suffix(2, 2.0, &mut fields);
-        assert_eq!(fields[..2], [1.0, 2.0]);
-        assert_eq!(fields[3], 4.0 - 1.0 * 2.0);
-        let mut fields = vec![1.0, 2.0, 3.0, 4.0];
-        m.row_axpy_prefix(2, 2.0, &mut fields);
-        assert_eq!(fields[0], 1.0 + 1.0 * 2.0);
-        assert_eq!(fields[2..], [3.0, 4.0]);
-    }
-
-    #[test]
     fn row_abs_sum_matches_manual() {
         let mut m = SymmetricMatrix::zeros(11); // exercises blocks + tail
         m.set(0, 1, 2.0).unwrap();
@@ -479,16 +390,6 @@ mod tests {
         assert_eq!(m.row_abs_sum(5), 0.0);
         // symmetric mirror contributes to the other row too
         assert_eq!(m.row_abs_sum(9), 1.5);
-    }
-
-    #[test]
-    fn row_max_abs_picks_the_largest_magnitude() {
-        let mut m = SymmetricMatrix::zeros(4);
-        m.set(0, 1, 2.0).unwrap();
-        m.set(0, 3, -3.5).unwrap();
-        assert_eq!(m.row_max_abs(0), 3.5);
-        assert_eq!(m.row_max_abs(1), 2.0); // symmetric mirror
-        assert_eq!(m.row_max_abs(2), 0.0); // uncoupled row
     }
 
     #[test]

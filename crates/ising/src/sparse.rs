@@ -155,61 +155,6 @@ impl CsrMatrix {
         self.row_iter(i).map(|(j, v)| v * spins[j]).sum()
     }
 
-    /// The index into row `i`'s entry range where columns `≥ i` begin.
-    ///
-    /// Stored columns are ascending within a row (both constructors emit
-    /// them sorted), so a binary search splits the neighbour list into the
-    /// prefix (`j < i`) and suffix (`j > i`; `j = i` is never stored) the
-    /// split flip propagation needs.
-    fn row_split(&self, i: usize) -> (usize, usize, usize) {
-        assert!(i < self.n, "row index out of bounds");
-        let start = self.row_ptr[i];
-        let end = self.row_ptr[i + 1];
-        let split = start + self.col_idx[start..end].partition_point(|&c| c < i);
-        (start, split, end)
-    }
-
-    /// Suffix axpy over row `i`: `fields[j] += M_ij * delta` for every
-    /// stored neighbour `j ≥ i`, where `fields` is one replica lane's
-    /// contiguous length-`n` field vector — the sparse counterpart of
-    /// [`SymmetricMatrix::row_axpy_suffix`](crate::SymmetricMatrix::row_axpy_suffix),
-    /// touching only actual neighbours. Each neighbour is updated by the
-    /// same `f += J_ij · delta` the serial machine's full-row walk applies,
-    /// so suffix-then-prefix is bitwise the full walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fields.len() != self.len()` or `i` is out of bounds.
-    pub fn row_axpy_suffix(&self, i: usize, delta: f64, fields: &mut [f64]) {
-        assert_eq!(fields.len(), self.n, "field vector length mismatch");
-        let (_, split, end) = self.row_split(i);
-        for (&j, &jij) in self.col_idx[split..end]
-            .iter()
-            .zip(&self.values[split..end])
-        {
-            fields[j] += jij * delta;
-        }
-    }
-
-    /// Prefix axpy over row `i`: `fields[j] += M_ij * delta` for every
-    /// stored neighbour `j < i` — the deferred half of the split flip
-    /// propagation (see
-    /// [`SymmetricMatrix::row_axpy_prefix`](crate::SymmetricMatrix::row_axpy_prefix)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fields.len() != self.len()` or `i` is out of bounds.
-    pub fn row_axpy_prefix(&self, i: usize, delta: f64, fields: &mut [f64]) {
-        assert_eq!(fields.len(), self.n, "field vector length mismatch");
-        let (start, split, _) = self.row_split(i);
-        for (&j, &jij) in self.col_idx[start..split]
-            .iter()
-            .zip(&self.values[start..split])
-        {
-            fields[j] += jij * delta;
-        }
-    }
-
     /// `Σ_j |M_ij|` over the stored entries of row `i` — the sparse
     /// counterpart of [`SymmetricMatrix::row_abs_sum`], walking only actual
     /// neighbours.
@@ -219,18 +164,6 @@ impl CsrMatrix {
     /// Panics if `i` is out of bounds.
     pub fn row_abs_sum(&self, i: usize) -> f64 {
         self.row_iter(i).map(|(_, v)| v.abs()).sum()
-    }
-
-    /// Largest `|M_ij|` over row `i` (0 for an uncoupled spin) — a bound on
-    /// how much one ±2 spin flip of `i` can move any other spin's local
-    /// field, used by the batched sweep's settled-set slack budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn row_max_abs(&self, i: usize) -> f64 {
-        self.row_iter(i)
-            .fold(0.0_f64, |acc, (_, v)| acc.max(v.abs()))
     }
 
     /// Largest absolute stored value (0 for an empty matrix).
@@ -330,43 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_and_suffix_axpy_match_the_dense_kernels() {
-        let mut d = SymmetricMatrix::zeros(5);
-        d.set(0, 2, 2.0).unwrap();
-        d.set(0, 4, -0.5).unwrap();
-        d.set(1, 3, 1.0).unwrap();
-        d.set(2, 3, -1.25).unwrap();
-        let csr = CsrMatrix::from_dense(&d);
-        let delta = -2.0;
-        for i in 0..5 {
-            let mut dense_fields: Vec<f64> = (0..5).map(|k| (k % 7) as f64).collect();
-            let mut csr_fields = dense_fields.clone();
-            d.row_axpy_suffix(i, delta, &mut dense_fields);
-            d.row_axpy_prefix(i, delta, &mut dense_fields);
-            csr.row_axpy_suffix(i, delta, &mut csr_fields);
-            csr.row_axpy_prefix(i, delta, &mut csr_fields);
-            // the CSR kernels touch only neighbours, so zero entries differ
-            // by the ±0.0 the dense kernels add — compare by value, not bits
-            for (a, b) in dense_fields.iter().zip(&csr_fields) {
-                assert_eq!(a, b, "row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn suffix_and_prefix_partition_the_neighbour_list() {
-        // ring row 0 has neighbours {1, n-1}: 1 is suffix, n-1 is suffix;
-        // row 3 has {2, 4}: 2 is prefix, 4 is suffix
-        let m = CsrMatrix::from_pairs(6, &[(0, 1, 1.0), (0, 5, 2.0), (2, 3, -1.0), (3, 4, 0.5)]);
-        let mut fields = vec![0.0; 6];
-        m.row_axpy_prefix(3, 2.0, &mut fields);
-        assert_eq!(fields, vec![0.0, 0.0, -2.0, 0.0, 0.0, 0.0]);
-        let mut fields = vec![0.0; 6];
-        m.row_axpy_suffix(3, 2.0, &mut fields);
-        assert_eq!(fields, vec![0.0, 0.0, 0.0, 0.0, 1.0, 0.0]);
-    }
-
-    #[test]
     fn row_abs_sum_walks_neighbours_only() {
         let mut d = SymmetricMatrix::zeros(6);
         d.set(0, 2, -2.0).unwrap();
@@ -375,18 +271,6 @@ mod tests {
         let csr = CsrMatrix::from_dense(&d);
         for i in 0..6 {
             assert_eq!(csr.row_abs_sum(i), d.row_abs_sum(i), "row {i}");
-        }
-    }
-
-    #[test]
-    fn row_max_abs_matches_the_dense_kernel() {
-        let mut d = SymmetricMatrix::zeros(6);
-        d.set(0, 2, -2.0).unwrap();
-        d.set(0, 5, 0.5).unwrap();
-        d.set(1, 3, -1.0).unwrap();
-        let csr = CsrMatrix::from_dense(&d);
-        for i in 0..6 {
-            assert_eq!(csr.row_max_abs(i), d.row_max_abs(i), "row {i}");
         }
     }
 

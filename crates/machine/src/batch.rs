@@ -3,16 +3,12 @@
 //! [`ReplicaBatch`] advances `R` replicas of **one** [`IsingModel`] through
 //! Monte Carlo sweeps together. Every lane is a view of the one lane kernel
 //! in [`crate::lane`] — the code a [`PbitMachine`](crate::PbitMachine)
-//! sweeps its single lane with — over its own contiguous plane slice. The
-//! batch keeps only its sweep policy on top of that kernel:
-//!
-//! - **settled-set lists**: a quenched lane at a held β visits only a short
-//!   candidate list while a slack budget proves every other spin settled;
-//! - **split flip propagation**: in wide batches of large models the
-//!   **backward half of every flip's propagation is deferred into a
-//!   per-sweep flip buffer and applied at the end of the sweep in one
-//!   coalesced pass**, spin-by-spin across all lanes, so a coupling row that
-//!   several lanes flipped is loaded once and reused.
+//! sweeps its single lane with — over its own contiguous plane slice, and
+//! every sweep runs each lane in turn through that kernel's plain scan with
+//! one-pass flip propagation
+//! ([`Couplings::row_axpy`](saim_ising::Couplings::row_axpy)).
+//! The batch adds no sweep policy of its own: a lane sweeps exactly as a
+//! serial machine does, and lanes in one batch share no coupling pass.
 //!
 //! # Memory layout
 //!
@@ -32,56 +28,11 @@
 //! an uncorrelated single-lane flip either strides the whole plane (one
 //! useful f64 per 64-byte line) or broadcasts `±0.0` adds over the full
 //! slab (`R×` the memory traffic of one lane). In the lane-major layout
-//! every per-lane operation — the settled scan, the forward suffix
-//! propagation, the deferred prefix pass, checkpoint gather/scatter, and
-//! the parallel-tempering lane swaps — streams a contiguous vector, so a
-//! lane's plane slice is exactly the slice shape the lane kernel takes,
-//! each lane costs what a serial sweep costs, and the batch wins by sharing
-//! the coupling row between lanes. This is also the layout the planned GPU
-//! batch sweep wants: one lane per thread block row, coalesced loads along
-//! the spin axis, the coupling row broadcast from shared memory.
-//!
-//! # Split flip propagation and the flip buffer
-//!
-//! A serial flip of spin `i` applies `fields[j] += J_ij · delta` for every
-//! `j` in ascending order, in one pass. The lane scan splits that row pass
-//! at `i`:
-//!
-//! * **suffix** (`j ≥ i`): applied immediately
-//!   ([`Couplings::row_axpy_suffix`]) — these are the fields the scan has
-//!   yet to read this sweep, so they must be current;
-//! * **prefix** (`j < i`): recorded in the flip buffer as
-//!   `(spin, lane, delta)` and applied after every lane has finished its
-//!   scan ([`Couplings::row_axpy_prefix`]) — the scan never re-reads
-//!   `fields[j < i]` within a sweep, so deferral is invisible to every
-//!   decision.
-//!
-//! The end-of-sweep pass sorts the buffer by spin and walks it groupwise:
-//! row `i` is fetched once and applied to every lane that flipped spin `i`
-//! this sweep. The buffer invariants that make this bit-exact:
-//!
-//! 1. a lane records at most one entry per spin per sweep (one visit per
-//!    spin per sweep), appended in ascending spin order;
-//! 2. the sort groups by spin and per lane preserves ascending spin order
-//!    (cross-lane order within a spin group is irrelevant — lanes' planes
-//!    are disjoint);
-//! 3. `fields[j]` therefore receives this sweep's adds from flips at
-//!    `i ≤ j` immediately (ascending `i`) and from flips at `i > j` in the
-//!    deferred pass (ascending `i`) — the same adds in the same order as
-//!    the one-pass propagation's chronological `i = 0, 1, …, n-1` pass, so
-//!    every field is **bitwise identical** to the serial replay, signed
-//!    zeros included;
-//! 4. the buffer is empty between sweeps — checkpoints only ever observe
-//!    fully-propagated fields, so per-lane snapshot images are unaffected
-//!    by the deferral.
-//!
-//! Single-lane batches and cache-resident models skip the buffer entirely
-//! (see `SPLIT_MIN_LEN`): every one-lane group — a
-//! [`SimulatedAnnealing`](crate::SimulatedAnnealing) run, a width-1
-//! ensemble group (`batch_width: 1`, or the adaptive width on a pool with
-//! as many workers as replicas) and a narrow parallel-tempering ladder
-//! group alike — propagates each flip in one full-row pass
-//! ([`Couplings::row_axpy`]).
+//! every per-lane operation — the settled scan, the flip propagation,
+//! checkpoint gather/scatter, and the parallel-tempering lane swaps —
+//! streams a contiguous vector, so a lane's plane slice is exactly the
+//! slice shape the lane kernel takes and each lane costs what a serial
+//! sweep costs.
 //!
 //! # Decision kernel
 //!
@@ -106,13 +57,12 @@
 //! Replica `r`'s trajectory — every spin, field, energy and flip count —
 //! is identical whether it runs in a batch of 1, a batch of 8, or on a
 //! serial [`PbitMachine`](crate::PbitMachine) fed the same stream: lanes
-//! are data-disjoint, decisions use only lane-`r` data, and the split
-//! propagation applies the one-pass adds in the one-pass order (see the
-//! flip buffer invariants above). The machine crate's proptests assert the
-//! contract for R = 1 vs R = 8 vs serial replay, on dense and CSR models,
-//! including n = 0/1 and widths that are not a multiple of any block size.
-//! Since both sides of that replay call the same lane kernel, the kernel
-//! itself is pinned by the exact-`tanh` oracle replays
+//! are data-disjoint, decisions use only lane-`r` data, and every lane
+//! runs the serial machine's own scan. The machine crate's proptests assert
+//! the contract for R = 1 vs R = 8 vs serial replay, on dense and CSR
+//! models, including n = 0/1 and widths that are not a multiple of any
+//! block size. Since both sides of that replay call the same lane kernel,
+//! the kernel itself is pinned by the exact-`tanh` oracle replays
 //! (`tests/bracket_cert.rs`) and by the recorded golden trajectories in
 //! `tests/determinism.rs`.
 //!
@@ -137,68 +87,16 @@
 //! # }
 //! ```
 
-use crate::lane::{settle_threshold, FlipRec, Lane, MachineSnapshot};
+use crate::lane::{Lane, MachineSnapshot};
 use crate::rng::{NoiseSnapshot, NoiseSource};
 use saim_ising::{Couplings, IsingModel, SpinState};
 
-/// Split flip propagation (suffix now, prefix deferred to the coalesced
-/// drain) engages only when one dense coupling row outgrows the caches:
-/// below this size the whole matrix stays resident, the drain's row reuse
-/// saves nothing, and the second pass plus sort measurably lose to the
-/// serial one-pass propagation (5–15% on the n = 213 bench model).
-const SPLIT_MIN_LEN: usize = 1024;
-
-/// A lane keeps its settled-set candidate list only while at most
-/// `n / ACTIVE_DIV` spins are unsettled — beyond that the masked visit
-/// approaches a full scan and the bookkeeping is pure overhead.
-const ACTIVE_DIV: usize = 8;
-
-/// Multiplicative pad on the per-flip slack charge `2 · max_j |J_ij|`,
-/// covering the (exact-in-theory) product's headroom with margin to spare.
-const CHARGE_PAD: f64 = 1.0 + 1e-9;
-
-/// Absolute per-flip pad, in units of the model's global field bound:
-/// one field update `f += J · ±2` rounds by at most
-/// `ε · (|f| + 2 max|J|) ≈ 2.2e-16 · field_bound`, and the rebuild's margin
-/// subtraction rounds once by the same order — `1e-12 · field_bound` per
-/// flip dominates both by four orders of magnitude.
-const CHARGE_ABS: f64 = 1e-12;
-
-/// Target lifetime, in worst-case flips, of a freshly rebuilt settled set.
-///
-/// A list of *only* the unsettled spins can be worthless: on quenched
-/// knapsack models the binary-weighted slack bits leave a few settled
-/// spins barely over threshold, so the budget (the smallest out-of-list
-/// margin) dies after one flip and the lane thrashes between masked
-/// visits, fallback scans, and rebuilds. The rebuild therefore absorbs
-/// near-threshold *settled* spins into the list too, widening the guard
-/// band until the out-of-list margin would survive `GUARD_HORIZON`
-/// worst-case flips. The band is auto-tuned by trying geometric rungs
-/// `L, L/4, L/16, L/64` (with `L = GUARD_HORIZON · c_max`, `c_max` the
-/// largest per-flip charge among unsettled spins) and keeping the widest
-/// rung whose list still fits `n / ACTIVE_DIV`; typical flips charge far
-/// less than `c_max`, so accepted budgets usually last much longer than
-/// the nominal horizon.
-const GUARD_HORIZON: f64 = 64.0;
-
-/// A settled-set list must survive this many masked sweeps to pay for its
-/// rebuild scan; a list that dies younger puts its lane on rebuild
-/// cooldown instead of rebuilding straight away.
-const MIN_LIST_AGE: u32 = 8;
-
-/// Plain sweeps a lane waits after a short-lived list or an abandoned
-/// rebuild before trying another one. Hot lanes flip spins faster than
-/// any slack budget survives; without this back-off they would pay a
-/// masked visit, a fallback scan, *and* a rebuild every sweep — slower
-/// than never masking at all.
-const REBUILD_COOLDOWN: u32 = 256;
-
 /// `R` replicas of one Ising model in lane-major layout, advanced by
-/// batched Monte Carlo sweeps with coalesced flip propagation.
+/// batched Monte Carlo sweeps, each lane through the lane kernel's plain
+/// scan.
 ///
-/// See the [module docs](self) for the memory layout, the flip-buffer
-/// invariants, the RNG-stream layout and the batch-width-invariance
-/// contract.
+/// See the [module docs](self) for the memory layout, the RNG-stream
+/// layout and the batch-width-invariance contract.
 #[derive(Debug, Clone)]
 pub struct ReplicaBatch {
     n: usize,
@@ -213,58 +111,11 @@ pub struct ReplicaBatch {
     flips: Vec<u64>,
     /// Per-replica noise streams (block-buffered ChaCha8).
     streams: Vec<NoiseSource>,
-    /// Scratch: per-lane β for the uniform-temperature sweeps.
-    betas_uniform: Vec<f64>,
     /// Per-spin drive bounds `D_i = |h_i| + Σ_j |J_ij|` of the construction
     /// model (a batch is bound to one model for its lifetime): every lane's
     /// Gibbs scan classifies undecided spins from them on demand. The bound
     /// depends only on the model, so one vector serves all lanes.
     drive_bounds: Vec<f64>,
-    /// The per-sweep flip buffer: backward (`j < i`) propagation owed by
-    /// this sweep's flips, drained by the end-of-sweep coalesced pass.
-    /// Empty between sweeps (flip-buffer invariant 4).
-    flip_log: Vec<FlipRec>,
-    /// Per-lane settled-set candidate lists (ascending spin indices): while
-    /// `slack[r] > 0`, every spin *not* in `active[r]` is provably settled
-    /// at threshold `active_settle[r]`, so the sweep may skip the full scan
-    /// and visit only the list (see the module docs for the slack-budget
-    /// proof).
-    active: Vec<Vec<u32>>,
-    /// The settle threshold each lane's active list certifies against;
-    /// `NaN` marks the list invalid (compared bitwise, so a β change of any
-    /// size invalidates).
-    active_settle: Vec<f64>,
-    /// Per-lane remaining slack budget: the minimum settled margin observed
-    /// at the last rebuild, minus a conservative charge for every flip
-    /// since. Non-positive means out-of-list spins are no longer provably
-    /// settled.
-    slack: Vec<f64>,
-    /// The settle threshold of each lane's previous Gibbs sweep (`NaN`
-    /// before the first): rebuilds only trigger while β is stable across
-    /// consecutive sweeps, so annealed schedules never pay the rebuild
-    /// scan.
-    last_settle: Vec<f64>,
-    /// Per-lane rebuild requests, honoured after the flip-buffer drain (the
-    /// rebuild scan must observe fully-propagated fields).
-    rebuild: Vec<bool>,
-    /// Masked sweeps each lane's current list has survived — lists dying
-    /// under [`MIN_LIST_AGE`] trigger the rebuild cooldown.
-    age: Vec<u32>,
-    /// Plain sweeps left before lane `r` may request another rebuild
-    /// ([`REBUILD_COOLDOWN`]).
-    cooldown: Vec<u32>,
-    /// `max_j |J_ij|` per spin — the bound on how far one flip of `i` can
-    /// move any other spin's field, the slack-budget charge. An O(n²) pass
-    /// on dense models, so it stays empty until a lane first needs it
-    /// ([`ReplicaBatch::ensure_row_max_abs`]): an annealed schedule never
-    /// builds a settled-set list, so it never pays for the table.
-    row_max_abs: Vec<f64>,
-    /// `max_i D_i`, a global bound on every `|field|` this model can
-    /// produce; scales the absolute rounding pad of the slack charges.
-    field_bound: f64,
-    /// Test/bench override for the split-propagation policy
-    /// ([`ReplicaBatch::force_split_propagation`]).
-    split_override: Option<bool>,
 }
 
 impl ReplicaBatch {
@@ -372,8 +223,6 @@ impl ReplicaBatch {
         );
         let n = model.len();
         let width = streams.len();
-        let drive_bounds = model.drive_bounds();
-        let field_bound = drive_bounds.iter().fold(0.0_f64, |a, &b| a.max(b));
         ReplicaBatch {
             n,
             width,
@@ -382,19 +231,7 @@ impl ReplicaBatch {
             energies: vec![0.0; width],
             flips: vec![0; width],
             streams,
-            betas_uniform: vec![0.0; width],
-            drive_bounds,
-            flip_log: Vec::new(),
-            active: vec![Vec::new(); width],
-            active_settle: vec![f64::NAN; width],
-            slack: vec![0.0; width],
-            last_settle: vec![f64::NAN; width],
-            rebuild: vec![false; width],
-            age: vec![0; width],
-            cooldown: vec![0; width],
-            row_max_abs: Vec::new(),
-            field_bound,
-            split_override: None,
+            drive_bounds: model.drive_bounds(),
         }
     }
 
@@ -487,13 +324,6 @@ impl ReplicaBatch {
         swap_ranges(&mut self.fields);
         self.energies.swap(a, b);
         self.flips.swap(a, b);
-        // the settled-set cache describes a configuration at a tagged
-        // threshold, so it travels with the payload; a β mismatch in the
-        // new slot shows up as a tag mismatch and falls back to the scan
-        self.active.swap(a, b);
-        self.active_settle.swap(a, b);
-        self.slack.swap(a, b);
-        self.age.swap(a, b);
     }
 
     /// [`ReplicaBatch::swap_lanes`] across two batches of the same model —
@@ -512,10 +342,6 @@ impl ReplicaBatch {
         x.fields[a * n..(a + 1) * n].swap_with_slice(&mut y.fields[b * n..(b + 1) * n]);
         std::mem::swap(&mut x.energies[a], &mut y.energies[b]);
         std::mem::swap(&mut x.flips[a], &mut y.flips[b]);
-        std::mem::swap(&mut x.active[a], &mut y.active[b]);
-        std::mem::swap(&mut x.active_settle[a], &mut y.active_settle[b]);
-        std::mem::swap(&mut x.slack[a], &mut y.slack[b]);
-        std::mem::swap(&mut x.age[a], &mut y.age[b]);
     }
 
     /// One batched Gibbs sweep with per-lane inverse temperatures (the
@@ -523,282 +349,18 @@ impl ReplicaBatch {
     ///
     /// Every lane runs the lane kernel's Gibbs scan on its own stream, so
     /// each replays [`PbitMachine::sweep`](crate::PbitMachine::sweep)
-    /// bit-for-bit; see the module docs. Width-1 groups of either batched
-    /// engine propagate flips in one pass with no flip buffer.
+    /// bit-for-bit; see the module docs.
     ///
     /// # Panics
     ///
     /// Panics if `betas.len() != self.width()`.
     pub fn sweep(&mut self, model: &IsingModel, betas: &[f64]) {
         assert_eq!(betas.len(), self.width, "one β per replica lane");
-        assert_eq!(self.n, model.len(), "batch built for a different model");
-        let couplings = model.couplings();
-        if self.split_propagation() {
-            for (r, &beta) in betas.iter().enumerate() {
-                self.sweep_lane_gibbs::<true>(couplings, r, beta);
-            }
-            self.apply_deferred(couplings);
-        } else {
-            // single lanes and cache-resident models take the serial-shaped
-            // one-pass propagation; the flip buffer is never touched
-            for (r, &beta) in betas.iter().enumerate() {
-                self.sweep_lane_gibbs::<false>(couplings, r, beta);
-            }
-        }
-        // rebuilds observe fully-propagated fields, so they run after the
-        // drain, against the settle threshold each lane just swept at
-        for r in 0..self.width {
-            if self.rebuild[r] {
-                self.rebuild[r] = false;
-                self.rebuild_active(couplings, r, self.last_settle[r]);
-            }
-        }
-    }
-
-    /// Whether multi-lane sweeps split flip propagation through the flip
-    /// buffer: only once coupling rows outgrow the caches
-    /// ([`SPLIT_MIN_LEN`]) does the drain's cross-lane row reuse pay for
-    /// the second pass; an override from
-    /// [`ReplicaBatch::force_split_propagation`] wins.
-    fn split_propagation(&self) -> bool {
-        self.split_override
-            .unwrap_or(self.width >= 2 && self.n >= SPLIT_MIN_LEN)
-    }
-
-    /// Forces the split-propagation policy for tests and benches. Both
-    /// settings are bit-identical (module docs); only throughput differs.
-    #[doc(hidden)]
-    pub fn force_split_propagation(&mut self, on: bool) {
-        self.split_override = Some(on);
-    }
-
-    /// One lane's Gibbs sweep. If the lane's settled-set candidate list is
-    /// valid for this β it takes the masked visit
-    /// ([`ReplicaBatch::masked_lane_gibbs`]); otherwise the serial-shaped
-    /// full scan ([`Lane::scan_gibbs`]), which may request a
-    /// rebuild of the list when the lane has quenched and β is stable.
-    /// Both visit exactly the unsettled spins in ascending order and decide
-    /// each with [`Lane::gibbs_update`], so both replay the full scan
-    /// bit-for-bit.
-    fn sweep_lane_gibbs<const DEFER: bool>(&mut self, couplings: &Couplings, r: usize, beta: f64) {
-        let settle = settle_threshold(beta);
-        let masked = self.n > 0
-            && self.slack[r] > 0.0
-            && self.active_settle[r].to_bits() == settle.to_bits();
-        if masked {
-            self.age[r] = self.age[r].saturating_add(1);
-            self.masked_lane_gibbs::<DEFER>(couplings, r, beta, settle);
-        } else {
-            // this scan can flip any spin without charging the slack
-            // budget, so a list built under an earlier β is stale the
-            // moment it runs — kill the tag or a later sweep at that β
-            // would resume the old certificate against a moved state
-            self.active_settle[r] = f64::NAN;
-            let (mut lane, stream) = self.lane(r);
-            let settled = lane.scan_gibbs::<DEFER, _>(couplings, stream, beta, settle, 0);
-            // quenched, β stable for two sweeps, and not cooling off after
-            // a short-lived list: invest one predicate scan after the
-            // drain to skip the full scan from next sweep on
-            let quenched = self.n > 0 && settled >= self.n - self.n / ACTIVE_DIV;
-            if self.cooldown[r] > 0 {
-                self.cooldown[r] -= 1;
-            } else if quenched
-                && settle.is_finite()
-                && self.last_settle[r].to_bits() == settle.to_bits()
-            {
-                self.rebuild[r] = true;
-            }
-        }
-        self.last_settle[r] = settle;
-    }
-
-    /// Borrows lane `r`'s share of the batch as a [`Lane`] of the lane
-    /// kernel — its plane slices, energy and flip count, with the shared
-    /// drive bounds and flip buffer — together with the lane's stream.
-    #[inline(always)]
-    fn lane(&mut self, r: usize) -> (Lane<'_>, &mut NoiseSource) {
-        let base = r * self.n;
-        (
-            Lane {
-                spins: &mut self.spins[base..base + self.n],
-                fields: &mut self.fields[base..base + self.n],
-                energy: &mut self.energies[r],
-                flips: &mut self.flips[r],
-                drive_bounds: &self.drive_bounds,
-                defer_to: Some((r as u32, &mut self.flip_log)),
-            },
-            &mut self.streams[r],
-        )
-    }
-
-    /// Builds the slack-charge table `max_j |J_ij|` on first use.
-    fn ensure_row_max_abs(&mut self, couplings: &Couplings) {
-        if self.row_max_abs.is_empty() {
-            self.row_max_abs = (0..self.n).map(|i| couplings.row_max_abs(i)).collect();
-        }
-    }
-
-    /// The masked Gibbs visit: only the lane's settled-set candidates are
-    /// tested — every other spin is provably settled while the slack budget
-    /// is positive (module docs), and a settled skip has no observable
-    /// effect (no draw, no write), so skipping its certificate test is
-    /// invisible. Each candidate re-tests the exact certificate before
-    /// deciding, in ascending order, replaying the serial scan bit-for-bit.
-    ///
-    /// Every flip charges the budget `2 · max_j |J_ij|` (padded): the most
-    /// it can move any other spin's field. If the budget runs out
-    /// mid-sweep, out-of-list spins beyond that point are no longer
-    /// certified — the sweep finishes as a serial-shaped scan from the next
-    /// spin and the list is dropped.
-    fn masked_lane_gibbs<const DEFER: bool>(
-        &mut self,
-        couplings: &Couplings,
-        r: usize,
-        beta: f64,
-        settle: f64,
-    ) {
-        // a list can arrive from another batch through a lane swap
-        self.ensure_row_max_abs(couplings);
-        let mut fallback = None;
-        for k in 0..self.active[r].len() {
-            let i = self.active[r][k] as usize;
-            let (mut lane, stream) = self.lane(r);
-            if lane.fields[i] * lane.spins[i] >= settle {
-                continue;
-            }
-            if lane.gibbs_update::<DEFER, _>(couplings, stream, beta, i) {
-                self.slack[r] -=
-                    2.0 * self.row_max_abs[i] * CHARGE_PAD + self.field_bound * CHARGE_ABS;
-                if self.slack[r] <= 0.0 {
-                    fallback = Some(i + 1);
-                    break;
-                }
-            }
-        }
-        if let Some(from) = fallback {
-            // budget exhausted: spins beyond `from` lost their certificate —
-            // drop the list and finish this sweep in serial shape (spins
-            // before `from` were already visited or certified in time)
-            self.active_settle[r] = f64::NAN;
-            let (mut lane, stream) = self.lane(r);
-            lane.scan_gibbs::<DEFER, _>(couplings, stream, beta, settle, from);
-            if self.age[r] >= MIN_LIST_AGE {
-                // the list paid for itself — rebuild right after the drain
-                // instead of wasting a plain-scan sweep first
-                self.rebuild[r] = true;
-            } else {
-                // died young: this regime flips too fast for any budget
-                self.cooldown[r] = REBUILD_COOLDOWN;
-            }
-        }
-    }
-
-    /// Rebuilds lane `r`'s settled-set candidate list against `settle` from
-    /// fully-propagated fields.
-    ///
-    /// Every unsettled spin must join the list, but listing *only* them
-    /// seeds the budget with the raw minimum settled margin, which can be
-    /// one flip deep (see [`GUARD_HORIZON`]). So the rebuild also pulls
-    /// near-threshold settled spins in: it measures every spin's margin
-    /// `f·s − settle` (negative ⇔ unsettled), then widens a guard band
-    /// over geometric rungs `L, L/4, L/16, L/64` — `L` sized for
-    /// [`GUARD_HORIZON`] worst-case flips — keeping the widest band whose
-    /// list fits `n / ACTIVE_DIV`. Listed settled spins cost only a failed
-    /// certificate re-test per masked sweep; out-of-list spins all clear
-    /// the band, so the budget starts at the first margin *beyond* it.
-    /// Abandons the list if the unsettled spins alone overflow the cap or
-    /// no budget survives the rounding pad.
-    fn rebuild_active(&mut self, couplings: &Couplings, r: usize, settle: f64) {
-        self.ensure_row_max_abs(couplings);
-        let n = self.n;
-        let base = r * n;
-        let cap = n / ACTIVE_DIV + 1;
-        // pessimistic until a list validates: invalid tag, and a cooldown
-        // so an abandoned rebuild isn't re-attempted every sweep
-        self.active_settle[r] = f64::NAN;
-        self.cooldown[r] = REBUILD_COOLDOWN;
-
-        // pass 1: margins for every spin, plus the worst per-flip charge
-        // among the unsettled (the only spins guaranteed into the list)
-        let mut margins = vec![0.0_f64; n];
-        let mut unsettled = 0usize;
-        let mut c_max = 0.0_f64;
-        for (i, margin) in margins.iter_mut().enumerate() {
-            let m = self.fields[base + i] * self.spins[base + i] - settle;
-            *margin = m;
-            if m < 0.0 {
-                unsettled += 1;
-                c_max = c_max.max(2.0 * self.row_max_abs[i] * CHARGE_PAD);
-            }
-        }
-        if unsettled > cap {
-            return;
-        }
-
-        // pass 2: widest guard band whose candidate list fits the cap
-        let top = GUARD_HORIZON * (c_max + self.field_bound * CHARGE_ABS);
-        for rung in [top, top / 4.0, top / 16.0, top / 64.0] {
-            let list = &mut self.active[r];
-            list.clear();
-            let mut out_min = f64::INFINITY;
-            let mut fits = true;
-            for (i, &m) in margins.iter().enumerate() {
-                if m < rung {
-                    if list.len() >= cap {
-                        fits = false;
-                        break;
-                    }
-                    list.push(i as u32);
-                } else {
-                    out_min = out_min.min(m);
-                }
-            }
-            if fits {
-                // lower rungs only shrink out_min, so accept or abandon here
-                let slack = out_min - self.field_bound * CHARGE_ABS;
-                if slack > 0.0 {
-                    self.slack[r] = slack;
-                    self.active_settle[r] = settle;
-                    self.age[r] = 0;
-                    self.cooldown[r] = 0;
-                }
-                return;
-            }
-        }
-    }
-
-    /// Drains the flip buffer: the backward (`j < i`) halves of this
-    /// sweep's flip propagations, applied in ascending spin order with the
-    /// coupling row of each flipped spin fetched once and reused across
-    /// every lane that flipped it. Restores flip-buffer invariant 4 (empty
-    /// between sweeps).
-    fn apply_deferred(&mut self, couplings: &Couplings) {
-        if self.flip_log.is_empty() {
-            return;
-        }
-        let mut log = std::mem::take(&mut self.flip_log);
-        // records per lane arrive in ascending spin order and a lane holds
-        // at most one record per spin, so grouping by spin preserves each
-        // lane's ascending-spin application order (invariants 1–2); the
-        // sort key ignores lanes because their planes are disjoint
-        log.sort_unstable_by_key(|rec| rec.spin);
-        let n = self.n;
-        let mut k = 0;
-        while k < log.len() {
-            let spin = log[k].spin;
-            let i = spin as usize;
-            let mut end = k + 1;
-            while end < log.len() && log[end].spin == spin {
-                end += 1;
-            }
-            for rec in &log[k..end] {
-                let base = rec.lane as usize * n;
-                couplings.row_axpy_prefix(i, rec.delta, &mut self.fields[base..base + n]);
-            }
-            k = end;
-        }
-        log.clear();
-        self.flip_log = log;
+        self.each_lane(
+            model,
+            |r| betas[r],
+            |lane, c, noise, beta| lane.scan_gibbs(c, noise, beta),
+        );
     }
 
     /// One batched Gibbs sweep with a single inverse temperature shared by
@@ -808,10 +370,11 @@ impl ReplicaBatch {
     ///
     /// Panics if the batch was built for a different model size.
     pub fn sweep_uniform(&mut self, model: &IsingModel, beta: f64) {
-        self.betas_uniform.fill(beta);
-        let betas = std::mem::take(&mut self.betas_uniform);
-        self.sweep(model, &betas);
-        self.betas_uniform = betas;
+        self.each_lane(
+            model,
+            |_| beta,
+            |lane, c, noise, beta| lane.scan_gibbs(c, noise, beta),
+        );
     }
 
     /// One batched Metropolis sweep with per-lane inverse temperatures.
@@ -826,24 +389,11 @@ impl ReplicaBatch {
     /// Panics if `betas.len() != self.width()`.
     pub fn metropolis_sweep(&mut self, model: &IsingModel, betas: &[f64]) {
         assert_eq!(betas.len(), self.width, "one β per replica lane");
-        assert_eq!(self.n, model.len(), "batch built for a different model");
-        let couplings = model.couplings();
-        if self.split_propagation() {
-            for (r, &beta) in betas.iter().enumerate() {
-                let (mut lane, stream) = self.lane(r);
-                lane.metropolis::<true, _>(couplings, stream, beta);
-            }
-            self.apply_deferred(couplings);
-        } else {
-            for (r, &beta) in betas.iter().enumerate() {
-                let (mut lane, stream) = self.lane(r);
-                lane.metropolis::<false, _>(couplings, stream, beta);
-            }
-        }
-        // Metropolis flips are not slack-charged, so the settled-set caches
-        // are stale after this sweep; drop them
-        self.active_settle.fill(f64::NAN);
-        self.last_settle.fill(f64::NAN);
+        self.each_lane(
+            model,
+            |r| betas[r],
+            |lane, c, noise, beta| lane.metropolis(c, noise, beta),
+        );
     }
 
     /// One batched Metropolis sweep at a single shared inverse temperature.
@@ -852,10 +402,46 @@ impl ReplicaBatch {
     ///
     /// Panics if the batch was built for a different model size.
     pub fn metropolis_sweep_uniform(&mut self, model: &IsingModel, beta: f64) {
-        self.betas_uniform.fill(beta);
-        let betas = std::mem::take(&mut self.betas_uniform);
-        self.metropolis_sweep(model, &betas);
-        self.betas_uniform = betas;
+        self.each_lane(
+            model,
+            |_| beta,
+            |lane, c, noise, beta| lane.metropolis(c, noise, beta),
+        );
+    }
+
+    /// Runs `step` on every lane in turn, lane `r` on its own stream at
+    /// `beta(r)`.
+    #[inline(always)]
+    fn each_lane(
+        &mut self,
+        model: &IsingModel,
+        beta: impl Fn(usize) -> f64,
+        step: impl Fn(&mut Lane<'_>, &Couplings, &mut NoiseSource, f64),
+    ) {
+        assert_eq!(self.n, model.len(), "batch built for a different model");
+        let couplings = model.couplings();
+        for r in 0..self.width {
+            let (mut lane, stream) = self.lane(r);
+            step(&mut lane, couplings, stream, beta(r));
+        }
+    }
+
+    /// Borrows lane `r`'s share of the batch as a [`Lane`] of the lane
+    /// kernel — its plane slices, energy and flip count, with the shared
+    /// drive bounds — together with the lane's stream.
+    #[inline(always)]
+    fn lane(&mut self, r: usize) -> (Lane<'_>, &mut NoiseSource) {
+        let base = r * self.n;
+        (
+            Lane {
+                spins: &mut self.spins[base..base + self.n],
+                fields: &mut self.fields[base..base + self.n],
+                energy: &mut self.energies[r],
+                flips: &mut self.flips[r],
+                drive_bounds: &self.drive_bounds,
+            },
+            &mut self.streams[r],
+        )
     }
 }
 
@@ -924,7 +510,7 @@ mod tests {
     use super::*;
     use crate::pbit::PbitMachine;
     use crate::rng::{derive_seed, new_rng};
-    use saim_ising::{Couplings, QuboBuilder};
+    use saim_ising::QuboBuilder;
 
     fn frustrated_model() -> IsingModel {
         let mut b = QuboBuilder::new(5);
@@ -967,9 +553,18 @@ mod tests {
         b.build().to_ising()
     }
 
+    /// The annealing ramp most replays sweep: β = 0.15 · sweep.
+    fn ramp(sweeps: usize) -> impl Iterator<Item = f64> {
+        (0..sweeps).map(|sweep| 0.15 * sweep as f64)
+    }
+
     /// Serial replay: a fresh machine on lane `r`'s stream must match the
-    /// lane exactly after every sweep.
-    fn assert_matches_serial(model: &IsingModel, seeds: &[u64], sweeps: usize) {
+    /// lane exactly after every sweep of `schedule`.
+    fn assert_matches_serial(
+        model: &IsingModel,
+        seeds: &[u64],
+        schedule: impl IntoIterator<Item = f64>,
+    ) {
         let mut batch = ReplicaBatch::new(model, seeds);
         let mut serial: Vec<(PbitMachine, NoiseSource)> = seeds
             .iter()
@@ -987,18 +582,18 @@ mod tests {
                 "initial energy lane {r}"
             );
         }
-        for sweep in 0..sweeps {
-            let beta = 0.15 * sweep as f64;
+        for (sweep, beta) in schedule.into_iter().enumerate() {
             batch.sweep_uniform(model, beta);
             for (r, (machine, noise)) in serial.iter_mut().enumerate() {
                 machine.sweep_buffered(model, beta, noise);
-                assert_eq!(batch.state(r), machine.state(), "sweep {sweep} lane {r}");
+                let at = format!("sweep {sweep} (beta {beta}) lane {r}");
+                assert_eq!(batch.state(r), machine.state(), "{at}");
                 assert_eq!(
                     batch.energy(r).to_bits(),
                     machine.energy().to_bits(),
-                    "sweep {sweep} lane {r}"
+                    "{at}"
                 );
-                assert_eq!(batch.flips(r), machine.flips(), "sweep {sweep} lane {r}");
+                assert_eq!(batch.flips(r), machine.flips(), "{at}");
             }
         }
         for (r, (machine, _)) in serial.iter().enumerate() {
@@ -1016,7 +611,7 @@ mod tests {
     fn dense_batch_replays_serial_machines() {
         let model = frustrated_model();
         let seeds: Vec<u64> = (0..8).map(|r| derive_seed(11, r)).collect();
-        assert_matches_serial(&model, &seeds, 60);
+        assert_matches_serial(&model, &seeds, ramp(60));
     }
 
     #[test]
@@ -1024,23 +619,23 @@ mod tests {
         let model = sparse_ring_model(80);
         assert!(matches!(model.couplings(), Couplings::Sparse(_)));
         let seeds: Vec<u64> = (0..4).map(|r| derive_seed(23, r)).collect();
-        assert_matches_serial(&model, &seeds, 40);
+        assert_matches_serial(&model, &seeds, ramp(40));
     }
 
     #[test]
     fn width_one_batch_replays_serial_machines() {
         let model = frustrated_model();
-        assert_matches_serial(&model, &[derive_seed(5, 0)], 50);
+        assert_matches_serial(&model, &[derive_seed(5, 0)], ramp(50));
     }
 
     #[test]
     fn odd_widths_replay_serial_machines() {
         // widths that are not a multiple of any tile/SIMD block: the lane
-        // loop and the flip buffer must not care
+        // loop must not care
         let model = frustrated_model();
         for width in [3usize, 5, 7, 17] {
             let seeds: Vec<u64> = (0..width as u64).map(|r| derive_seed(61, r)).collect();
-            assert_matches_serial(&model, &seeds, 30);
+            assert_matches_serial(&model, &seeds, ramp(30));
         }
     }
 
@@ -1053,69 +648,31 @@ mod tests {
         for strong in [7usize, 8, 9, 16, 23] {
             let model = settled_prefix_model(32, strong);
             let seeds: Vec<u64> = (0..5).map(|r| derive_seed(strong as u64, r)).collect();
-            assert_matches_serial(&model, &seeds, 25);
+            assert_matches_serial(&model, &seeds, ramp(25));
         }
     }
 
     #[test]
-    fn forced_split_propagation_replays_serial_machines() {
-        // the coalescing flip buffer is policy-gated off below
-        // SPLIT_MIN_LEN, so force it on to pin that the split path stays
-        // bit-exact on both coupling representations — including a held
-        // quench, where the masked settled-set sweeps defer flips too
-        for model in [frustrated_model(), sparse_ring_model(80)] {
-            let seeds: Vec<u64> = (0..5).map(|r| derive_seed(31, r)).collect();
-            let mut batch = ReplicaBatch::new(&model, &seeds);
-            batch.force_split_propagation(true);
-            let mut serial: Vec<(PbitMachine, NoiseSource)> = seeds
-                .iter()
-                .map(|&s| {
-                    let mut rng = new_rng(s);
-                    let machine = PbitMachine::new(&model, &mut rng);
-                    (machine, NoiseSource::new(rng))
-                })
-                .collect();
-            for sweep in 0..40 {
-                let beta = if sweep < 20 { 0.3 * sweep as f64 } else { 25.0 };
-                batch.sweep_uniform(&model, beta);
-                for (r, (machine, noise)) in serial.iter_mut().enumerate() {
-                    machine.sweep_buffered(&model, beta, noise);
-                    assert_eq!(batch.state(r), machine.state(), "sweep {sweep} lane {r}");
-                    assert_eq!(batch.energy(r).to_bits(), machine.energy().to_bits());
-                    assert_eq!(batch.flips(r), machine.flips());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn slack_exhaustion_mid_masked_sweep_replays_serial_machines() {
-        // a long settled prefix plus four weak coin-flip tail spins: at a
-        // held β = 2 the lanes go masked with a finite budget (~40, the
-        // strong spins' margin) that the tail flips erode by ~0.8 each, so
-        // within this horizon every lane repeatedly crosses the mid-sweep
-        // budget-exhaustion fallback and the post-fallback rebuild — all
-        // of it pinned bit-for-bit to the serial oracle
+    fn held_beta_replays_serial_machines() {
+        // a long settled prefix plus four weak coin-flip tail spins at a
+        // held β = 2: the scan skips the prefix every sweep while the tail
+        // keeps flipping, pinned bit-for-bit to the serial oracle
         let model = settled_prefix_model(32, 28);
         let seeds: Vec<u64> = (0..3).map(|r| derive_seed(9, r)).collect();
-        let mut batch = ReplicaBatch::new(&model, &seeds);
-        let mut serial: Vec<(PbitMachine, NoiseSource)> = seeds
-            .iter()
-            .map(|&s| {
-                let mut rng = new_rng(s);
-                let machine = PbitMachine::new(&model, &mut rng);
-                (machine, NoiseSource::new(rng))
-            })
-            .collect();
-        for sweep in 0..200 {
-            batch.sweep_uniform(&model, 2.0);
-            for (r, (machine, noise)) in serial.iter_mut().enumerate() {
-                machine.sweep_buffered(&model, 2.0, noise);
-                assert_eq!(batch.state(r), machine.state(), "sweep {sweep} lane {r}");
-                assert_eq!(batch.energy(r).to_bits(), machine.energy().to_bits());
-                assert_eq!(batch.flips(r), machine.flips());
-            }
+        assert_matches_serial(&model, &seeds, std::iter::repeat_n(2.0, 200));
+
+        // every spin strongly biased: held at β = 2 the lanes fully settle,
+        // one β = 0 sweep scrambles them, then β = 2 re-quenches — the
+        // scan must re-read every moved field after the excursion
+        let mut b = QuboBuilder::new(16);
+        for i in 0..16 {
+            b.add_linear(i, -50.0).unwrap();
         }
+        let biased = b.build().to_ising();
+        let excursion = std::iter::repeat_n(2.0, 10)
+            .chain(std::iter::once(0.0))
+            .chain(std::iter::repeat_n(2.0, 5));
+        assert_matches_serial(&biased, &seeds, excursion);
     }
 
     #[test]
@@ -1140,9 +697,9 @@ mod tests {
 
     #[test]
     fn fields_match_serial_bitwise_after_hot_sweeps() {
-        // the split propagation applies the serial adds in the serial
-        // order, so even the signs of zero must agree with the serial
-        // machine after flip-heavy sweeps
+        // every lane applies the serial adds in the serial order, so even
+        // the signs of zero must agree with the serial machine after
+        // flip-heavy sweeps
         let model = frustrated_model();
         let seeds: Vec<u64> = (0..4).map(|r| derive_seed(95, r)).collect();
         let mut batch = ReplicaBatch::new(&model, &seeds);

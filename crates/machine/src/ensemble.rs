@@ -8,9 +8,9 @@
 //! SplitMix64 stream per replica from a root seed
 //! ([`derive_seed`](crate::derive_seed)), groups the replicas assigned to
 //! each worker into a [`ReplicaBatch`] — advancing the whole group through
-//! each sweep together so one coupling-row pass serves every lane — and
-//! reduces with an **ordered** best-of-ensemble rule (lowest best energy,
-//! ties broken by lowest replica index). Lane trajectories are
+//! each sweep together, lane after lane — and reduces with an **ordered**
+//! best-of-ensemble rule (lowest best energy, ties broken by lowest replica
+//! index). Lane trajectories are
 //! batch-width-invariant and each replays a
 //! [`SimulatedAnnealing`](crate::SimulatedAnnealing) of its derived seed, so
 //! the outcome is bit-identical for 1, 2 or N threads and for any
@@ -66,16 +66,15 @@ pub struct EnsembleConfig {
     /// another pool's worker. The thread count affects wall-clock only,
     /// never results.
     pub threads: usize,
-    /// Replica lanes advanced together per structure-of-arrays batch
+    /// Replica lanes advanced together per lane-major batch
     /// ([`ReplicaBatch`]). `0` (the default) adapts the width to the
     /// workers `threads` resolves to — as wide as possible without starving
     /// workers of groups, capped at [`EnsembleConfig::DEFAULT_BATCH_WIDTH`],
     /// by the rule parallel tempering groups its ladder with; a nonzero
     /// value is used as-is. Every group, one lane wide or more, anneals on
-    /// a [`ReplicaBatch`]. Wider batches amortize each coupling-row load
-    /// over more replicas. The batch width affects wall-clock only, never
-    /// results — lane trajectories are batch-width-invariant by the
-    /// [`ReplicaBatch`] contract.
+    /// a [`ReplicaBatch`], whose lanes sweep one after another. The batch
+    /// width affects wall-clock only, never results — lane trajectories
+    /// are batch-width-invariant by the [`ReplicaBatch`] contract.
     pub batch_width: usize,
     /// The annealing schedule every replica follows.
     pub schedule: BetaSchedule,
@@ -102,10 +101,9 @@ impl Default for EnsembleConfig {
 
 impl EnsembleConfig {
     /// Cap on the adaptive lane count when [`EnsembleConfig::batch_width`]
-    /// is `0`, and on parallel tempering's ladder groups: up to eight
-    /// replicas share each coupling-row pass, and eight f64 lanes fill one
-    /// AVX-512 register (two AVX2 registers) while keeping the spin/field
-    /// planes cache-resident.
+    /// is `0`, and on parallel tempering's ladder groups: eight lanes keep
+    /// a group's spin/field planes cache-resident at the paper's model
+    /// sizes.
     pub const DEFAULT_BATCH_WIDTH: usize = 8;
 
     fn validate(&self) {
@@ -225,7 +223,7 @@ impl EnsembleAnnealer {
     ///
     /// Runs are grouped into [`ReplicaBatch`]es — one-lane groups included
     /// — and each worker advances its whole group through every sweep
-    /// together, so one coupling-row pass serves the full lane set. With
+    /// together, lane after lane. With
     /// the default [`EnsembleConfig::batch_width`] of `0`, the group width
     /// adapts downward so the fan-out still covers its workers (more
     /// workers → narrower groups; one group inside another pool's worker,

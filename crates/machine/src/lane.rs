@@ -19,12 +19,11 @@
 //! - the checkpoint gather and scatter ([`MachineSnapshot::gather`],
 //!   [`Lane::restore`]).
 //!
-//! The engines keep only their sweep policy. The serial machine scans
-//! every spin every sweep. The batch adds settled-set lists and, for wide
-//! batches of large models, the deferred flip buffer ([`FlipRec`]). Noise
-//! is a parameter ([`SweepNoise`]), so the per-decision (`ChaCha8Rng`) and
-//! block-buffered ([`NoiseSource`](crate::NoiseSource)) paths run one loop
-//! and consume the same stream words.
+//! Both engines sweep every lane the same way: the plain scan over every
+//! spin, with one-pass flip propagation; neither adds a sweep policy of its
+//! own. Noise is a parameter ([`SweepNoise`]), so the per-decision
+//! (`ChaCha8Rng`) and block-buffered ([`NoiseSource`](crate::NoiseSource))
+//! paths run one loop and consume the same stream words.
 
 use crate::bracket::gibbs_decision;
 use crate::rng::SweepNoise;
@@ -69,7 +68,7 @@ const SETTLE_PAD_UP: f64 = 1.0 + 16.0 * f64::EPSILON;
 /// spin saturated *and* aligned (see [`SETTLE_PAD_UP`]), independent of any
 /// per-spin bound, so one scalar serves a whole scan. β = 0 maps to +∞
 /// (nothing settles).
-pub(crate) fn settle_threshold(beta: f64) -> f64 {
+fn settle_threshold(beta: f64) -> f64 {
     if beta > 0.0 {
         (SATURATION / beta) * SETTLE_PAD_UP
     } else {
@@ -107,17 +106,6 @@ impl MachineSnapshot {
     }
 }
 
-/// One deferred backward propagation: lane `lane` flipped spin `spin` with
-/// spin-value delta `delta`; `fields[lane·n + j] += J_spin,j · delta` for
-/// every `j < spin` is still owed while the record is in the batch's flip
-/// buffer.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FlipRec {
-    pub spin: u32,
-    pub lane: u32,
-    pub delta: f64,
-}
-
 /// A mutable view of one lane's books: the spin and field vectors, energy
 /// and flip count, plus the per-spin drive bounds its Gibbs decisions
 /// classify against. Every sweep of every engine runs through these
@@ -130,9 +118,6 @@ pub(crate) struct Lane<'a> {
     /// `D_i = |h_i| + Σ_j |J_ij|` per spin ([`IsingModel::drive_bounds`]);
     /// read only by the Gibbs paths.
     pub drive_bounds: &'a [f64],
-    /// The batch's flip buffer and this lane's index in it, for `DEFER`
-    /// flips; `None` for a lane that always propagates in one pass.
-    pub defer_to: Option<(u32, &'a mut Vec<FlipRec>)>,
 }
 
 impl Lane<'_> {
@@ -185,31 +170,25 @@ impl Lane<'_> {
         *self.flips = snap.flips;
     }
 
-    /// The serial-shaped Gibbs scan over spins `start..n`: a blocked
-    /// settled scan skips whole runs of settled spins, then each unsettled
-    /// spin takes the three-tier decision and flips in place
-    /// ([`Lane::gibbs_update`]). Returns how many spins passed the settled
-    /// certificate.
-    pub(crate) fn scan_gibbs<const DEFER: bool, N: SweepNoise>(
+    /// The serial-shaped Gibbs scan over every spin: a blocked settled
+    /// scan skips whole runs of settled spins, then each unsettled spin
+    /// takes the three-tier decision ([`gibbs_up`]) and flips in place.
+    pub(crate) fn scan_gibbs<N: SweepNoise>(
         &mut self,
         couplings: &Couplings,
         noise: &mut N,
         beta: f64,
-        settle: f64,
-        start: usize,
-    ) -> usize {
+    ) {
+        let settle = settle_threshold(beta);
         let n = self.spins.len();
-        let mut settled = 0;
-        let mut i = start;
+        let mut i = 0;
         while i < n {
             // a whole run of settled spins — each of which the exact rule
             // keeps with no draw — costs one blocked multiply-compare per
             // spin; never-saturating spins can never pass the test (their
             // field bound sits below `SATURATION / β`), so they always
             // stop it
-            let run = settled_run(&self.fields[i..n], &self.spins[i..n], settle);
-            settled += run;
-            i += run;
+            i += settled_run(&self.fields[i..n], &self.spins[i..n], settle);
             // then a run of unsettled spins — the hot knapsack slack bits
             // sit on consecutive indices, so deciding them in one tight
             // loop (one settled re-test per spin, fields re-read after any
@@ -218,37 +197,21 @@ impl Lane<'_> {
                 if self.fields[i] * self.spins[i] >= settle {
                     break;
                 }
-                self.gibbs_update::<DEFER, N>(couplings, noise, beta, i);
+                let up = gibbs_up(beta, self.fields[i], self.drive_bounds[i], || {
+                    noise.noise_symmetric()
+                });
+                if up != (self.spins[i] > 0.0) {
+                    self.flip(couplings, i);
+                }
                 i += 1;
             }
         }
-        settled
-    }
-
-    /// Decides unsettled spin `i` by the three-tier rule ([`gibbs_up`]) and
-    /// flips it if the rule says so. Returns whether it flipped.
-    #[inline(always)]
-    pub(crate) fn gibbs_update<const DEFER: bool, N: SweepNoise>(
-        &mut self,
-        couplings: &Couplings,
-        noise: &mut N,
-        beta: f64,
-        i: usize,
-    ) -> bool {
-        let up = gibbs_up(beta, self.fields[i], self.drive_bounds[i], || {
-            noise.noise_symmetric()
-        });
-        let flip = up != (self.spins[i] > 0.0);
-        if flip {
-            self.flip::<DEFER>(couplings, i);
-        }
-        flip
     }
 
     /// One Metropolis sweep: proposes every spin in order and accepts with
     /// probability `min(1, exp(-β ΔH))`; the accept test draws only when
     /// `ΔH > 0`.
-    pub(crate) fn metropolis<const DEFER: bool, N: SweepNoise>(
+    pub(crate) fn metropolis<N: SweepNoise>(
         &mut self,
         couplings: &Couplings,
         noise: &mut N,
@@ -257,45 +220,22 @@ impl Lane<'_> {
         for i in 0..self.spins.len() {
             let delta_h = 2.0 * self.spins[i] * self.fields[i];
             if delta_h <= 0.0 || noise.noise_unit() < (-beta * delta_h).exp() {
-                self.flip::<DEFER>(couplings, i);
+                self.flip(couplings, i);
             }
         }
     }
 
     /// Flips spin `i` and keeps the books: the energy (`ΔH = 2 s_i I_i`),
-    /// the spin, the flip count, and the coupling-row propagation into the
-    /// fields.
-    ///
-    /// `DEFER = false` propagates the full row in one pass
-    /// ([`Couplings::row_axpy`]). `DEFER = true` splits it: the suffix
-    /// (`j ≥ i`) is applied now and the prefix (`j < i`) is recorded in
-    /// the batch's flip buffer for its end-of-sweep coalesced pass. Both
-    /// apply identical adds to every field in identical per-lane order
-    /// (see [`ReplicaBatch`](crate::ReplicaBatch)), so decisions, draws
-    /// and all books are bit-identical either way.
+    /// the spin, the flip count, and the one-pass coupling-row propagation
+    /// into the fields ([`Couplings::row_axpy`]).
     #[inline(always)]
-    pub(crate) fn flip<const DEFER: bool>(&mut self, couplings: &Couplings, i: usize) {
+    pub(crate) fn flip(&mut self, couplings: &Couplings, i: usize) {
         let old = self.spins[i];
         *self.energy += 2.0 * old * self.fields[i];
         self.spins[i] = -old;
         *self.flips += 1;
         let delta = -2.0 * old; // new - old spin value
-        if DEFER {
-            couplings.row_axpy_suffix(i, delta, self.fields);
-            if i > 0 {
-                let (lane, log) = self
-                    .defer_to
-                    .as_mut()
-                    .expect("a deferred flip needs the batch's flip buffer");
-                log.push(FlipRec {
-                    spin: i as u32,
-                    lane: *lane,
-                    delta,
-                });
-            }
-        } else {
-            couplings.row_axpy(i, delta, self.fields);
-        }
+        couplings.row_axpy(i, delta, self.fields);
     }
 }
 

@@ -37,10 +37,9 @@
 //! - [`bracket`] — the certified rational `tanh` bounds behind tier 3 and
 //!   their flip-decision helper,
 //! - [`ReplicaBatch`] — R lanes of one model in lane-major spin and field
-//!   planes, each swept by the lane kernel, with settled-set lists and a
-//!   coalesced flip buffer so one coupling-row pass can serve several
-//!   lanes; per-lane trajectories are bit-identical to serial machines for
-//!   any batch width (the CPU shape of the future GPU batch sweep),
+//!   planes, each swept in turn by the lane kernel's plain scan;
+//!   per-lane trajectories are bit-identical to serial machines for any
+//!   batch width (the CPU shape of the future GPU batch sweep),
 //! - [`NoiseSource`] — a block-buffered tap on a ChaCha8 stream for the
 //!   sweep noise, preserving the per-decision draw order exactly,
 //! - [`BetaSchedule`] — annealing schedules (the paper uses a linear sweep

@@ -3,10 +3,10 @@
 //! [`PbitMachine`] owns exactly one lane's books — `±1.0` spins, local
 //! fields, energy, flip count, and the model's drive bounds — and sweeps
 //! them through the one per-lane kernel in [`crate::lane`], the same code
-//! every [`ReplicaBatch`](crate::ReplicaBatch) lane runs. What stays here
-//! is the serial sweep policy (every spin, every sweep, one-pass flip
-//! propagation), the greedy sweep, and the exact-`tanh` oracle that every
-//! kernel is pinned against.
+//! every [`ReplicaBatch`](crate::ReplicaBatch) lane runs: every spin, every
+//! sweep, one-pass flip propagation, so a batch lane on the same stream
+//! sweeps exactly as the machine does. What stays here is the greedy sweep
+//! and the exact-`tanh` oracle that every kernel is pinned against.
 //!
 //! No annealer sweeps it: every annealed run, a
 //! [`SimulatedAnnealing`](crate::SimulatedAnnealing) run included, is a
@@ -14,7 +14,7 @@
 //! tested against, [`GreedyDescent`](crate::GreedyDescent)'s machine, and
 //! the home of the exact-`tanh` oracle.
 
-use crate::lane::{settle_threshold, Lane, MachineSnapshot, SATURATION};
+use crate::lane::{Lane, MachineSnapshot, SATURATION};
 use crate::rng::{NoiseSource, SweepNoise};
 use rand_chacha::ChaCha8Rng;
 use saim_ising::{IsingModel, SpinState};
@@ -115,8 +115,7 @@ impl PbitMachine {
         }
     }
 
-    /// The machine's books as a [`Lane`] of the lane kernel. A serial lane
-    /// always propagates flips in one pass, so it has no flip buffer.
+    /// The machine's books as a [`Lane`] of the lane kernel.
     #[inline(always)]
     fn lane(&mut self) -> Lane<'_> {
         Lane {
@@ -125,7 +124,6 @@ impl PbitMachine {
             energy: &mut self.energy,
             flips: &mut self.flips,
             drive_bounds: self.drive_bounds.as_deref().unwrap_or_default(),
-            defer_to: None,
         }
     }
 
@@ -257,9 +255,7 @@ impl PbitMachine {
         self.drive_bounds
             .get_or_insert_with(|| model.drive_bounds());
         let before = self.flips;
-        let settle = settle_threshold(beta);
-        self.lane()
-            .scan_gibbs::<false, N>(model.couplings(), noise, beta, settle, 0);
+        self.lane().scan_gibbs(model.couplings(), noise, beta);
         (self.flips - before) as usize
     }
 
@@ -316,7 +312,7 @@ impl PbitMachine {
                 activation + noise >= 0.0
             };
             if new_up != (self.spins[i] > 0.0) {
-                self.lane().flip::<false>(model.couplings(), i);
+                self.lane().flip(model.couplings(), i);
                 changed += 1;
             }
         }
@@ -370,8 +366,7 @@ impl PbitMachine {
     ) -> usize {
         assert_eq!(self.spins.len(), model.len(), "state length mismatch");
         let before = self.flips;
-        self.lane()
-            .metropolis::<false, N>(model.couplings(), noise, beta);
+        self.lane().metropolis(model.couplings(), noise, beta);
         (self.flips - before) as usize
     }
 
@@ -386,7 +381,7 @@ impl PbitMachine {
         for i in 0..lane.spins.len() {
             let delta = 2.0 * lane.spins[i] * lane.fields[i];
             if delta < 0.0 {
-                lane.flip::<false>(model.couplings(), i);
+                lane.flip(model.couplings(), i);
                 changed += 1;
             }
         }

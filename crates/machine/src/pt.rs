@@ -13,9 +13,8 @@
 //!
 //! Rounds are embarrassingly parallel across the ladder. Adjacent slots are
 //! grouped — up to eight per group, by the lane-group width rule the
-//! replica ensemble uses too — into one structure-of-arrays
-//! [`ReplicaBatch`], so within a group every coupling-row pass of a sweep
-//! serves all member slots at once, and each round's group sweeps fan out
+//! replica ensemble uses too — into one lane-major [`ReplicaBatch`], whose
+//! lanes sweep one after another, and each round's group sweeps fan out
 //! over one **persistent per-solve worker pool**
 //! ([`parallel::parallel_rounds_while`]): the pool spawns once, rounds open and
 //! close on a barrier, and the serial exchange phase runs between rounds
@@ -169,9 +168,7 @@ impl PtGroup {
     /// Builds the group's batch once per solve; the batch computes the
     /// model's per-spin drive bounds at construction, so the three-tier
     /// decision kernel's classification is shared by every round (the
-    /// ladder's fixed per-lane β costs no per-round rework). Width-1 groups
-    /// — the narrow-group shape on many-core hosts — take the batch's
-    /// serial sweep path, paying no structure-of-arrays overhead.
+    /// ladder's fixed per-lane β costs no per-round rework).
     fn new(model: &IsingModel, seeds: &[u64], betas: Vec<f64>) -> Self {
         let batch = ReplicaBatch::new(model, seeds);
         let bests = LaneBests::new(&batch);
@@ -312,8 +309,8 @@ impl ParallelTempering {
         }
         let rounds = lens.len();
 
-        // Adjacent slots share a batch so every coupling-row pass serves the
-        // whole group; the width adapts to the round fan-out's workers
+        // Adjacent slots share a batch, one group per fan-out task; the
+        // width adapts to the round fan-out's workers
         // (`parallel::lane_group_width`, the ensemble's rule too). Lane
         // trajectories are batch-width-invariant, so this is wall-clock
         // only. Group construction consumes only the member slots' own

@@ -111,8 +111,8 @@ fn assert_batch_width_invariance(model: &saim_ising::IsingModel, seed: u64, swee
 /// Serial-oracle replay at one batch width: every lane of a width-`width`
 /// batch must track a serial [`PbitMachine`] fed the same stream, sweep by
 /// sweep, through an anneal ramp *and* a held deep quench — the held tail
-/// keeps β stable so the lane-major engine's settled-set fast path engages
-/// and its masked sweeps are pinned against the oracle too.
+/// keeps β stable, so the settled scan skips most spins and its skips are
+/// pinned against the oracle too.
 fn assert_oracle_replay_at_width(model: &saim_ising::IsingModel, seed: u64, width: usize) {
     let seeds: Vec<u64> = (0..width as u64).map(|r| derive_seed(seed, r)).collect();
     let mut batch = ReplicaBatch::new(model, &seeds);

@@ -462,7 +462,8 @@ fn sa_consecutive_solves_under_lambda_steps_replay_a_serial_machine() {
     let mkp_sys = LagrangianSystem::new(&mkp, mkp.penalty_for_alpha(5.0)).expect("valid");
     // most items strongly wanted, a few barely, and one loose count
     // constraint: at a held β a lane quenches but for the weak items, so
-    // the batch sweeps it through a settled-set list of those items
+    // the settled scan skips every strong item and decides only the
+    // weak ones
     let biased = {
         let n = 24;
         let mut f = saim_ising::QuboBuilder::new(n);
