@@ -57,12 +57,12 @@ impl LagrangianSystem {
     /// # Errors
     ///
     /// Propagates penalty/model construction failures (negative `P`,
-    /// mismatched constraint dimensions).
+    /// mismatched constraint dimensions, coefficients that overflow).
     pub fn new<P: ConstrainedProblem + ?Sized>(
         problem: &P,
         penalty: f64,
     ) -> Result<Self, CoreError> {
-        let model = penalty_qubo(problem, penalty)?.to_ising();
+        let model = penalty_qubo(problem, penalty)?.into_ising()?;
         let base_fields = model.fields().to_vec();
         let base_offset = model.offset();
         let mut field_shifts = Vec::with_capacity(problem.constraints().len());
@@ -200,6 +200,20 @@ mod tests {
     use super::*;
     use crate::problem::{BinaryProblem, LinearConstraint};
     use saim_ising::QuboBuilder;
+
+    #[test]
+    fn an_overflowing_penalty_model_is_an_error_not_a_panic() {
+        // P·b² = 1e308·4 and P·a_0(a_0 + 2b) = −3e308 overflow
+        let p = BinaryProblem::new(
+            QuboBuilder::new(2).build(),
+            vec![LinearConstraint::new(vec![1.0, 0.0], -2.0).unwrap()],
+        )
+        .unwrap();
+        assert!(matches!(
+            LagrangianSystem::new(&p, 1e308),
+            Err(CoreError::Model(_))
+        ));
+    }
 
     fn problem() -> BinaryProblem {
         let mut f = QuboBuilder::new(3);

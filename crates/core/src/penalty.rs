@@ -14,8 +14,9 @@ use serde::{Deserialize, Serialize};
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidParameter`] if `p` is negative or non-finite,
-/// and [`CoreError::ConstraintDimension`] if a constraint's length differs
-/// from the objective's.
+/// [`CoreError::ConstraintDimension`] if a constraint's length differs
+/// from the objective's, and [`CoreError::Model`] if a coefficient of `E`
+/// would not be finite.
 ///
 /// ```
 /// use saim_core::{penalty_qubo, BinaryProblem, LinearConstraint};
@@ -48,14 +49,7 @@ pub fn penalty_qubo<P: ConstrainedProblem + ?Sized>(
     }
     let objective = problem.objective();
     let n = objective.len();
-    let mut builder = QuboBuilder::new(n);
-    for (i, j, q) in objective.pairs().iter_pairs() {
-        builder.add_pair(i, j, q)?;
-    }
-    for (i, &c) in objective.linear().iter().enumerate() {
-        builder.add_linear(i, c)?;
-    }
-    builder.add_offset(objective.offset());
+    let mut builder = QuboBuilder::from_qubo(objective)?;
     for constraint in problem.constraints() {
         if constraint.len() != n {
             return Err(CoreError::ConstraintDimension {

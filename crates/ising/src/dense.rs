@@ -100,17 +100,25 @@ impl SymmetricMatrix {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`SymmetricMatrix::set`].
+    /// Same conditions as [`SymmetricMatrix::set`], which here also cover
+    /// a sum that overflows; the matrix is then left unchanged.
     pub fn add(&mut self, i: usize, j: usize, value: f64) -> Result<(), ModelError> {
         self.check(i, j)?;
-        if !value.is_finite() {
+        let sum = self.data[i * self.n + j] + value;
+        if !sum.is_finite() {
             return Err(ModelError::NonFiniteCoefficient {
                 context: "symmetric matrix entry",
             });
         }
-        self.data[i * self.n + j] += value;
+        self.data[i * self.n + j] = sum;
         self.data[j * self.n + i] += value;
         Ok(())
+    }
+
+    /// The rows of the full `n × n` array as mutable slices, in order, for
+    /// crate kernels that write whole rows and keep the mirror themselves.
+    pub(crate) fn rows_mut(&mut self) -> std::slice::ChunksExactMut<'_, f64> {
+        self.data.chunks_exact_mut(self.n.max(1))
     }
 
     /// Row `i` as a contiguous slice of length `n`.

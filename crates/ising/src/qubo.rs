@@ -148,28 +148,64 @@ impl Qubo {
     /// (up to floating-point rounding). Couplings are stored in the
     /// representation that sweeps fastest
     /// ([`Couplings::from_dense_auto`]): CSR for large low-density models,
-    /// dense otherwise.
+    /// dense otherwise. The sums run in a fixed order, so the model is the
+    /// same to the bit on every platform (see [`Qubo::into_ising`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a field or the offset overflows; [`Qubo::into_ising`]
+    /// returns that as an error.
     pub fn to_ising(&self) -> IsingModel {
-        let n = self.len();
-        let mut j = SymmetricMatrix::zeros(n);
-        let mut h = vec![0.0; n];
-        let mut offset = self.offset;
+        self.clone()
+            .into_ising()
+            .expect("conversion of a finite QUBO stays finite")
+    }
 
-        // Σ c_i x_i = Σ c_i/2 + Σ (c_i/2) s_i  →  h_i -= c_i/2 (H carries -Σ h s)
-        for (i, &c) in self.linear.iter().enumerate() {
-            h[i] -= c / 2.0;
+    /// [`Qubo::to_ising`] by value: the QUBO's pair matrix becomes `J` in
+    /// place.
+    ///
+    /// `J_ij = −Q_ij/4`, `h_i = −c_i/2 − Σ_j Q_ij/4` and
+    /// `offset = offset_Q + Σ_i c_i/2 + Σ_{i<j} Q_ij/4`. Each `h_i` sums
+    /// its row in ascending `j`, and the offset sums the linear terms in
+    /// ascending `i` and then the nonzero upper-triangle pairs row-major.
+    /// These are the orders in which a loop over the pairs `i < j` adds
+    /// them, so the result matches a per-pair conversion to the bit. The
+    /// loop walks the rows once: row `j` holds `Q_kj` for every `k`, so it
+    /// advances every `h_k` by one term in a single vector pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::NonFiniteCoefficient`] if a field or the
+    /// offset overflows.
+    pub fn into_ising(self) -> Result<IsingModel, ModelError> {
+        let Qubo {
+            mut pairs,
+            linear,
+            mut offset,
+        } = self;
+        // Σ c_i x_i = Σ c_i/2 + Σ (c_i/2) s_i  →  h_i = −c_i/2 (H carries −Σ h s)
+        let mut h: Vec<f64> = linear.iter().map(|&c| 0.0 - c / 2.0).collect();
+        for &c in &linear {
             offset += c / 2.0;
         }
         // Σ_{i<j} Q_ij x_i x_j = Σ Q_ij/4 (1 + s_i + s_j + s_i s_j)
-        for (a, b, q) in self.pairs.iter_pairs() {
-            j.add(a, b, -q / 4.0)
-                .expect("indices from iter_pairs are valid");
-            h[a] -= q / 4.0;
-            h[b] -= q / 4.0;
-            offset += q / 4.0;
+        for (j, row) in pairs.rows_mut().enumerate() {
+            let (lower, rest) = row.split_at_mut(j);
+            let (diagonal, upper) = rest.split_first_mut().expect("row j has a diagonal entry");
+            *diagonal = 0.0;
+            for (q, h_k) in lower.iter_mut().zip(&mut h[..j]) {
+                let quarter = *q / 4.0;
+                *h_k -= quarter;
+                *q = 0.0 - quarter;
+            }
+            for (q, h_k) in upper.iter_mut().zip(&mut h[j + 1..]) {
+                let quarter = *q / 4.0;
+                *h_k -= quarter;
+                offset = if *q != 0.0 { offset + quarter } else { offset };
+                *q = 0.0 - quarter;
+            }
         }
-        IsingModel::new(Couplings::from_dense_auto(j), h, offset)
-            .expect("conversion preserves dimensions and finiteness")
+        IsingModel::new(Couplings::from_dense_auto(pairs), h, offset)
     }
 
     /// Largest absolute coefficient across pairs and linear terms.
@@ -239,6 +275,39 @@ impl QuboBuilder {
         self.linear.is_empty()
     }
 
+    /// Starts from a copy of `qubo`, as if its terms had been added to an
+    /// empty builder: `−0.0` entries read as `0.0`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::NonFiniteCoefficient`] if a pair or linear
+    /// coefficient is not finite.
+    pub fn from_qubo(qubo: &Qubo) -> Result<Self, ModelError> {
+        let mut pairs = qubo.pairs.clone();
+        for (i, row) in pairs.rows_mut().enumerate() {
+            row[i] = 0.0;
+            let finite = row.iter_mut().fold(true, |finite, q| {
+                *q += 0.0;
+                finite & q.is_finite()
+            });
+            if !finite {
+                return Err(ModelError::NonFiniteCoefficient {
+                    context: "symmetric matrix entry",
+                });
+            }
+        }
+        let linear = qubo
+            .linear
+            .iter()
+            .map(|&c| checked(0.0 + c, "builder linear term"))
+            .collect::<Result<_, _>>()?;
+        Ok(QuboBuilder {
+            pairs,
+            linear,
+            offset: 0.0 + qubo.offset,
+        })
+    }
+
     /// Adds `value · x_i x_j` for `i ≠ j`.
     ///
     /// # Errors
@@ -268,8 +337,9 @@ impl QuboBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::IndexOutOfBounds`] or
-    /// [`ModelError::NonFiniteCoefficient`].
+    /// Returns [`ModelError::IndexOutOfBounds`], or
+    /// [`ModelError::NonFiniteCoefficient`] if `value` or the sum is not
+    /// finite.
     pub fn add_linear(&mut self, i: usize, value: f64) -> Result<(), ModelError> {
         if i >= self.linear.len() {
             return Err(ModelError::IndexOutOfBounds {
@@ -277,12 +347,7 @@ impl QuboBuilder {
                 len: self.linear.len(),
             });
         }
-        if !value.is_finite() {
-            return Err(ModelError::NonFiniteCoefficient {
-                context: "builder linear term",
-            });
-        }
-        self.linear[i] += value;
+        self.linear[i] = checked(self.linear[i] + value, "builder linear term")?;
         Ok(())
     }
 
@@ -295,35 +360,62 @@ impl QuboBuilder {
     /// expression — the workhorse of the penalty method (paper eq. 3).
     ///
     /// Expansion: `(aᵀx + b)² = Σ_i a_i(a_i + 2b) x_i + 2 Σ_{i<j} a_i a_j x_i x_j + b²`.
+    /// The pair matrix is written row by row; both mirrored entries of a
+    /// pair get `((2·weight)·a_i)·a_j` with `i < j`.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::DimensionMismatch`] if `a.len() != self.len()`
-    /// and [`ModelError::NonFiniteCoefficient`] for non-finite inputs.
+    /// and [`ModelError::NonFiniteCoefficient`] for non-finite inputs or
+    /// if a term or a sum would overflow. Every term is checked before
+    /// anything is written, so an error leaves the builder unchanged.
     pub fn add_squared_linear(&mut self, a: &[f64], b: f64, weight: f64) -> Result<(), ModelError> {
-        if a.len() != self.linear.len() {
-            return Err(ModelError::DimensionMismatch {
-                expected: self.linear.len(),
-                found: a.len(),
-            });
-        }
-        if a.iter().any(|v| !v.is_finite()) || !b.is_finite() || !weight.is_finite() {
-            return Err(ModelError::NonFiniteCoefficient {
-                context: "squared linear penalty",
-            });
-        }
-        for (i, &ai) in a.iter().enumerate() {
+        const CONTEXT: &str = "squared linear penalty";
+        let linear = self.updated_linear(a, b, weight, CONTEXT, |c, ai| {
             if ai == 0.0 {
-                continue;
+                c
+            } else {
+                c + weight * ai * (ai + 2.0 * b)
             }
-            self.linear[i] += weight * ai * (ai + 2.0 * b);
-            for (j, &aj) in a.iter().enumerate().skip(i + 1) {
-                if aj != 0.0 {
-                    self.pairs.add(i, j, 2.0 * weight * ai * aj)?;
+        })?;
+        let offset = checked(self.offset + weight * b * b, CONTEXT)?;
+        // (2·weight)·a_i, the factor of a pair's lower index
+        let lower: Vec<f64> = a.iter().map(|&ai| 2.0 * weight * ai).collect();
+        let has_pairs = a.iter().filter(|&&ai| ai != 0.0).count() >= 2;
+        if has_pairs {
+            for (i, row) in self.pairs.rows_mut().enumerate() {
+                let li = lower[i];
+                let overflow = a[i] != 0.0
+                    && row[i + 1..]
+                        .iter()
+                        .zip(&a[i + 1..])
+                        .fold(false, |bad, (&q, &aj)| {
+                            bad | ((aj != 0.0) & !(q + li * aj).is_finite())
+                        });
+                if overflow {
+                    return Err(ModelError::NonFiniteCoefficient { context: CONTEXT });
                 }
             }
         }
-        self.offset += weight * b * b;
+        self.linear = linear;
+        self.offset = offset;
+        if has_pairs {
+            // every product is finite, so 2·weight is, and a zero a_j adds
+            // ±0 — which leaves an entry (never −0) unchanged
+            for (i, row) in self.pairs.rows_mut().enumerate() {
+                let ai = a[i];
+                if ai == 0.0 {
+                    continue;
+                }
+                for (q, &lj) in row[..i].iter_mut().zip(&lower) {
+                    *q += lj * ai;
+                }
+                let li = lower[i];
+                for (q, &aj) in row[i + 1..].iter_mut().zip(&a[i + 1..]) {
+                    *q += li * aj;
+                }
+            }
+        }
         Ok(())
     }
 
@@ -332,13 +424,37 @@ impl QuboBuilder {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`QuboBuilder::add_squared_linear`].
+    /// Same conditions as [`QuboBuilder::add_squared_linear`]; an error
+    /// leaves the builder unchanged.
     pub fn add_weighted_linear(
         &mut self,
         a: &[f64],
         b: f64,
         weight: f64,
     ) -> Result<(), ModelError> {
+        const CONTEXT: &str = "weighted linear term";
+        let linear = self.updated_linear(a, b, weight, CONTEXT, |c, ai| c + weight * ai)?;
+        self.offset = checked(self.offset + weight * b, CONTEXT)?;
+        self.linear = linear;
+        Ok(())
+    }
+
+    /// The linear part with each `c_i` replaced by `update(c_i, a_i)`, for
+    /// a term in the linear expression `aᵀx + b` scaled by `weight`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::DimensionMismatch`] if `a.len() != self.len()`
+    /// and [`ModelError::NonFiniteCoefficient`] for non-finite inputs or
+    /// results.
+    fn updated_linear(
+        &self,
+        a: &[f64],
+        b: f64,
+        weight: f64,
+        context: &'static str,
+        update: impl Fn(f64, f64) -> f64,
+    ) -> Result<Vec<f64>, ModelError> {
         if a.len() != self.linear.len() {
             return Err(ModelError::DimensionMismatch {
                 expected: self.linear.len(),
@@ -346,15 +462,18 @@ impl QuboBuilder {
             });
         }
         if a.iter().any(|v| !v.is_finite()) || !b.is_finite() || !weight.is_finite() {
-            return Err(ModelError::NonFiniteCoefficient {
-                context: "weighted linear term",
-            });
+            return Err(ModelError::NonFiniteCoefficient { context });
         }
-        for (i, &ai) in a.iter().enumerate() {
-            self.linear[i] += weight * ai;
+        let linear: Vec<f64> = self
+            .linear
+            .iter()
+            .zip(a)
+            .map(|(&c, &ai)| update(c, ai))
+            .collect();
+        if linear.iter().any(|v| !v.is_finite()) {
+            return Err(ModelError::NonFiniteCoefficient { context });
         }
-        self.offset += weight * b;
-        Ok(())
+        Ok(linear)
     }
 
     /// Finishes the build.
@@ -364,6 +483,15 @@ impl QuboBuilder {
             linear: self.linear,
             offset: self.offset,
         }
+    }
+}
+
+/// `value`, or a [`ModelError::NonFiniteCoefficient`] if it is not finite.
+fn checked(value: f64, context: &'static str) -> Result<f64, ModelError> {
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(ModelError::NonFiniteCoefficient { context })
     }
 }
 
@@ -514,6 +642,76 @@ mod tests {
             Err(ModelError::NonFiniteCoefficient { .. })
         ));
         assert!(Qubo::new(m, vec![0.0; 2], 1.0).is_ok());
+    }
+
+    #[test]
+    fn overflowing_terms_are_refused_and_leave_the_builder_unchanged() {
+        let mut b = QuboBuilder::new(3);
+        b.add_pair(0, 1, 1.0).unwrap();
+        b.add_linear(2, 1e308).unwrap();
+        let before = b.clone();
+        // the linear term a_0² = 1e400 overflows
+        assert!(b
+            .add_squared_linear(&[1e200, 1e200, 0.0], 0.0, 1.0)
+            .is_err());
+        // pair products 2·a_i·a_j = 2e300 and b² = 1e300 are finite, but
+        // the offset's weight · b² is not
+        assert!(b
+            .add_squared_linear(&[1e150, 1e150, 0.0], 1e150, 1e10)
+            .is_err());
+        // the pair product ((2w)·a_0)·a_1 = 3e308 alone overflows: a_i + 2b
+        // is 0 and w·b² = 3.75e307
+        assert!(b
+            .add_squared_linear(&[1e200, 1e200, 0.0], -5e199, 1.5e-92)
+            .is_err());
+        // finite term, overflowing sum
+        assert!(b.add_weighted_linear(&[0.0, 0.0, 1e308], 0.0, 1.0).is_err());
+        assert!(b.add_linear(2, 1e308).is_err());
+        assert_eq!(b, before);
+        let mut pair = QuboBuilder::new(2);
+        pair.add_pair(0, 1, f64::MAX).unwrap();
+        assert!(pair.add_pair(1, 0, f64::MAX).is_err());
+        assert_eq!(pair.build().pairs().max_abs(), f64::MAX);
+    }
+
+    #[test]
+    fn one_nonzero_coefficient_writes_no_pairs_even_at_huge_weight() {
+        // 2·weight overflows, but with a single nonzero a_i there is no pair
+        let mut b = QuboBuilder::new(3);
+        b.add_squared_linear(&[0.0, 1.0, 0.0], -0.5, f64::MAX)
+            .unwrap();
+        let q = b.build();
+        assert_eq!(q.pairs(), &SymmetricMatrix::zeros(3));
+        assert_eq!(q.linear(), &[0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn from_qubo_reads_negative_zero_as_zero() {
+        let mut pairs = SymmetricMatrix::zeros(2);
+        pairs.scale(-1.0);
+        let q = Qubo::new(pairs, vec![-0.0, 1.0], -0.0).unwrap();
+        let b = QuboBuilder::from_qubo(&q).unwrap().build();
+        let positive = |v: f64| v.to_bits() == 0.0f64.to_bits();
+        assert!((0..2).all(|i| b.pairs().row(i).iter().all(|&v| positive(v))));
+        assert!(positive(b.linear()[0]) && positive(b.offset()));
+        let mut huge = SymmetricMatrix::zeros(2);
+        huge.set(0, 1, f64::MAX).unwrap();
+        huge.scale(2.0);
+        let q = Qubo::new(huge, vec![0.0; 2], 0.0).unwrap();
+        assert!(QuboBuilder::from_qubo(&q).is_err());
+    }
+
+    #[test]
+    fn into_ising_reports_overflow_instead_of_panicking() {
+        let mut b = QuboBuilder::new(2);
+        b.add_linear(0, f64::MAX).unwrap();
+        b.add_linear(1, f64::MAX).unwrap();
+        // offset_Q + Σ c_i/2 = MAX/2 + MAX/2 + MAX/2 overflows
+        b.add_offset(f64::MAX / 2.0);
+        assert!(matches!(
+            b.build().into_ising(),
+            Err(ModelError::NonFiniteCoefficient { .. })
+        ));
     }
 
     #[test]

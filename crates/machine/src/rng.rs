@@ -38,7 +38,7 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
 }
 
 /// Words buffered per [`NoiseSource`] refill (one refill = 64 `u64` draws =
-/// 8 ChaCha blocks).
+/// 8 ChaCha blocks, as many as one generator refill computes).
 const NOISE_BLOCK: usize = 64;
 
 /// A block-buffered tap on a [`ChaCha8Rng`] stream for the sweep hot path.
@@ -48,6 +48,8 @@ const NOISE_BLOCK: usize = 64;
 /// word fetches with exhaustion checks plus the range arithmetic) *per
 /// decision*; this source instead fills a block of 64 raw `u64`s at a time
 /// and converts on consumption, so the common case is an indexed load.
+/// A stream fed only through the source stays on the generator's 8-block
+/// boundaries, so each noise refill runs exactly one generator refill.
 ///
 /// **Draw-order contract:** the values produced are exactly the stream's
 /// `next_u64` sequence in order — buffering changes *when* words are pulled
