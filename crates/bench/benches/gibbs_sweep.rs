@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use saim_core::{penalty_qubo, ConstrainedProblem};
 use saim_knapsack::generate;
-use saim_machine::{new_rng, PbitMachine};
+use saim_machine::{new_rng, NoiseSource, PbitMachine};
 
 fn qkp_model(n: usize, density: f64) -> saim_ising::IsingModel {
     let inst = generate::qkp(n, density, 7).expect("valid parameters");
@@ -38,7 +38,8 @@ fn bench_dense_sweep(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &model, |b, model| {
             let mut rng = new_rng(1);
             let mut machine = PbitMachine::new(model, &mut rng);
-            b.iter(|| machine.sweep(model, 5.0, &mut rng));
+            let mut noise = NoiseSource::new(rng);
+            b.iter(|| machine.sweep_buffered(model, 5.0, &mut noise));
         });
     }
     group.finish();
@@ -54,7 +55,8 @@ fn bench_density_effect(c: &mut Criterion) {
             |b, model| {
                 let mut rng = new_rng(2);
                 let mut machine = PbitMachine::new(model, &mut rng);
-                b.iter(|| machine.sweep(model, 5.0, &mut rng));
+                let mut noise = NoiseSource::new(rng);
+                b.iter(|| machine.sweep_buffered(model, 5.0, &mut noise));
             },
         );
     }
@@ -69,7 +71,8 @@ fn bench_sparse_sweep(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &model, |b, model| {
             let mut rng = new_rng(3);
             let mut machine = PbitMachine::new(model, &mut rng);
-            b.iter(|| machine.sweep(model, 2.0, &mut rng));
+            let mut noise = NoiseSource::new(rng);
+            b.iter(|| machine.sweep_buffered(model, 2.0, &mut noise));
         });
     }
     group.finish();

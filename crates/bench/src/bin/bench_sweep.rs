@@ -3,8 +3,9 @@
 //! Measures the numbers every scaling PR is judged against and writes them
 //! to a JSON snapshot so future PRs have a trajectory to compare:
 //!
-//! 1. single-thread Gibbs-sweep throughput (spin-updates/s) on dense QKP
-//!    models (the n = 200 row is the acceptance gate),
+//! 1. single-thread Gibbs-sweep throughput (spin-updates/s) of one lane on
+//!    block-buffered noise, the one noise path, on dense QKP models (the
+//!    n = 200 row is the acceptance gate),
 //! 2. batched lane-major sweep throughput vs batch width R on the n = 213
 //!    dense row — aggregate Mupd/s of one `ReplicaBatch` against R
 //!    independent serial machines; every lane runs the serial machine's
@@ -235,15 +236,16 @@ fn time_sweeps(n: usize, density: f64) -> SweepPoint {
     let model = qkp_model(n, density);
     let mut rng = new_rng(1);
     let mut machine = PbitMachine::new(&model, &mut rng);
+    let mut noise = NoiseSource::new(rng);
     // warm the books and caches
     for _ in 0..50 {
-        machine.sweep(&model, 5.0, &mut rng);
+        machine.sweep_buffered(&model, 5.0, &mut noise);
     }
     // scale the timed work to the model size so every row takes ~a second
     let sweeps = (2_000_000_usize / n.max(1)).clamp(200, 50_000);
     let start = Instant::now();
     for _ in 0..sweeps {
-        machine.sweep(&model, 5.0, &mut rng);
+        machine.sweep_buffered(&model, 5.0, &mut noise);
     }
     let secs = start.elapsed().as_secs_f64();
     SweepPoint {

@@ -142,15 +142,26 @@ impl Stream {
     }
 }
 
+/// An `n × n` matrix of `−0.0` entries, the diagonal too, read off the
+/// wire: JSON is the one path that delivers such a matrix.
+fn negative_zeros(n: usize) -> SymmetricMatrix {
+    let data = vec!["-0.0"; n * n].join(",");
+    let m: SymmetricMatrix =
+        serde_json::from_str(&format!(r#"{{"n":{n},"data":[{data}]}}"#)).expect("valid matrix");
+    assert!((0..n).all(|i| m.row(i).iter().all(|v| v.is_sign_negative())));
+    m
+}
+
 /// A problem over `n` variables with `m` constraints, each entry nonzero with
 /// probability `density`. Some objective zeros are `−0.0`, stored both as
 /// mirrored pairs and on the diagonal.
 fn problem(seed: u64, n: usize, m: usize, density: f64) -> BinaryProblem {
     let mut s = Stream(seed);
-    let mut pairs = SymmetricMatrix::zeros(n);
-    if s.next().is_multiple_of(4) {
-        pairs.scale(-1.0); // every zero, the diagonal too, becomes −0.0
-    }
+    let mut pairs = if s.next().is_multiple_of(4) {
+        negative_zeros(n) // every zero, the diagonal too, is −0.0
+    } else {
+        SymmetricMatrix::zeros(n)
+    };
     for i in 0..n {
         for j in i + 1..n {
             let q = s.coefficient(density);
@@ -242,10 +253,11 @@ fn both_coupling_stores_are_exercised() {
 fn a_negative_zero_offset_survives_zero_pairs() {
     // zero pairs add nothing to the offset, not even +0.0
     for flip in [false, true] {
-        let mut pairs = SymmetricMatrix::zeros(3);
-        if flip {
-            pairs.scale(-1.0);
-        }
+        let pairs = if flip {
+            negative_zeros(3)
+        } else {
+            SymmetricMatrix::zeros(3)
+        };
         let q = Qubo::new(pairs, vec![-0.0; 3], -0.0).expect("finite");
         let model = q.to_ising();
         assert_eq!(model.offset().to_bits(), (-0.0f64).to_bits());

@@ -144,9 +144,9 @@ impl SymmetricMatrix {
 
     /// `Σ_j M_ij v_j` for spins pre-converted to `±1.0` floats.
     ///
-    /// The sweep engines keep their spins as `±1.0` floats
-    /// ([`PbitMachine`](../../saim_machine/struct.PbitMachine.html) stores
-    /// no `i8` copy), so the per-element `i8 → f64` conversion of
+    /// The sweep engines keep their spins as `±1.0` floats (a
+    /// `saim_machine::ReplicaBatch` lane stores no `i8` copy), so the
+    /// per-element `i8 → f64` conversion of
     /// [`SymmetricMatrix::row_dot_spins`] disappears. The product runs over
     /// blocks of 8 lanes into 8 independent accumulators, breaking the
     /// serial f64-add dependency chain so the compiler can keep the loop in
@@ -232,13 +232,6 @@ impl SymmetricMatrix {
     /// Largest absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |acc, &v| acc.max(v.abs()))
-    }
-
-    /// Scales every entry by `factor` in place.
-    pub fn scale(&mut self, factor: f64) {
-        for v in &mut self.data {
-            *v *= factor;
-        }
     }
 
     /// Iterates over the strictly-upper-triangle nonzero entries as `(i, j, value)`.
@@ -401,11 +394,9 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_max_abs() {
+    fn max_abs_reads_the_largest_magnitude() {
         let mut m = SymmetricMatrix::zeros(2);
         m.set(0, 1, -4.0).unwrap();
         assert_eq!(m.max_abs(), 4.0);
-        m.scale(0.5);
-        assert_eq!(m.get(0, 1), -2.0);
     }
 }

@@ -65,9 +65,9 @@ impl CsrMatrix {
     ///
     /// Builds the rows by a direct scan of the dense storage (columns come
     /// out ascending for free), so the conversion is a single O(n²) pass
-    /// with no intermediate map — cheap enough for
-    /// [`PbitMachine`](../../saim_machine/struct.PbitMachine.html) to mirror
-    /// low-density models on every resync.
+    /// with no intermediate map;
+    /// [`Couplings::from_dense_auto`](crate::Couplings::from_dense_auto)
+    /// runs it once when a large low-density model is stored.
     pub fn from_dense(dense: &SymmetricMatrix) -> Self {
         let n = dense.len();
         let mut row_ptr = Vec::with_capacity(n + 1);

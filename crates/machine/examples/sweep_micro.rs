@@ -3,7 +3,7 @@
 //! alone). Used to compare hot-path revisions.
 
 use saim_ising::{Couplings, IsingModel, SymmetricMatrix};
-use saim_machine::{new_rng, PbitMachine};
+use saim_machine::{new_rng, NoiseSource, PbitMachine};
 use std::time::Instant;
 
 fn dense_model(n: usize) -> IsingModel {
@@ -24,13 +24,14 @@ fn main() {
         let model = dense_model(n);
         let mut rng = new_rng(1);
         let mut machine = PbitMachine::new(&model, &mut rng);
+        let mut noise = NoiseSource::new(rng);
         for _ in 0..50 {
-            machine.sweep(&model, 5.0, &mut rng);
+            machine.sweep_buffered(&model, 5.0, &mut noise);
         }
         let sweeps = (2_000_000 / n).clamp(200, 50_000);
         let start = Instant::now();
         for _ in 0..sweeps {
-            machine.sweep(&model, 5.0, &mut rng);
+            machine.sweep_buffered(&model, 5.0, &mut noise);
         }
         let secs = start.elapsed().as_secs_f64();
         println!(

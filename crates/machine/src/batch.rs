@@ -1,102 +1,124 @@
-//! Batched lane-major multi-replica sweep engine.
-//!
-//! [`ReplicaBatch`] advances `R` replicas of **one** [`IsingModel`] through
-//! Monte Carlo sweeps together. Every lane is a view of the one lane kernel
-//! in [`crate::lane`] — the code a [`PbitMachine`](crate::PbitMachine)
-//! sweeps its single lane with — over its own contiguous plane slice, and
-//! every sweep runs each lane in turn through that kernel's plain scan with
-//! one-pass flip propagation
-//! ([`Couplings::row_axpy`](saim_ising::Couplings::row_axpy)).
-//! The batch adds no sweep policy of its own: a lane sweeps exactly as a
-//! serial machine does, and lanes in one batch share no coupling pass.
-//!
-//! # Memory layout
-//!
-//! All per-replica data is *lane-major*: lane `r` owns the contiguous
-//! slices `spins[r·n .. (r+1)·n]` and `fields[r·n .. (r+1)·n]` — each lane
-//! is bit-for-bit the spin/field vector of a serial machine on its stream:
-//!
-//! ```text
-//!           lane 0 (n floats)      lane 1 (n floats)
-//! spins  = [ s₀⁰ s₁⁰ … sₙ₋₁⁰ | s₀¹ s₁¹ … sₙ₋₁¹ | … ]   (±1.0 floats)
-//! fields = [ I₀⁰ I₁⁰ … Iₙ₋₁⁰ | I₀¹ I₁¹ … Iₙ₋₁¹ | … ]
-//! ```
-//!
-//! The previous spin-major `n × R` plane (`i·R + r`) optimized for the
-//! broadcast write `fields[j·R + r] += J_ij · delta[r]` — but that shape
-//! loses whenever lanes flip *different* spins, which is the common case:
-//! an uncorrelated single-lane flip either strides the whole plane (one
-//! useful f64 per 64-byte line) or broadcasts `±0.0` adds over the full
-//! slab (`R×` the memory traffic of one lane). In the lane-major layout
-//! every per-lane operation — the settled scan, the flip propagation,
-//! checkpoint gather/scatter, and the parallel-tempering lane swaps —
-//! streams a contiguous vector, so a lane's plane slice is exactly the
-//! slice shape the lane kernel takes and each lane costs what a serial
-//! sweep costs.
-//!
-//! # Decision kernel
-//!
-//! Per lane the decisions are the lane kernel's three-tier rule (tiers
-//! described on [`PbitMachine`](crate::PbitMachine)): the blocked settled
-//! scan, per-spin saturation classification from the model's drive bounds,
-//! and the certified tanh bracket ([`crate::bracket`]) on everything else.
-//! The batch holds one shared `drive_bounds` vector (the bound depends only
-//! on the model) and runs each lane against it at that lane's β.
-//!
-//! # RNG-stream layout
-//!
-//! Replica lane `r` owns the ChaCha8 stream seeded with `seeds[r]`,
-//! consumed by the one lane init and sweep code: `n` coin flips for the
-//! initial state, then one block-buffered `U(-1, 1)` draw per undecided
-//! spin in spin order (see [`NoiseSource`] for why buffering preserves the
-//! draw order). Lanes never share a stream, so the batch width and the
-//! processing order of other lanes cannot influence a lane's trajectory.
-//!
-//! # Batch-width invariance
-//!
-//! Replica `r`'s trajectory — every spin, field, energy and flip count —
-//! is identical whether it runs in a batch of 1, a batch of 8, or on a
-//! serial [`PbitMachine`](crate::PbitMachine) fed the same stream: lanes
-//! are data-disjoint, decisions use only lane-`r` data, and every lane
-//! runs the serial machine's own scan. The machine crate's proptests assert
-//! the contract for R = 1 vs R = 8 vs serial replay, on dense and CSR
-//! models, including n = 0/1 and widths that are not a multiple of any
-//! block size. Since both sides of that replay call the same lane kernel,
-//! the kernel itself is pinned by the exact-`tanh` oracle replays
-//! (`tests/bracket_cert.rs`) and by the recorded golden trajectories in
-//! `tests/determinism.rs`.
-//!
-//! ```
-//! use saim_ising::QuboBuilder;
-//! use saim_machine::{derive_seed, ReplicaBatch};
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut b = QuboBuilder::new(4);
-//! for i in 0..4 { b.add_linear(i, -1.0)?; }
-//! let model = b.build().to_ising();
-//! let seeds: Vec<u64> = (0..8).map(|r| derive_seed(3, r)).collect();
-//! let mut batch = ReplicaBatch::new(&model, &seeds);
-//! for _ in 0..50 {
-//!     batch.sweep_uniform(&model, 6.0);
-//! }
-//! // every replica of this trivial model reaches the ground state
-//! for r in 0..batch.width() {
-//!     assert!((batch.energy(r) - (-4.0)).abs() < 1e-9);
-//! }
-//! # Ok(())
-//! # }
-//! ```
+//! The lane-major multi-replica sweep engine ([`ReplicaBatch`]) and the
+//! per-lane best-sample tracking both batched engines share.
 
 use crate::lane::{Lane, MachineSnapshot};
 use crate::rng::{NoiseSnapshot, NoiseSource};
 use saim_ising::{Couplings, IsingModel, SpinState};
 
 /// `R` replicas of one Ising model in lane-major layout, advanced by
-/// batched Monte Carlo sweeps, each lane through the lane kernel's plain
-/// scan.
+/// batched Monte Carlo sweeps: the crate's one p-bit engine.
 ///
-/// See the [module docs](self) for the memory layout, the RNG-stream
-/// layout and the batch-width-invariance contract.
+/// Every lane is a view of the one lane kernel over its own contiguous
+/// plane slice, and every sweep runs each lane in turn through that
+/// kernel's plain scan with one-pass flip propagation
+/// ([`Couplings::row_axpy`]). The ensemble's groups, the
+/// parallel-tempering ladder, [`SimulatedAnnealing`](crate::SimulatedAnnealing)
+/// (a one-lane batch per run) and [`GreedyDescent`](crate::GreedyDescent)
+/// (a one-lane batch per restart) all sweep batch lanes. Lanes in one batch
+/// share no coupling pass.
+///
+/// # Memory layout
+///
+/// All per-replica data is *lane-major*: lane `r` owns the contiguous
+/// slices `spins[r·n .. (r+1)·n]` and `fields[r·n .. (r+1)·n]`:
+///
+/// ```text
+///           lane 0 (n floats)      lane 1 (n floats)
+/// spins  = [ s₀⁰ s₁⁰ … sₙ₋₁⁰ | s₀¹ s₁¹ … sₙ₋₁¹ | … ]   (±1.0 floats)
+/// fields = [ I₀⁰ I₁⁰ … Iₙ₋₁⁰ | I₀¹ I₁¹ … Iₙ₋₁¹ | … ]
+/// ```
+///
+/// The previous spin-major `n × R` plane (`i·R + r`) optimized for the
+/// broadcast write `fields[j·R + r] += J_ij · delta[r]` — but that shape
+/// loses whenever lanes flip *different* spins, which is the common case:
+/// an uncorrelated single-lane flip either strides the whole plane (one
+/// useful f64 per 64-byte line) or broadcasts `±0.0` adds over the full
+/// slab (`R×` the memory traffic of one lane). In the lane-major layout
+/// every per-lane operation — the settled scan, the flip propagation,
+/// checkpoint gather/scatter, and the parallel-tempering lane swaps —
+/// streams a contiguous vector, so each lane costs what a one-lane sweep
+/// costs.
+///
+/// # Decision kernel
+///
+/// Each p-bit reads its input `I_i = Σ_j J_ij m_j + h_i` (paper eq. 9)
+/// and updates as `m_i = sign(tanh(β I_i) + U(-1, 1))` (paper eq. 10);
+/// updating every spin once is one Monte Carlo sweep (MCS) of Gibbs
+/// sampling for `P(m) ∝ exp(-β H(m))` (paper eq. 11). The lane keeps the
+/// local fields and the energy current incrementally: a flip of spin `j`
+/// shifts every `I_i` by `2 J_ij m_j`, one row scan instead of an `O(n²)`
+/// recompute. Every Gibbs update resolves the rule through three tiers of
+/// increasing cost, each bit-identical to the exact rule:
+///
+/// 1. **Settled scan + per-spin saturation classification.** A blocked
+///    scan skips whole runs of spins whose `field · spin` clears the
+///    padded `SATURATION / β` threshold — each is certifiably saturated
+///    *and* aligned, so the exact rule would keep it with no draw. For the
+///    few spins the scan leaves undecided, the per-spin drive bounds
+///    `D_i = |h_i| + Σ_j |J_ij|` ([`IsingModel::drive_bounds`], one vector
+///    per batch, built on its first Gibbs sweep) classify on demand whether
+///    the spin can reach `|β I_i| ≥ 20` at all: spins that can *never*
+///    saturate at this β — the weakly-coupled slack bits that dominate
+///    hot-regime knapsack sweeps — skip the saturation compares entirely
+///    (a `1 + 2⁻¹⁶` pad on the bound keeps that sound against the
+///    rounding of the incremental fields). The classification is a
+///    two-multiply test of the precomputed bound, so a β that changes every
+///    sweep costs no reclassification pass.
+/// 2. **Saturation short-circuit** (maybe-saturating spins only): a drive
+///    past `±20` — where `tanh` rounds to exactly `±1.0` — decides without
+///    `tanh` or a draw; the deep-quench fast path.
+/// 3. **Certified tanh bracket** ([`crate::bracket`]): one `U(-1, 1)` word
+///    is drawn, then cheap polynomial/rational bounds `lo ≤ tanh ≤ hi` (no
+///    `libm` call) decide the sign whenever `u` falls outside `[-hi, -lo)`;
+///    only the residual sliver (well under 1% of hot-regime draws)
+///    computes the exact `tanh`.
+///
+/// **RNG-consumption contract:** tier 3 consumes exactly one `u64` from the
+/// lane's stream per update, whether the bracket or the exact `tanh`
+/// decides; tiers 1–2 consume nothing. The trajectory is therefore
+/// bit-identical to the exact-`tanh` reference kernel for every seed,
+/// schedule, batch width and thread count, as the oracle replay proptests
+/// (`tests/bracket_cert.rs`) and the golden trajectories of
+/// `tests/determinism.rs` assert.
+///
+/// # RNG-stream layout
+///
+/// Replica lane `r` owns the ChaCha8 stream seeded with `seeds[r]`,
+/// consumed by the one lane init and sweep code: `n` coin flips for the
+/// initial state, then one block-buffered `U(-1, 1)` draw per undecided
+/// spin in spin order (see [`NoiseSource`] for why buffering preserves the
+/// draw order). Lanes never share a stream, so the batch width and the
+/// processing order of other lanes cannot influence a lane's trajectory.
+///
+/// # Batch-width invariance
+///
+/// Replica `r`'s trajectory — every spin, field, energy and flip count —
+/// is identical whether it runs in a batch of 1 or a batch of 8: lanes are
+/// data-disjoint, decisions use only lane-`r` data, and every lane runs the
+/// same scan. The machine crate's proptests assert the contract for R = 1
+/// vs R = 8 vs a serial one-lane replay, on dense and CSR models, including
+/// n = 0/1 and widths that are not a multiple of any block size.
+///
+/// ```
+/// use saim_ising::QuboBuilder;
+/// use saim_machine::{derive_seed, ReplicaBatch};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = QuboBuilder::new(4);
+/// for i in 0..4 { b.add_linear(i, -1.0)?; }
+/// let model = b.build().to_ising();
+/// let seeds: Vec<u64> = (0..8).map(|r| derive_seed(3, r)).collect();
+/// let mut batch = ReplicaBatch::new(&model, &seeds);
+/// for _ in 0..50 {
+///     batch.sweep_uniform(&model, 6.0);
+/// }
+/// // every replica of this trivial model reaches the ground state
+/// for r in 0..batch.width() {
+///     assert!((batch.energy(r) - (-4.0)).abs() < 1e-9);
+/// }
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct ReplicaBatch {
     n: usize,
@@ -111,18 +133,18 @@ pub struct ReplicaBatch {
     flips: Vec<u64>,
     /// Per-replica noise streams (block-buffered ChaCha8).
     streams: Vec<NoiseSource>,
-    /// Per-spin drive bounds `D_i = |h_i| + Σ_j |J_ij|` of the construction
-    /// model (a batch is bound to one model for its lifetime): every lane's
-    /// Gibbs scan classifies undecided spins from them on demand. The bound
-    /// depends only on the model, so one vector serves all lanes.
+    /// Per-spin drive bounds `D_i = |h_i| + Σ_j |J_ij|` of the batch's model
+    /// (a batch is bound to one model for its lifetime): every lane's Gibbs
+    /// scan classifies undecided spins from them on demand. The bound
+    /// depends only on the model, so one vector serves all lanes. Empty
+    /// until the first Gibbs sweep builds it: Metropolis and greedy sweeps
+    /// never read it, so a batch that takes none skips the `O(nnz)` pass.
     drive_bounds: Vec<f64>,
 }
 
 impl ReplicaBatch {
     /// Builds a batch of `seeds.len()` replicas, lane `r` initialized from
-    /// the stream seeded `seeds[r]` exactly like a serial
-    /// [`PbitMachine::new`](crate::PbitMachine::new): the one lane init
-    /// ([`Lane::randomize`]) — `n` coin flips for the state, then one
+    /// the stream seeded `seeds[r]`: `n` coin flips for the state, then one
     /// blocked row-dot per spin for the fields.
     ///
     /// # Panics
@@ -133,7 +155,7 @@ impl ReplicaBatch {
         let mut batch = Self::with_streams(model, streams);
         for r in 0..batch.width {
             // the buffer is still empty, so the coin flips read the raw
-            // stream exactly as a serial machine's construction does
+            // stream
             let (mut lane, stream) = batch.lane(r);
             lane.randomize(model, stream.rng_mut());
         }
@@ -162,8 +184,7 @@ impl ReplicaBatch {
     /// incrementally-maintained fields and energy, flip counter, and the
     /// lane's noise-stream state — for the checkpoint layer.
     ///
-    /// The snapshot is the layout-independent lane image a
-    /// [`PbitMachine`](crate::PbitMachine) writes too (the lane-major plane
+    /// The snapshot is a layout-independent lane image (the lane-major plane
     /// slice gathered into per-lane vectors), so checkpoints written by one
     /// plane layout restore under any other.
     ///
@@ -231,7 +252,7 @@ impl ReplicaBatch {
             energies: vec![0.0; width],
             flips: vec![0; width],
             streams,
-            drive_bounds: model.drive_bounds(),
+            drive_bounds: Vec::new(),
         }
     }
 
@@ -345,22 +366,15 @@ impl ReplicaBatch {
     }
 
     /// One batched Gibbs sweep with per-lane inverse temperatures (the
-    /// parallel-tempering shape: lane `r` samples at `betas[r]`).
-    ///
-    /// Every lane runs the lane kernel's Gibbs scan on its own stream, so
-    /// each replays [`PbitMachine::sweep`](crate::PbitMachine::sweep)
-    /// bit-for-bit; see the module docs.
+    /// parallel-tempering shape: lane `r` samples at `betas[r]`). Every
+    /// lane runs the lane kernel's Gibbs scan on its own stream.
     ///
     /// # Panics
     ///
     /// Panics if `betas.len() != self.width()`.
     pub fn sweep(&mut self, model: &IsingModel, betas: &[f64]) {
         assert_eq!(betas.len(), self.width, "one β per replica lane");
-        self.each_lane(
-            model,
-            |r| betas[r],
-            |lane, c, noise, beta| lane.scan_gibbs(c, noise, beta),
-        );
+        self.gibbs(model, |r| betas[r]);
     }
 
     /// One batched Gibbs sweep with a single inverse temperature shared by
@@ -370,60 +384,51 @@ impl ReplicaBatch {
     ///
     /// Panics if the batch was built for a different model size.
     pub fn sweep_uniform(&mut self, model: &IsingModel, beta: f64) {
-        self.each_lane(
-            model,
-            |_| beta,
-            |lane, c, noise, beta| lane.scan_gibbs(c, noise, beta),
-        );
+        self.gibbs(model, |_| beta);
     }
 
-    /// One batched Metropolis sweep with per-lane inverse temperatures.
-    ///
-    /// Every lane runs the lane kernel's Metropolis sweep on its own
-    /// stream, so each replays
-    /// [`PbitMachine::metropolis_sweep`](crate::PbitMachine::metropolis_sweep)
-    /// bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `betas.len() != self.width()`.
-    pub fn metropolis_sweep(&mut self, model: &IsingModel, betas: &[f64]) {
-        assert_eq!(betas.len(), self.width, "one β per replica lane");
-        self.each_lane(
-            model,
-            |r| betas[r],
-            |lane, c, noise, beta| lane.metropolis(c, noise, beta),
-        );
-    }
-
-    /// One batched Metropolis sweep at a single shared inverse temperature.
+    /// One batched Metropolis sweep at a single shared inverse temperature:
+    /// every lane proposes each spin in order and accepts with probability
+    /// `min(1, exp(-β ΔH))`, drawing from its own stream. Both rules sample
+    /// the same Boltzmann distribution in equilibrium.
     ///
     /// # Panics
     ///
     /// Panics if the batch was built for a different model size.
     pub fn metropolis_sweep_uniform(&mut self, model: &IsingModel, beta: f64) {
-        self.each_lane(
-            model,
-            |_| beta,
-            |lane, c, noise, beta| lane.metropolis(c, noise, beta),
-        );
-    }
-
-    /// Runs `step` on every lane in turn, lane `r` on its own stream at
-    /// `beta(r)`.
-    #[inline(always)]
-    fn each_lane(
-        &mut self,
-        model: &IsingModel,
-        beta: impl Fn(usize) -> f64,
-        step: impl Fn(&mut Lane<'_>, &Couplings, &mut NoiseSource, f64),
-    ) {
-        assert_eq!(self.n, model.len(), "batch built for a different model");
-        let couplings = model.couplings();
+        let couplings = self.couplings(model);
         for r in 0..self.width {
             let (mut lane, stream) = self.lane(r);
-            step(&mut lane, couplings, stream, beta(r));
+            lane.metropolis(couplings, stream, beta);
         }
+    }
+
+    /// One greedy sweep of every lane ([`Lane::greedy`]); returns the
+    /// number of spins that changed.
+    pub(crate) fn greedy_sweep(&mut self, model: &IsingModel) -> usize {
+        let couplings = self.couplings(model);
+        (0..self.width)
+            .map(|r| self.lane(r).0.greedy(couplings))
+            .sum()
+    }
+
+    /// The Gibbs scan of every lane, lane `r` at `beta(r)`; builds the drive
+    /// bounds on the batch's first Gibbs sweep.
+    fn gibbs(&mut self, model: &IsingModel, beta: impl Fn(usize) -> f64) {
+        let couplings = self.couplings(model);
+        if self.drive_bounds.len() != self.n {
+            self.drive_bounds = model.drive_bounds();
+        }
+        for r in 0..self.width {
+            let (mut lane, stream) = self.lane(r);
+            lane.scan_gibbs(couplings, stream, beta(r));
+        }
+    }
+
+    /// `model`'s couplings, checked against the batch's model size.
+    fn couplings<'m>(&self, model: &'m IsingModel) -> &'m Couplings {
+        assert_eq!(self.n, model.len(), "batch built for a different model");
+        model.couplings()
     }
 
     /// Borrows lane `r`'s share of the batch as a [`Lane`] of the lane
@@ -750,6 +755,19 @@ mod tests {
                 assert_eq!(batch.energy(r).to_bits(), machine.energy().to_bits());
             }
         }
+    }
+
+    #[test]
+    fn only_a_gibbs_sweep_builds_the_drive_bounds() {
+        // Metropolis and greedy sweeps never read the bounds, so a batch
+        // that takes none skips the pass; the first Gibbs sweep builds them
+        let model = frustrated_model();
+        let mut batch = ReplicaBatch::new(&model, &[1, 2]);
+        batch.metropolis_sweep_uniform(&model, 1.0);
+        batch.greedy_sweep(&model);
+        assert!(batch.drive_bounds.is_empty());
+        batch.sweep_uniform(&model, 1.0);
+        assert_eq!(batch.drive_bounds, model.drive_bounds());
     }
 
     #[test]

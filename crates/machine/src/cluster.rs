@@ -58,7 +58,7 @@
 //! Replica dispatches are budgeted: at most
 //! [`ReplicationPolicy::max_extra_load`] extra copies may be live
 //! fleet-wide; due hedges beyond the budget defer (counted `suppressed` in
-//! [`HedgeStats`]) until settlements free it.
+//! [`ClusterReport::hedges`]) until settlements free it.
 //!
 //! Settlement is **first outcome wins, exactly once**: the first terminal
 //! frame for a gid settles the job through the journal as always, and
@@ -136,7 +136,7 @@
 //!
 //! Backend-level fault injection (kill, partition/heal, duplicate-outcome
 //! replay) is scripted through
-//! [`BackendFaultPlan`](crate::frontend::faults::BackendFaultPlan) and the
+//! [`BackendFaultPlan`] and the
 //! [`FaultyLink`] wrapper; the loopback suite in `tests/cluster.rs` drives
 //! the proofs.
 //!
@@ -414,7 +414,7 @@ impl Drop for TcpLink {
 }
 
 /// A fault-injecting link wrapper scripted by a
-/// [`BackendFaultPlan`](crate::frontend::faults::BackendFaultPlan); see the
+/// [`BackendFaultPlan`]; see the
 /// plan's docs for the three scripts (kill, partition/heal, duplicate
 /// outcomes). Deterministic: faults are switches the test flips, never
 /// random.
@@ -634,9 +634,9 @@ pub struct ReplicationPolicy {
     /// at all — deadline-aware speculation, not eager 2× dispatch.
     pub hedge_delay_ms: u64,
     /// Fleet-wide cap on concurrently-live extra replicas. A due hedge is
-    /// deferred (counted [`HedgeStats::suppressed`]) while the budget is
-    /// exhausted; `0` never fires a replica, degrading to pure
-    /// breaker-driven failover.
+    /// deferred (counted `suppressed` in [`ClusterReport::hedges`]) while
+    /// the budget is exhausted; `0` never fires a replica, degrading to
+    /// pure breaker-driven failover.
     pub max_extra_load: usize,
 }
 
@@ -740,7 +740,7 @@ struct Tombstone {
     digest: Option<u64>,
 }
 
-/// How many of the most recently settled gids keep a [`Tombstone`]. A late
+/// How many of the most recently settled gids keep a tombstone. A late
 /// duplicate of an older gid is still dropped, since only live gids
 /// settle, but without the outcome-mismatch cross-check; it is counted in
 /// [`ClusterReport::duplicates_past_horizon`].

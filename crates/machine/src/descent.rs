@@ -1,10 +1,9 @@
+use crate::batch::ReplicaBatch;
 use crate::checkpoint::{
     CheckpointError, Controlled, DescentState, MachineState, OutcomeKind, RngState, RunController,
 };
-use crate::pbit::PbitMachine;
-use crate::rng::new_rng;
+use crate::rng::NoiseSource;
 use crate::solver::{IsingSolver, SolveOutcome};
-use rand_chacha::ChaCha8Rng;
 use saim_ising::IsingModel;
 
 /// Deterministic single-flip descent from random restarts.
@@ -14,6 +13,12 @@ use saim_ising::IsingModel;
 /// β → ∞, zero-noise limit of the p-bit machine. It is not competitive with
 /// annealing on rugged landscapes, but is a valuable sanity baseline: any
 /// annealer that loses to greedy descent is misconfigured.
+///
+/// Each solve lends the descender's stream to a fresh one-lane
+/// [`ReplicaBatch`] (the lane init draws its `n` coin flips from it),
+/// sweeps the lane greedily and takes the stream back, so the next restart
+/// continues it. Greedy sweeps draw no noise and never read the drive
+/// bounds, so the batch never builds them.
 ///
 /// The descent has one sweep loop: `solve` delegates to
 /// [`GreedyDescent::solve_controlled`] under [`RunController::unlimited`].
@@ -33,23 +38,23 @@ use saim_ising::IsingModel;
 /// ```
 #[derive(Debug, Clone)]
 pub struct GreedyDescent {
-    rng: ChaCha8Rng,
     max_sweeps: usize,
-    /// Reused across solves: a restart re-randomizes in place (one field
-    /// resync, no allocation) instead of constructing a fresh machine.
-    /// Greedy sweeps never draw noise or evaluate `tanh`, so the machine's
-    /// Gibbs-kernel drive bounds stay lazily uncomputed — restarts don't
-    /// pay for books they never read.
-    machine: Option<PbitMachine>,
+    /// The restart stream. Only the lane init's coin flips read it, straight
+    /// from the generator, so its noise buffer stays empty and the
+    /// generator's position is the whole stream state.
+    stream: NoiseSource,
+    /// Spin flips over every solve so far: the lane's flip counter carries
+    /// on from restart to restart.
+    flips: u64,
 }
 
 impl GreedyDescent {
     /// Creates a descender with the given seed and a default sweep cap.
     pub fn new(seed: u64) -> Self {
         GreedyDescent {
-            rng: new_rng(seed),
             max_sweeps: 10_000,
-            machine: None,
+            stream: NoiseSource::from_seed(seed),
+            flips: 0,
         }
     }
 
@@ -71,8 +76,8 @@ impl GreedyDescent {
         model: &IsingModel,
         ctrl: &RunController,
     ) -> Controlled<DescentState> {
-        PbitMachine::obtain_randomized(&mut self.machine, model, &mut self.rng);
-        self.run_from(model, 0, ctrl)
+        let batch = ReplicaBatch::lend_lane(model, self.stream.clone(), self.flips);
+        self.run_from(model, batch, 0, ctrl)
     }
 
     /// Continues a checkpointed descent from its [`DescentState`]; the
@@ -94,27 +99,28 @@ impl GreedyDescent {
                 state.sweeps_done, self.max_sweeps
             )));
         }
-        let snap = state.machine.rebuild(model.len())?;
-        self.machine = Some(PbitMachine::from_snapshot(model, &snap));
-        self.rng = state.rng.rebuild()?;
-        Ok(self.run_from(model, state.sweeps_done, ctrl))
+        let machine = state.machine.rebuild(model.len())?;
+        let stream = NoiseSource::new(state.rng.rebuild()?);
+        let batch = ReplicaBatch::from_lane_snapshots(model, &[(machine, stream.snapshot())]);
+        Ok(self.run_from(model, batch, state.sweeps_done, ctrl))
     }
 
     /// The descent's one sweep loop, from a completed-sweep count, for fresh
-    /// and resumed runs alike. Convergence is checked before the poll, so a
-    /// descent that just settled always reports `Completed`.
+    /// and resumed runs alike; takes the lane's stream and flip count back
+    /// at the end. Convergence is checked before the poll, so a descent
+    /// that just settled always reports `Completed`.
     fn run_from(
         &mut self,
         model: &IsingModel,
+        mut batch: ReplicaBatch,
         start: u64,
         ctrl: &RunController,
     ) -> Controlled<DescentState> {
-        let machine = self.machine.as_mut().expect("machine installed by caller");
         let mut sweeps = start;
         let mut status = OutcomeKind::Completed;
         while sweeps < self.max_sweeps as u64 {
             sweeps += 1;
-            if machine.greedy_sweep(model) == 0 {
+            if batch.greedy_sweep(model) == 0 {
                 break;
             }
             if sweeps < self.max_sweeps as u64 {
@@ -124,22 +130,23 @@ impl GreedyDescent {
                 }
             }
         }
-        let state = (status == OutcomeKind::Checkpointed).then(|| DescentState {
-            sweeps_done: sweeps,
-            machine: MachineState::capture(&machine.snapshot()),
-            rng: RngState::capture(&self.rng),
-        });
-        let last = machine.state();
+        let (last, energy) = (batch.state(0), batch.energy(0));
+        let machine = (status == OutcomeKind::Checkpointed).then(|| batch.lane_snapshot(0).0);
+        (self.stream, self.flips) = batch.return_lane();
         Controlled {
             outcome: SolveOutcome {
                 best: last.clone(),
                 last,
-                last_energy: machine.energy(),
-                best_energy: machine.energy(),
+                last_energy: energy,
+                best_energy: energy,
                 mcs: sweeps,
             },
             status,
-            state,
+            state: machine.map(|machine| DescentState {
+                sweeps_done: sweeps,
+                machine: MachineState::capture(&machine),
+                rng: RngState::capture(self.stream.rng_mut()),
+            }),
         }
     }
 }

@@ -101,9 +101,12 @@ impl Default for EnsembleConfig {
 
 impl EnsembleConfig {
     /// Cap on the adaptive lane count when [`EnsembleConfig::batch_width`]
-    /// is `0`, and on parallel tempering's ladder groups: eight lanes keep
-    /// a group's spin/field planes cache-resident at the paper's model
-    /// sizes.
+    /// is `0`, and on parallel tempering's ladder groups. Lanes in one
+    /// group share no coupling pass, so a wider group saves no arithmetic;
+    /// the cap keeps a group a bounded unit of work (its planes hold
+    /// `2 · 8 · n` floats), so beyond eight replicas per worker the
+    /// replicas split into more groups than workers, which the fan-out
+    /// hands out dynamically.
     pub const DEFAULT_BATCH_WIDTH: usize = 8;
 
     fn validate(&self) {
@@ -175,7 +178,8 @@ impl EnsembleOutcome {
 /// deterministic per-replica RNG streams and an ordered reduction.
 ///
 /// The annealer is [`IsingSolver`]-compatible, so anything that drives a
-/// [`SimulatedAnnealing`] — the SAIM outer loop in particular — can swap in
+/// [`SimulatedAnnealing`](crate::SimulatedAnnealing) — the SAIM outer loop
+/// in particular — can swap in
 /// an ensemble unchanged; each `solve` call then reads the best of R runs
 /// instead of one.
 #[derive(Debug, Clone)]

@@ -2,31 +2,32 @@
 //!
 //! A *lane* is one replica's books over one [`IsingModel`]: `±1.0` spins,
 //! the incrementally maintained local fields `I_i = Σ_j J_ij s_j + h_i`,
-//! the energy and a flip counter. Both sweep engines run their lanes
-//! through this module. A [`PbitMachine`](crate::PbitMachine) owns exactly
-//! one lane's books; a [`ReplicaBatch`](crate::ReplicaBatch) holds `R` of
-//! them lane-major and borrows one [`Lane`] view at a time. So every
-//! per-lane step exists once, here:
+//! the energy and a flip counter. Every sweep of every engine runs here: a
+//! [`ReplicaBatch`](crate::ReplicaBatch) holds `R` lanes' books lane-major
+//! and borrows one [`Lane`] view at a time (the ensemble, PT, SA and greedy
+//! descent all sweep batch lanes). So every per-lane step exists once:
 //!
 //! - the coin-flip init and the field and energy computation
 //!   ([`Lane::randomize`], [`Lane::recompute_books`]);
-//! - the serial-shaped Gibbs scan ([`Lane::scan_gibbs`]): the blocked
-//!   settled scan ([`settled_run`]) and the three-tier decision
-//!   ([`gibbs_up`]; the tiers are described on
-//!   [`PbitMachine`](crate::PbitMachine));
+//! - the Gibbs scan ([`Lane::scan_gibbs`]): the blocked settled scan
+//!   ([`settled_run`]) and the three-tier decision ([`gibbs_up`]; the
+//!   tiers and the RNG-consumption contract are described on
+//!   [`ReplicaBatch`](crate::ReplicaBatch));
 //! - the Metropolis sweep ([`Lane::metropolis`]);
+//! - the greedy sweep ([`Lane::greedy`]);
 //! - the flip and its field propagation ([`Lane::flip`]);
 //! - the checkpoint gather and scatter ([`MachineSnapshot::gather`],
 //!   [`Lane::restore`]).
 //!
-//! Both engines sweep every lane the same way: the plain scan over every
-//! spin, with one-pass flip propagation; neither adds a sweep policy of its
-//! own. Noise is a parameter ([`SweepNoise`]), so the per-decision
-//! (`ChaCha8Rng`) and block-buffered ([`NoiseSource`](crate::NoiseSource))
-//! paths run one loop and consume the same stream words.
+//! Every lane sweeps the same way: the plain scan over every spin, with
+//! one-pass flip propagation. Every noise draw comes from the lane's
+//! block-buffered [`NoiseSource`], the one noise path. The hidden
+//! test-support `PbitMachine` is one more caller of this kernel (one lane
+//! with its own books), kept as the serial replay reference and the home
+//! of the exact-`tanh` oracle.
 
 use crate::bracket::gibbs_decision;
-use crate::rng::SweepNoise;
+use crate::rng::NoiseSource;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use saim_ising::{Couplings, IsingModel, SpinState};
@@ -173,12 +174,7 @@ impl Lane<'_> {
     /// The serial-shaped Gibbs scan over every spin: a blocked settled
     /// scan skips whole runs of settled spins, then each unsettled spin
     /// takes the three-tier decision ([`gibbs_up`]) and flips in place.
-    pub(crate) fn scan_gibbs<N: SweepNoise>(
-        &mut self,
-        couplings: &Couplings,
-        noise: &mut N,
-        beta: f64,
-    ) {
+    pub(crate) fn scan_gibbs(&mut self, couplings: &Couplings, noise: &mut NoiseSource, beta: f64) {
         let settle = settle_threshold(beta);
         let n = self.spins.len();
         let mut i = 0;
@@ -198,7 +194,7 @@ impl Lane<'_> {
                     break;
                 }
                 let up = gibbs_up(beta, self.fields[i], self.drive_bounds[i], || {
-                    noise.noise_symmetric()
+                    noise.symmetric()
                 });
                 if up != (self.spins[i] > 0.0) {
                     self.flip(couplings, i);
@@ -211,18 +207,28 @@ impl Lane<'_> {
     /// One Metropolis sweep: proposes every spin in order and accepts with
     /// probability `min(1, exp(-β ΔH))`; the accept test draws only when
     /// `ΔH > 0`.
-    pub(crate) fn metropolis<N: SweepNoise>(
-        &mut self,
-        couplings: &Couplings,
-        noise: &mut N,
-        beta: f64,
-    ) {
+    pub(crate) fn metropolis(&mut self, couplings: &Couplings, noise: &mut NoiseSource, beta: f64) {
         for i in 0..self.spins.len() {
             let delta_h = 2.0 * self.spins[i] * self.fields[i];
-            if delta_h <= 0.0 || noise.noise_unit() < (-beta * delta_h).exp() {
+            if delta_h <= 0.0 || noise.unit() < (-beta * delta_h).exp() {
                 self.flip(couplings, i);
             }
         }
+    }
+
+    /// One greedy sweep — the β → ∞, zero-noise limit: flips, in order,
+    /// every spin whose flip strictly lowers the energy. Draws nothing and
+    /// never reads the drive bounds. Returns the number of spins flipped.
+    pub(crate) fn greedy(&mut self, couplings: &Couplings) -> usize {
+        let mut changed = 0;
+        for i in 0..self.spins.len() {
+            let delta_h = 2.0 * self.spins[i] * self.fields[i];
+            if delta_h < 0.0 {
+                self.flip(couplings, i);
+                changed += 1;
+            }
+        }
+        changed
     }
 
     /// Flips spin `i` and keeps the books: the energy (`ΔH = 2 s_i I_i`),
@@ -271,7 +277,7 @@ pub(crate) fn settled_run(fields: &[f64], spins: &[f64], thresh: f64) -> usize {
 }
 
 /// The three-tier Gibbs decision for one spin the settled scan left
-/// undecided (tiers 1–3 in [`PbitMachine`](crate::PbitMachine)'s docs):
+/// undecided (tiers 1–3 in [`ReplicaBatch`](crate::ReplicaBatch)'s docs):
 /// whether the spin comes up, given its local `field`, its drive bound
 /// `D_i` and the inverse temperature.
 ///

@@ -22,26 +22,21 @@
 //!
 //! This crate provides:
 //!
-//! - the lane kernel (the private `lane` module) — the one copy of every
-//!   per-lane step both sweep engines run: the coin-flip init with its
-//!   field and energy computation, the Gibbs scan with its three-tier
-//!   decision (per-spin saturation classification, exact saturation
-//!   short-circuit, certified tanh bracket) that replays the exact-`tanh`
+//! - [`ReplicaBatch`] — the one p-bit engine: R lanes of one model in
+//!   lane-major spin and field planes, each swept in turn by the lane
+//!   kernel (the private `lane` module), the one copy of every per-lane
+//!   step: the coin-flip init with its field and energy computation, the
+//!   Gibbs scan with its three-tier decision (per-spin saturation
+//!   classification, exact saturation short-circuit, certified tanh
+//!   bracket; described on [`ReplicaBatch`]) that replays the exact-`tanh`
 //!   rule bit-for-bit at a fraction of its hot-regime cost, the Metropolis
-//!   sweep, the flip with its field propagation, and the checkpoint
-//!   gather/scatter,
-//! - [`PbitMachine`] — the p-bit network: one lane of the lane kernel,
-//!   swept serially, plus the greedy sweep and the exact-`tanh` oracle
-//!   every kernel is pinned against; no annealer sweeps it, it is the
-//!   serial replay reference for the batch lanes they all run on,
+//!   and greedy sweeps, the flip with its field propagation, and the
+//!   checkpoint gather/scatter; per-lane trajectories are bit-identical
+//!   for any batch width (the CPU shape of the future GPU batch sweep),
 //! - [`bracket`] — the certified rational `tanh` bounds behind tier 3 and
 //!   their flip-decision helper,
-//! - [`ReplicaBatch`] — R lanes of one model in lane-major spin and field
-//!   planes, each swept in turn by the lane kernel's plain scan;
-//!   per-lane trajectories are bit-identical to serial machines for any
-//!   batch width (the CPU shape of the future GPU batch sweep),
-//! - [`NoiseSource`] — a block-buffered tap on a ChaCha8 stream for the
-//!   sweep noise, preserving the per-decision draw order exactly,
+//! - [`NoiseSource`] — a block-buffered tap on a ChaCha8 stream, the one
+//!   path every sweep draws its noise from, in the stream's word order,
 //! - [`BetaSchedule`] — annealing schedules (the paper uses a linear sweep
 //!   from 0 to `β_max` per run),
 //! - [`SimulatedAnnealing`] — one annealed run reading the last sample, as
@@ -94,8 +89,8 @@
 //!   [`parallel`] with per-slot RNG streams and a dedicated swap stream, so
 //!   outcomes are bit-identical for any thread count (the type's docs
 //!   describe the stream layout and swap schedule),
-//! - [`GreedyDescent`] — deterministic single-flip descent, useful as a
-//!   sanity baseline,
+//! - [`GreedyDescent`] — deterministic single-flip descent on a one-lane
+//!   batch, useful as a sanity baseline,
 //! - [`IsingSolver`] — the trait unifying all of the above, and
 //! - [`SampleCounter`] — MCS bookkeeping used to reproduce Fig. 4b.
 //!
@@ -148,6 +143,9 @@ pub use checkpoint::{
 };
 pub use descent::GreedyDescent;
 pub use ensemble::{EnsembleAnnealer, EnsembleConfig, EnsembleOutcome, ReplicaOutcome};
+/// Test support: the serial replay reference and exact-`tanh` oracle that
+/// the lane kernel is pinned against; no solver uses it.
+#[doc(hidden)]
 pub use pbit::PbitMachine;
 pub use pt::{ParallelTempering, PtConfig};
 pub use rng::{derive_seed, new_rng, NoiseSource};

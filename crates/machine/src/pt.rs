@@ -1,68 +1,5 @@
-//! Deterministic parallel tempering (replica exchange) on the p-bit machine.
-//!
-//! `R` replicas sample the same model at a geometric ladder of inverse
-//! temperatures. The run is organised in *rounds* of `swap_interval` sweeps:
-//! within a round every ladder slot sweeps independently, between rounds
-//! adjacent slots propose a state exchange accepted with the Metropolis
-//! probability `min(1, exp(Δβ · ΔE))`. Hot replicas roam; cold replicas
-//! refine — the standard remedy for the rugged landscapes that large penalty
-//! terms create, and the algorithm run on Fujitsu's Digital Annealer in the
-//! paper's comparison \[17\].
-//!
-//! # Batched parallel execution and determinism
-//!
-//! Rounds are embarrassingly parallel across the ladder. Adjacent slots are
-//! grouped — up to eight per group, by the lane-group width rule the
-//! replica ensemble uses too — into one lane-major [`ReplicaBatch`], whose
-//! lanes sweep one after another, and each round's group sweeps fan out
-//! over one **persistent per-solve worker pool**
-//! ([`parallel::parallel_rounds_while`]): the pool spawns once, rounds open and
-//! close on a barrier, and the serial exchange phase runs between rounds
-//! with every worker parked — a swap cadence of a few microseconds of work
-//! per slot would be swamped by per-round thread spawns otherwise. Results
-//! are **bit-identical for any thread count** — and identical to the
-//! one-machine-per-slot engine, by the batch's lane-invariance contract —
-//! because no random stream is ever shared between concurrently-running
-//! slots:
-//!
-//! - **RNG-stream layout.** Each `solve` call is a *batch*; batch `b` of a
-//!   solver seeded `s` derives `batch_seed = derive_seed(s, b)`. Ladder slot
-//!   `k` (0 = hottest … R−1 = coldest) then owns the SplitMix64-derived
-//!   stream `derive_seed(batch_seed, k)`, which draws its initial state and
-//!   every sweep at that temperature. Stream index `R` —
-//!   `derive_seed(batch_seed, R)` — is the dedicated **swap stream**,
-//!   consumed only by the serial exchange phase between rounds.
-//! - **Swap schedule.** Round `t` (0-based) attempts exchanges on the fixed
-//!   pair set `{(k, k+1) : k ≡ t (mod 2)}` in ascending `k` — even pairs on
-//!   even rounds, odd pairs on odd rounds — so proposals within a round are
-//!   disjoint and the accept decisions are a pure function of slot energies
-//!   and the swap stream, never of scheduling. Exchanges happen strictly
-//!   *between* rounds: none follows the final round, so the readout is the
-//!   coldest slot's state straight after its last sweeps.
-//! - **Exchange semantics.** An accepted swap exchanges the *replica
-//!   payloads* (spin state, local fields, energy, flip count — batch lanes
-//!   here, whole machines in a serial replay) between the two slots;
-//!   streams, temperatures and best-so-far tracking stay attached to their
-//!   ladder slots.
-//!
-//! A serial replay of the same layout (sweep slots `0..R` in order each
-//! round, then apply the swap phase) reproduces the parallel result exactly;
-//! `tests/determinism.rs` asserts both properties.
-//!
-//! ```
-//! use saim_ising::QuboBuilder;
-//! use saim_machine::{IsingSolver, ParallelTempering, PtConfig};
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut b = QuboBuilder::new(3);
-//! for i in 0..3 { b.add_linear(i, -1.0)?; }
-//! let model = b.build().to_ising();
-//! let cfg = PtConfig { replicas: 4, sweeps: 100, ..PtConfig::default() };
-//! let out = ParallelTempering::new(cfg, 11).solve(&model);
-//! assert!((out.best_energy - (-3.0)).abs() < 1e-9);
-//! # Ok(())
-//! # }
-//! ```
+//! Deterministic parallel tempering: [`ParallelTempering`] and its ladder
+//! groups.
 
 use crate::batch::{LaneBests, ReplicaBatch};
 use crate::checkpoint::{
@@ -189,12 +126,73 @@ impl PtGroup {
     }
 }
 
-/// Parallel tempering with deterministic round-parallel sweeps.
+/// Deterministic parallel tempering (replica exchange) on the p-bit machine.
 ///
-/// See the [module docs](self) for the RNG-stream layout, the fixed even/odd
-/// swap schedule, and the thread-count-invariance guarantee. Consecutive
+/// `R` replicas sample the same model at a geometric ladder of inverse
+/// temperatures. The run is organised in *rounds* of `swap_interval` sweeps:
+/// within a round every ladder slot sweeps independently, between rounds
+/// adjacent slots propose a state exchange accepted with the Metropolis
+/// probability `min(1, exp(Δβ · ΔE))`. Hot replicas roam; cold replicas
+/// refine — the standard remedy for the rugged landscapes that large penalty
+/// terms create, and the algorithm run on Fujitsu's Digital Annealer in the
+/// paper's comparison \[17\].
+///
+/// # Batched parallel execution and determinism
+///
+/// Rounds are embarrassingly parallel across the ladder. Adjacent slots are
+/// grouped — up to eight per group, by the lane-group width rule the
+/// replica ensemble uses too — into one lane-major [`ReplicaBatch`], whose
+/// lanes sweep one after another, and each round's group sweeps fan out
+/// over one **persistent per-solve worker pool**
+/// ([`parallel::parallel_rounds_while`]): the pool spawns once, rounds open and
+/// close on a barrier, and the serial exchange phase runs between rounds
+/// with every worker parked — a swap cadence of a few microseconds of work
+/// per slot would be swamped by per-round thread spawns otherwise. Results
+/// are **bit-identical for any thread count** — and identical to the
+/// one-machine-per-slot engine, by the batch's lane-invariance contract —
+/// because no random stream is ever shared between concurrently-running
+/// slots:
+///
+/// - **RNG-stream layout.** Each `solve` call is a *batch*; batch `b` of a
+///   solver seeded `s` derives `batch_seed = derive_seed(s, b)`. Ladder slot
+///   `k` (0 = hottest … R−1 = coldest) then owns the SplitMix64-derived
+///   stream `derive_seed(batch_seed, k)`, which draws its initial state and
+///   every sweep at that temperature. Stream index `R` —
+///   `derive_seed(batch_seed, R)` — is the dedicated **swap stream**,
+///   consumed only by the serial exchange phase between rounds.
+/// - **Swap schedule.** Round `t` (0-based) attempts exchanges on the fixed
+///   pair set `{(k, k+1) : k ≡ t (mod 2)}` in ascending `k` — even pairs on
+///   even rounds, odd pairs on odd rounds — so proposals within a round are
+///   disjoint and the accept decisions are a pure function of slot energies
+///   and the swap stream, never of scheduling. Exchanges happen strictly
+///   *between* rounds: none follows the final round, so the readout is the
+///   coldest slot's state straight after its last sweeps.
+/// - **Exchange semantics.** An accepted swap exchanges the *replica
+///   payloads* (spin state, local fields, energy, flip count — batch lanes
+///   here, whole machines in a serial replay) between the two slots;
+///   streams, temperatures and best-so-far tracking stay attached to their
+///   ladder slots.
+///
+/// A serial replay of the same layout (sweep slots `0..R` in order each
+/// round, then apply the swap phase) reproduces the parallel result exactly;
+/// `tests/determinism.rs` asserts both properties. Consecutive
 /// [`IsingSolver::solve`] calls use fresh stream batches, exactly like
 /// consecutive runs of a serial solver.
+///
+/// ```
+/// use saim_ising::QuboBuilder;
+/// use saim_machine::{IsingSolver, ParallelTempering, PtConfig};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = QuboBuilder::new(3);
+/// for i in 0..3 { b.add_linear(i, -1.0)?; }
+/// let model = b.build().to_ising();
+/// let cfg = PtConfig { replicas: 4, sweeps: 100, ..PtConfig::default() };
+/// let out = ParallelTempering::new(cfg, 11).solve(&model);
+/// assert!((out.best_energy - (-3.0)).abs() < 1e-9);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct ParallelTempering {
     config: PtConfig,

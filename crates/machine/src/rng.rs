@@ -176,38 +176,6 @@ pub(crate) struct NoiseSnapshot {
 /// Number of buffered words a [`NoiseSnapshot`] must carry.
 pub(crate) const NOISE_SNAPSHOT_WORDS: usize = NOISE_BLOCK;
 
-/// The two noise draws a Monte Carlo sweep makes, abstracted so one sweep
-/// implementation serves both the buffered ([`NoiseSource`]) and the
-/// per-decision (`&mut ChaCha8Rng`) paths.
-pub(crate) trait SweepNoise {
-    /// One `U(-1, 1)` draw (the p-bit Gibbs noise term).
-    fn noise_symmetric(&mut self) -> f64;
-    /// One `U(0, 1)` draw (the Metropolis accept test).
-    fn noise_unit(&mut self) -> f64;
-}
-
-impl SweepNoise for ChaCha8Rng {
-    fn noise_symmetric(&mut self) -> f64 {
-        use rand::Rng;
-        self.gen_range(-1.0..1.0)
-    }
-
-    fn noise_unit(&mut self) -> f64 {
-        use rand::Rng;
-        self.gen::<f64>()
-    }
-}
-
-impl SweepNoise for NoiseSource {
-    fn noise_symmetric(&mut self) -> f64 {
-        self.symmetric()
-    }
-
-    fn noise_unit(&mut self) -> f64 {
-        self.unit()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

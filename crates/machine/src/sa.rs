@@ -22,11 +22,9 @@ use saim_ising::IsingModel;
 /// solve lends the annealer's stream to a fresh one-lane
 /// [`ReplicaBatch`], sweeps it there and takes the stream back, so the next
 /// solve continues it. A fresh single-run annealer therefore replays a
-/// batch lane on the same seed, and a serial
-/// [`PbitMachine`](crate::PbitMachine) fed the stream the same way. The
-/// batch is built per run from the model it anneals, so the drive bounds
-/// behind the sweep's decision kernel always match the model's current h
-/// (SAIM shifts h between solves).
+/// batch lane on the same seed. The batch is built per run from the model
+/// it anneals, so the drive bounds behind the sweep's decision kernel
+/// always match the model's current h (SAIM shifts h between solves).
 ///
 /// `solve` delegates to [`SimulatedAnnealing::solve_controlled`] under
 /// [`RunController::unlimited`]: SAIM's inner anneal, served jobs and

@@ -176,19 +176,20 @@ proptest! {
     fn bracket_kernel_replays_exact_oracle(model in arb_model(), seed in 0u64..500) {
         let mut rng_a = new_rng(seed);
         let mut a = PbitMachine::new(&model, &mut rng_a);
+        let mut noise_a = NoiseSource::new(rng_a);
         let mut rng_b = new_rng(seed);
         let mut b = PbitMachine::new(&model, &mut rng_b);
+        let mut noise_b = NoiseSource::new(rng_b);
         for sweep in 0..40 {
             let beta = 0.3 * sweep as f64; // 0 → 12: hot through saturated
-            a.sweep(&model, beta, &mut rng_a);
-            b.sweep_exact_oracle(&model, beta, &mut rng_b);
+            a.sweep_buffered(&model, beta, &mut noise_a);
+            b.sweep_exact_oracle_buffered(&model, beta, &mut noise_b);
             prop_assert_eq!(a.state(), b.state(), "sweep {}", sweep);
             prop_assert_eq!(a.energy().to_bits(), b.energy().to_bits());
             prop_assert_eq!(a.flips(), b.flips());
         }
         // RNG consumption matched throughout iff the streams still agree
-        use rand::Rng;
-        prop_assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+        prop_assert_eq!(noise_a.unit().to_bits(), noise_b.unit().to_bits());
     }
 
     /// The batched engine's lanes replay the exact oracle too (through the

@@ -219,11 +219,12 @@ proptest! {
     fn books_never_drift(model in arb_model(), seed in 0u64..1000, beta in 0.0..8.0f64) {
         let mut rng = new_rng(seed);
         let mut machine = PbitMachine::new(&model, &mut rng);
+        let mut noise = NoiseSource::new(rng);
         for sweep in 0..30 {
             if sweep % 2 == 0 {
-                machine.sweep(&model, beta, &mut rng);
+                machine.sweep_buffered(&model, beta, &mut noise);
             } else {
-                machine.metropolis_sweep(&model, beta, &mut rng);
+                machine.metropolis_sweep_buffered(&model, beta, &mut noise);
             }
             prop_assert!((machine.energy() - model.energy(&machine.state())).abs() < 1e-9);
         }

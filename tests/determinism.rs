@@ -85,7 +85,7 @@ fn pt_parallel_engine_matches_serial_reference_replay() {
     // outcome exactly, with no engine machinery at all (the PT analogue of
     // the ensemble replica replay)
     use rand::Rng;
-    use saim_machine::{new_rng, PbitMachine};
+    use saim_machine::{new_rng, NoiseSource, PbitMachine};
 
     let inst = generate::qkp(20, 0.5, 5).expect("valid");
     let enc = inst.encode().expect("encodes");
@@ -106,14 +106,14 @@ fn pt_parallel_engine_matches_serial_reference_replay() {
     let r = cfg.replicas;
     let batch_seed = derive_seed(seed, 0);
     let mut machines = Vec::new();
-    let mut rngs = Vec::new();
+    let mut noises = Vec::new();
     let mut bests: Vec<(f64, saim_ising::SpinState)> = Vec::new();
     for k in 0..r {
         let mut rng = new_rng(derive_seed(batch_seed, k as u64));
         let machine = PbitMachine::new(&model, &mut rng);
         bests.push((machine.energy(), machine.state()));
         machines.push(machine);
-        rngs.push(rng);
+        noises.push(NoiseSource::new(rng));
     }
     let mut swap_rng = new_rng(derive_seed(batch_seed, r as u64));
 
@@ -123,7 +123,7 @@ fn pt_parallel_engine_matches_serial_reference_replay() {
         let len = cfg.swap_interval.min(cfg.sweeps - done);
         for k in 0..r {
             for _ in 0..len {
-                machines[k].sweep(&model, ladder[k], &mut rngs[k]);
+                machines[k].sweep_buffered(&model, ladder[k], &mut noises[k]);
                 if machines[k].energy() < bests[k].0 {
                     bests[k] = (machines[k].energy(), machines[k].state());
                 }

@@ -1,5 +1,6 @@
 //! Golden stdout of the root examples that drive SAIM and the penalty
-//! baseline end to end (`quickstart`, `penalty_vs_saim`).
+//! baseline end to end (`quickstart`, `penalty_vs_saim`), and of `maxcut`,
+//! the one example that runs greedy descent and SA on CSR couplings.
 //!
 //! Each example's stdout is a pure function of its fixed seeds, so it is
 //! pinned byte for byte against `tests/golden/<example>.txt`. The test runs
@@ -65,4 +66,9 @@ fn quickstart_stdout_is_pinned() {
 #[test]
 fn penalty_vs_saim_stdout_is_pinned() {
     assert_golden("penalty_vs_saim");
+}
+
+#[test]
+fn maxcut_stdout_is_pinned() {
+    assert_golden("maxcut");
 }

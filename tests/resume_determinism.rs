@@ -5,9 +5,9 @@
 //! (β ∈ {2, 8}) and deep-quench schedule legs, batch widths 1/4/8, the
 //! CI-matrix-selected worker count (`SAIM_DETERMINISM_THREADS` = 1/2/8),
 //! the on-disk checkpoint round trip at every width, and fixture
-//! checkpoints written by older builds — the spin-major batch layout, and
-//! one-lane ensemble groups on the serial annealer — restoring under the
-//! lane-major batch.
+//! checkpoints written by older builds — the spin-major batch layout,
+//! one-lane ensemble groups on the serial annealer, and a greedy descent
+//! on the serial machine — restoring under the lane-major batch.
 
 use proptest::prelude::*;
 use saim_core::ConstrainedProblem;
@@ -297,24 +297,30 @@ fn a_checkpoint_file_resumes_bit_identically_after_the_disk_round_trip() {
 
 #[test]
 fn a_spin_major_era_checkpoint_restores_under_the_lane_major_layout() {
-    // Two fixtures written by older builds, each interrupted at sweep 40:
+    // Three fixtures written by older builds:
     //
     // - `spin_major_ensemble_w4.ckpt`, by the spin-major (n × W plane)
-    //   build of the batch engine, a width-4 ensemble job. Checkpoints
+    //   build of the batch engine, a width-4 ensemble job interrupted at
+    //   sweep 40. Checkpoints
     //   store per-lane *serial machine* images, not plane slabs, so the
     //   lane-major engine must scatter them into its own layout — a layout
     //   change is not a checkpoint format bump.
     // - `serial_group_ensemble_w1.ckpt`, by a build that ran one-lane
-    //   ensemble groups on the serial annealer: three replicas at
+    //   ensemble groups on the serial annealer, interrupted at sweep 40:
+    //   three replicas at
     //   `batch_width: 1`, every group a `GroupState::Serial` image, which
     //   resumes as a one-lane batch built from the annealer's books,
     //   stream and best.
+    // - `descent_stop3.ckpt`, by a build whose greedy descent swept a
+    //   serial machine: a `SolverSpec::Descent` job on a 40-item QKP,
+    //   stopped after sweep 3 of 6.
     //
-    // Both must finish bit-identically to the embedded spec's
+    // All must finish bit-identically to the embedded spec's
     // uninterrupted run.
     for fixture in [
         "spin_major_ensemble_w4.ckpt",
         "serial_group_ensemble_w1.ckpt",
+        "descent_stop3.ckpt",
     ] {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("tests/fixtures")
@@ -332,4 +338,24 @@ fn a_spin_major_era_checkpoint_restores_under_the_lane_major_layout() {
         );
         assert_eq!(resumed.outcome.canonical(), oracle.canonical(), "{fixture}");
     }
+}
+
+#[test]
+fn a_fresh_descent_stopped_at_sweep_3_saves_the_fixture_bytes() {
+    // the lane-kernel descent writes the same `DescentState` the serial
+    // machine's descent wrote: format, books, flip count and stream position
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/descent_stop3.ckpt");
+    let spec = Checkpoint::load(&path).expect("the fixture loads").spec;
+    let cut = spec.run_controlled(&interrupt_at(3));
+    assert_eq!(cut.outcome.outcome_kind, OutcomeKind::Checkpointed);
+    let dir = std::env::temp_dir().join(format!("saim-descent-fixture-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir is creatable");
+    let fresh = dir.join("descent_stop3.ckpt");
+    cut.checkpoint
+        .expect("the interrupted run carries a checkpoint")
+        .save(&fresh)
+        .expect("saves");
+    let (want, got) = (std::fs::read(&path), std::fs::read(&fresh));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(want.expect("fixture reads") == got.expect("fresh file reads"));
 }
